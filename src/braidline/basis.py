@@ -53,21 +53,6 @@ class WaveBasis:
         out[0::2], out[1::2] = np.arange(1, self.size, 2), np.arange(0, self.size, 2)
         return out
 
-    def mode_kappa_shift(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index map for the momentum label p -> kappa**m p.
-
-        kappa < 1 lowers |p| by one pair rank per power; the sign of p is
-        preserved.  Returns (idx, ok) with idx[i] = -1 where the shifted
-        label leaves the truncated spectrum.
-        """
-        n_pairs = self.size // 2
-        ranks = np.arange(self.size) // 2
-        offs = np.arange(self.size) % 2
-        new_rank = ranks - m
-        ok = (new_rank >= 0) & (new_rank < n_pairs)
-        idx = np.where(ok, 2 * new_rank + offs, -1)
-        return idx, ok
-
 
 @dataclass
 class CoefficientVector:
@@ -120,18 +105,14 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     u_even = (q_even @ vecs_e) / sw[:, None]
     u_odd = (q_odd @ vecs_o) / sw[:, None]
 
-    ref_even, ref_odd = _reference_profiles(lattice)
-    for k in range(half):
-        s = np.sum(w * ref_even * u_even[:, k])
-        if s == 0.0:
-            s = u_even[np.argmax(np.abs(u_even[:, k])), k]
-        if s < 0:
-            u_even[:, k] = -u_even[:, k]
-        s = np.sum(w * ref_odd * u_odd[:, k])
-        if s == 0.0:
-            s = u_odd[np.argmax(np.abs(u_odd[:, k])), k]
-        if s < 0:
-            u_odd[:, k] = -u_odd[:, k]
+    # each mode's sign follows its overlap with the profile of its parity
+    for u, ref in zip((u_even, u_odd), _reference_profiles(lattice)):
+        for k in range(half):
+            s = np.sum(w * ref * u[:, k])
+            if s == 0.0:
+                s = u[np.argmax(np.abs(u[:, k])), k]
+            if s < 0:
+                u[:, k] = -u[:, k]
 
     energies = np.empty(n)
     momenta = np.empty(n)

@@ -1,0 +1,182 @@
+"""The verification registry: one implementation of each operator identity.
+
+``braidline verify`` and the acceptance tests run the same checks.  Each
+takes ``(cfg, basis, basis2, v)`` -- the config, the G1 basis, its crossed G2
+partner and the configured potential -- and returns ``(value, tolerance)``;
+``CHECKS`` maps its name to ``(fn, sense)``, where sense "max" bounds the
+value from above and "min" from below.  Times come from ``time_target``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis, delta_kernel
+from .dyson import interaction_potential, smatrix_interaction
+from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
+                         make_retarded, schrodinger_residual, source_term)
+from .qcalc import crossing_transform, make_lattice
+from .scattering import (ModePotential, Potential, born_wavefunction, conjugate_smatrix,
+                         lippmann_schwinger_solve, smatrix_momentum, unitarity_defect)
+
+
+def crossed_basis(basis: WaveBasis) -> WaveBasis:
+    """The G2 basis of the crossed context over the same j range."""
+    c2 = crossing_transform(basis.ctx)
+    lat = basis.lattice
+    return build_hamiltonian_basis(
+        make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min, j_max=lat.j_max), basis.mass, c2)
+
+
+def variant_bases(basis: WaveBasis, basis2: WaveBasis) -> list[tuple[str, WaveBasis]]:
+    """Each kernel variant, sorted by name, with the basis of its geometry."""
+    return [(v, (basis, basis2)[VARIANTS[v][0] - 1]) for v in sorted(VARIANTS)]
+
+
+def kernel_residual(b: WaveBasis, variant: str, t: float) -> float:
+    """Schroedinger residual of the retarded kernel from time 0 to t."""
+    return schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
+
+
+def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
+    """Distance of the coincident-time kernel at t from the delta kernel."""
+    return float(np.max(np.abs(free_propagator(b, variant, t, t).matrix - delta_kernel(b))))
+
+
+def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float], float]:
+    """Born-series error of incoming mode 6 per order against the exact
+    Lippmann-Schwinger state, and the spectral radius rho of the iteration."""
+    jq = 6
+    phi = CoefficientVector(basis, np.eye(basis.size)[jq])
+    t_mat, rho = lippmann_schwinger_solve(weak, basis, float(basis.energies[jq]),
+                                          weak.epsilon)
+    r0 = 1.0 / (basis.energies[jq] - basis.energies + 1j * weak.epsilon)
+    exact = phi.values + r0 * t_mat[:, jq]
+    return [float(np.max(np.abs(born_wavefunction(phi, weak, n)[0].values - exact)))
+            for n in orders], rho
+
+
+def worst_ratio(defects) -> float:
+    """Largest growth factor between successive defects.
+
+    0.0 for fewer than two defects or when none grows; a zero defect
+    followed by a nonzero one counts as infinite growth.
+    """
+    return max((later / earlier if earlier else (math.inf if later else 0.0)
+                for earlier, later in zip(defects, defects[1:])), default=0.0)
+
+
+def cross_formalism_potential(basis: WaveBasis) -> ModePotential:
+    """Weak seeded Hermitian coupling of the ten lowest modes, eps = 0.05."""
+    block = np.random.default_rng(7).normal(size=(10, 10))
+    vm = np.zeros((basis.size, basis.size))
+    vm[:10, :10] = 2e-5 * (block + block.T) / 2
+    return ModePotential(vm, epsilon=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+def _check_composition(cfg, basis, basis2, v):
+    worst = 0.0
+    rng = np.random.default_rng(42)
+    for variant, b in variant_bases(basis, basis2):
+        for _ in range(5):
+            t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
+            got = compose(free_propagator(b, variant, t0, t1),
+                          free_propagator(b, variant, t1, t2))
+            direct = free_propagator(b, variant, t0, t2)
+            worst = max(worst, float(np.max(np.abs(got.matrix - direct.matrix))))
+    return worst, 1e-12
+
+
+def _check_boundary(cfg, basis, basis2, v):
+    return max(boundary_defect(b, variant, cfg["time_target"])
+               for variant, b in variant_bases(basis, basis2)), 1e-12
+
+
+def _check_residual(cfg, basis, basis2, v):
+    # retarded and advanced wave-equation residuals plus the source jump
+    t = cfg["time_target"]
+    worst = 0.0
+    for variant, b in variant_bases(basis, basis2):
+        advanced = schrodinger_residual(make_advanced(free_propagator(b, variant, t, 0.0)))
+        coincident = make_retarded(free_propagator(b, variant, t, t))
+        prefactor, scaled_delta = source_term(coincident)
+        jump = float(np.max(np.abs(1j * coincident.matrix - prefactor * scaled_delta)))
+        worst = max(worst, kernel_residual(b, variant, t), advanced, jump)
+    return worst, 1e-10
+
+
+def _check_conjugation(cfg, basis, basis2, v):
+    t = cfg["time_target"]
+    worst = 0.0
+    for variant, b in variant_bases(basis, basis2):
+        ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
+        partner = free_propagator(b, ck.variant, -0.2, t, tilde=True)
+        worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
+    for fam in ("S2minus", "S1starPlus", "S1plusPrime", "S2starMinusPrime"):
+        cs = conjugate_smatrix(smatrix_momentum(v, basis, fam, eps=v.epsilon))
+        built = smatrix_momentum(v, basis, cs.family, eps=v.epsilon, tilde=True)
+        worst = max(worst, float(np.max(np.abs(cs.matrix - built.matrix))))
+    return worst, 1e-10
+
+
+def _check_born(cfg, basis, basis2, v):
+    # weak coupling so the order-4 truncation error (~rho**5) is resolvable
+    weak = Potential(v.values, epsilon=0.05, strength=0.003)
+    errs, _ = born_errors(weak, basis, [cfg["born_order"]])
+    return errs[0], 1e-8
+
+
+def _check_unitarity(cfg, basis, basis2, v):
+    defects = [unitarity_defect(smatrix_momentum(v, basis, cfg["family"], eps=e))
+               for e in cfg["eps_sweep"]]
+    return worst_ratio(defects), 1.2
+
+
+def _check_cross_formalism(cfg, basis, basis2, v):
+    mp = cross_formalism_potential(basis)
+    eps = mp.epsilon
+    vi = interaction_potential(mp, basis, "H")
+    s_dyn = smatrix_interaction(vi, "S1starPlus", float(np.log(1e8) / eps), eps, tol=1e-10)
+    s_mom = smatrix_momentum(mp, basis, "S1starPlus", eps=eps)
+    return float(np.max(np.abs(s_dyn.matrix - s_mom.matrix))), 1e-6
+
+
+def _check_crossing(cfg, basis, basis2, v):
+    t = cfg["time_target"]
+    k1 = free_propagator(basis, "K1prime", 0.0, t)
+    k2 = free_propagator(basis2, "K2", 0.0, t)
+    return float(np.max(np.abs(k1.matrix - k2.matrix))), 1e-10
+
+
+def _check_unitarity_negative_control(cfg, basis, basis2, v):
+    va = Potential(0.05j * np.exp(-basis.lattice.points ** 2), epsilon=0.05)
+    defect = unitarity_defect(smatrix_momentum(va, basis, cfg["family"], eps=0.05))
+    # reported as a lower bound: the check passes when the defect is large
+    return float(defect), 1e-2
+
+
+CHECKS = {
+    "composition": (_check_composition, "max"),
+    "boundary": (_check_boundary, "max"),
+    "residual": (_check_residual, "max"),
+    "conjugation": (_check_conjugation, "max"),
+    "born": (_check_born, "max"),
+    "unitarity_trend": (_check_unitarity, "max"),
+    "unitarity_negative_control": (_check_unitarity_negative_control, "min"),
+    "cross_formalism": (_check_cross_formalism, "max"),
+    "crossing": (_check_crossing, "max"),
+}
+
+
+def run_check(name: str, cfg: dict, basis: WaveBasis, basis2: WaveBasis, v) -> dict:
+    """Evaluate one registered check; the entry is looked up at call time."""
+    fn, sense = CHECKS[name]
+    value, tol = fn(cfg, basis, basis2, v)
+    passed = value <= tol if sense == "max" else value >= tol
+    return {"check": name, "value": value, "tolerance": tol, "sense": sense,
+            "pass": bool(passed)}

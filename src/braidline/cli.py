@@ -16,6 +16,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -23,30 +24,20 @@ import numpy as np
 
 from . import __version__
 from .basis import build_hamiltonian_basis, build_qexp_basis, delta_kernel, export_basis
+from .checks import (CHECKS, boundary_defect, crossed_basis, kernel_residual, run_check,
+                     variant_bases)
 from .dyson import interaction_potential, ode_evolution, smatrix_interaction
-from .propagator import (
-    VARIANTS,
-    compose,
-    conjugate_kernel,
-    free_propagator,
-    make_retarded,
-    schrodinger_residual,
-    source_term,
-)
-from .qcalc import braided_line, crossing_transform, make_lattice
+from .propagator import VARIANTS, free_propagator
+from .qcalc import braided_line, make_lattice
 from .scattering import (
     ModePotential,
     Potential,
     S_FAMILIES,
-    born_wavefunction,
-    conjugate_smatrix,
     gaussian_potential,
-    lippmann_schwinger_solve,
     smatrix_momentum,
     transition_probability_table,
     unitarity_defect,
 )
-from .basis import CoefficientVector
 
 DEFAULT_CONFIG = {
     "ctx": {"q": 0.9},
@@ -76,6 +67,30 @@ class ConfigError(Exception):
         self.field = field
 
 
+def _finite(x) -> bool:
+    """A JSON number that is not a bool, NaN or +-Inf."""
+    try:
+        return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_type(path: str, default, val) -> None:
+    """Each field takes the type of its default: int fields take only ints,
+    float fields (and eps_sweep entries) any finite number; bools never count
+    as numbers."""
+    if isinstance(default, list):
+        ok, kind = isinstance(val, list) and all(map(_finite, val)), "a list of finite numbers"
+    elif isinstance(default, float):
+        ok, kind = _finite(val), "a finite number"
+    elif isinstance(default, int):
+        ok, kind = isinstance(val, int) and not isinstance(val, bool), "an integer"
+    else:
+        ok, kind = isinstance(val, str), "a string"
+    if not ok:
+        raise ConfigError(path, f"{path} must be {kind}")
+
+
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -87,6 +102,7 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
                 raise ConfigError(path, f"{path} must be an object")
             out[key] = _merge(base[key], val, prefix=path + ".")
         else:
+            _check_type(path, base[key], val)
             out[key] = val
     return out
 
@@ -99,7 +115,7 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, bad encoding, oversized int
             raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config", "top-level config must be an object")
@@ -109,37 +125,29 @@ def load_config(path: str | None) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    q = cfg["ctx"]["q"]
-    if not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
-        raise ConfigError("ctx.q", f"ctx.q must lie in (0, 1), got {q!r}")
-    lat = cfg["lattice"]
-    if lat["x0"] <= 0:
-        raise ConfigError("lattice.x0", "lattice.x0 must be positive")
-    if lat["j_min"] > lat["j_max"]:
-        raise ConfigError("lattice.j_min", "lattice.j_min must not exceed lattice.j_max")
-    if cfg["mass"] <= 0:
-        raise ConfigError("mass", "mass must be positive")
-    pot = cfg["potential"]
-    if pot["shape"] not in POTENTIAL_SHAPES:
-        raise ConfigError("potential.shape",
-                          f"potential.shape must be one of {POTENTIAL_SHAPES}")
-    if pot["shape"] == "gaussian" and pot["width"] <= 0:
-        raise ConfigError("potential.width", "potential.width must be positive")
-    if pot["epsilon"] < 0:
-        raise ConfigError("potential.epsilon", "potential.epsilon must be nonnegative")
-    if not cfg["eps_sweep"] or any(e <= 0 for e in cfg["eps_sweep"]):
-        raise ConfigError("eps_sweep", "eps_sweep must be a nonempty list of positive numbers")
-    if cfg["born_order"] < 0:
-        raise ConfigError("born_order", "born_order must be nonnegative")
-    if cfg["family"] not in S_FAMILIES:
-        raise ConfigError("family", f"family must be one of {sorted(S_FAMILIES)}")
-    dy = cfg["dyson"]
-    if dy["epsilon"] <= 0:
-        raise ConfigError("dyson.epsilon", "dyson.epsilon must be positive")
-    if dy["tol"] <= 0:
-        raise ConfigError("dyson.tol", "dyson.tol must be positive")
-    if not (2 <= dy["n_modes"] <= 50):
-        raise ConfigError("dyson.n_modes", "dyson.n_modes must be between 2 and 50")
+    # every field already has its default's type, so each rule can be evaluated
+    lat, pot, dy = cfg["lattice"], cfg["potential"], cfg["dyson"]
+    for field, ok, rule in (
+        ("ctx.q", 0.0 < cfg["ctx"]["q"] < 1.0, "must lie in (0, 1)"),
+        ("lattice.x0", lat["x0"] > 0, "must be positive"),
+        ("lattice.j_min", lat["j_min"] < lat["j_max"], "must be below lattice.j_max"),
+        ("mass", cfg["mass"] > 0, "must be positive"),
+        ("potential.shape", pot["shape"] in POTENTIAL_SHAPES,
+         f"must be one of {POTENTIAL_SHAPES}"),
+        ("potential.width", pot["shape"] != "gaussian" or pot["width"] > 0,
+         "must be positive"),
+        ("potential.epsilon", pot["epsilon"] >= 0, "must be nonnegative"),
+        ("eps_sweep", min(cfg["eps_sweep"], default=0) > 0,
+         "must be a nonempty list of positive numbers"),
+        ("time_target", cfg["time_target"] != 0, "must be nonzero"),
+        ("born_order", cfg["born_order"] >= 0, "must be nonnegative"),
+        ("family", cfg["family"] in S_FAMILIES, f"must be one of {sorted(S_FAMILIES)}"),
+        ("dyson.epsilon", dy["epsilon"] > 0, "must be positive"),
+        ("dyson.tol", dy["tol"] > 0, "must be positive"),
+        ("dyson.n_modes", 2 <= dy["n_modes"] <= 50, "must be between 2 and 50"),
+    ):
+        if not ok:
+            raise ConfigError(field, f"{field} {rule}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -175,20 +183,22 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_matrix_csv(path: str, mat: np.ndarray) -> None:
-    mat = np.asarray(mat)
+def _write_table(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        if np.iscomplexobj(mat):
-            wr.writerow(["row", "col", "re", "im"])
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    wr.writerow([i, j, _fmt(mat[i, j].real), _fmt(mat[i, j].imag)])
-        else:
-            wr.writerow(["row", "col", "value"])
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    wr.writerow([i, j, _fmt(mat[i, j])])
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def write_matrix_csv(path: str, mat: np.ndarray) -> None:
+    mat = np.asarray(mat)
+    if np.iscomplexobj(mat):
+        _write_table(path, ["row", "col", "re", "im"],
+                     ([i, j, _fmt(mat[i, j].real), _fmt(mat[i, j].imag)]
+                      for i, j in np.ndindex(mat.shape)))
+    else:
+        _write_table(path, ["row", "col", "value"],
+                     ([i, j, _fmt(mat[i, j])] for i, j in np.ndindex(mat.shape)))
 
 
 def write_report(path: str, report: dict) -> None:
@@ -208,12 +218,9 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     ctx, lat, basis = build_scene(cfg)
     os.makedirs(out, exist_ok=True)
     export_basis(basis, os.path.join(out, "basis.csv"))
-    with open(os.path.join(out, "spectrum.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["mode", "energy", "momentum", "parity"])
-        for k in range(basis.size):
-            wr.writerow([k, _fmt(basis.energies[k]), _fmt(basis.momenta[k]),
-                         _fmt(basis.parity[k])])
+    _write_table(os.path.join(out, "spectrum.csv"), ["mode", "energy", "momentum", "parity"],
+                 ([k, _fmt(e), _fmt(p), _fmt(par)] for k, (e, p, par)
+                  in enumerate(zip(basis.energies, basis.momenta, basis.parity))))
     gram_defect = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
     comp_defect = float(np.max(np.abs(
         delta_kernel(basis) * basis.weights[None, :] - np.eye(basis.size))))
@@ -226,36 +233,24 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     if qexp:
         grid = np.linspace(0.3, 2.0, 8)
         _, qexp_report = build_qexp_basis(lat, cfg["mass"], ctx, grid, n_trunc=60)
-        report["qexp"] = {
-            "gram_defect": qexp_report["gram_defect"],
-            "n_modes": qexp_report["n_modes"],
-            "rejected_momenta": qexp_report["rejected_momenta"],
-        }
+        report["qexp"] = {k: qexp_report[k]
+                          for k in ("gram_defect", "n_modes", "rejected_momenta")}
     write_report(os.path.join(out, "basis_report.json"), report)
     return 0
 
 
 def cmd_propagate(cfg: dict, out: str) -> int:
     ctx, lat, basis = build_scene(cfg)
-    c2 = crossing_transform(ctx)
-    basis2 = build_hamiltonian_basis(make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min,
-                                                  j_max=lat.j_max), cfg["mass"], c2)
     os.makedirs(out, exist_ok=True)
     t = cfg["time_target"]
     rows = []
-    for variant in sorted(VARIANTS):
-        b = basis if VARIANTS[variant][0] == 1 else basis2
+    for variant, b in variant_bases(basis, crossed_basis(basis)):
         kern = free_propagator(b, variant, 0.0, t)
         write_matrix_csv(os.path.join(out, f"kernel_{variant}.csv"), kern.matrix)
-        residual = schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
-        boundary = float(np.max(np.abs(
-            free_propagator(b, variant, t, t).matrix - delta_kernel(b))))
-        rows.append((variant, residual, boundary))
-    with open(os.path.join(out, "propagator_checks.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["variant", "schrodinger_residual", "boundary_defect"])
-        for variant, residual, boundary in rows:
-            wr.writerow([variant, _fmt(residual), _fmt(boundary)])
+        rows.append([variant, _fmt(kernel_residual(b, variant, t)),
+                     _fmt(boundary_defect(b, variant, t))])
+    _write_table(os.path.join(out, "propagator_checks.csv"),
+                 ["variant", "schrodinger_residual", "boundary_defect"], rows)
     write_report(os.path.join(out, "propagator_report.json"), {
         "provenance": _provenance(cfg),
         "time_target": t,
@@ -277,13 +272,10 @@ def cmd_scatter(cfg: dict, out: str) -> int:
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)
         write_matrix_csv(os.path.join(out, f"omega_{family}_eps{tag}.csv"), omega)
-        trend.append((eps, unitarity_defect(s),
-                      float(np.max(np.abs(omega.sum(axis=1) - 1.0)))))
-    with open(os.path.join(out, "unitarity_trend.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["eps", "unitarity_defect", "max_row_sum_deviation"])
-        for eps, defect, rowdev in trend:
-            wr.writerow([_fmt(eps), _fmt(defect), _fmt(rowdev)])
+        trend.append([tag, _fmt(unitarity_defect(s)),
+                      _fmt(np.max(np.abs(omega.sum(axis=1) - 1.0)))])
+    _write_table(os.path.join(out, "unitarity_trend.csv"),
+                 ["eps", "unitarity_defect", "max_row_sum_deviation"], trend)
     write_report(os.path.join(out, "scatter_report.json"), {
         "provenance": _provenance(cfg),
         "family": family,
@@ -326,126 +318,11 @@ def cmd_dyson(cfg: dict, out: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suite
-
-def _check_composition(cfg, basis, basis2, v):
-    worst = 0.0
-    rng = np.random.default_rng(42)
-    for variant in sorted(VARIANTS):
-        b = basis if VARIANTS[variant][0] == 1 else basis2
-        for _ in range(5):
-            t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
-            got = compose(free_propagator(b, variant, t0, t1),
-                          free_propagator(b, variant, t1, t2))
-            direct = free_propagator(b, variant, t0, t2)
-            worst = max(worst, float(np.max(np.abs(got.matrix - direct.matrix))))
-    return worst, 1e-12
-
-
-def _check_boundary(cfg, basis, basis2, v):
-    worst = 0.0
-    for variant in sorted(VARIANTS):
-        b = basis if VARIANTS[variant][0] == 1 else basis2
-        k = free_propagator(b, variant, 0.3, 0.3)
-        worst = max(worst, float(np.max(np.abs(k.matrix - delta_kernel(b)))))
-    return worst, 1e-12
-
-
-def _check_residual(cfg, basis, basis2, v):
-    t = cfg["time_target"]
-    worst = 0.0
-    for variant in sorted(VARIANTS):
-        b = basis if VARIANTS[variant][0] == 1 else basis2
-        ret = make_retarded(free_propagator(b, variant, 0.0, t))
-        worst = max(worst, schrodinger_residual(ret))
-        jump = 1j * make_retarded(free_propagator(b, variant, t, t)).matrix
-        prefactor, scaled_delta = source_term(make_retarded(free_propagator(b, variant, t, t)))
-        worst = max(worst, float(np.max(np.abs(jump - prefactor * scaled_delta))))
-    return worst, 1e-10
-
-
-def _check_conjugation(cfg, basis, basis2, v):
-    worst = 0.0
-    for variant in sorted(VARIANTS):
-        b = basis if VARIANTS[variant][0] == 1 else basis2
-        k = free_propagator(b, variant, -0.2, cfg["time_target"])
-        ck = conjugate_kernel(k)
-        partner = free_propagator(b, ck.variant, -0.2, cfg["time_target"], tilde=True)
-        worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
-    for fam in ("S2minus", "S1starPlus", "S1plusPrime", "S2starMinusPrime"):
-        s = smatrix_momentum(v, basis, fam, eps=v.epsilon)
-        cs = conjugate_smatrix(s)
-        built = smatrix_momentum(v, basis, cs.family, eps=v.epsilon, tilde=True)
-        worst = max(worst, float(np.max(np.abs(cs.matrix - built.matrix))))
-    return worst, 1e-10
-
-
-def _check_born(cfg, basis, basis2, v):
-    # weak coupling so the order-4 truncation error (~rho**5) is resolvable
-    weak = Potential(v.values, epsilon=0.05, strength=0.003)
-    jq = 6
-    phi = CoefficientVector(basis, np.eye(basis.size)[jq])
-    order4 = born_wavefunction(phi, weak, cfg["born_order"])[0].values
-    t_mat, _ = lippmann_schwinger_solve(weak, basis, float(basis.energies[jq]), 0.05)
-    r0 = 1.0 / (basis.energies[jq] - basis.energies + 1j * 0.05)
-    exact = phi.values + r0 * t_mat[:, jq]
-    return float(np.max(np.abs(order4 - exact))), 1e-8
-
-
-def _check_unitarity(cfg, basis, basis2, v):
-    defects = [unitarity_defect(smatrix_momentum(v, basis, cfg["family"], eps=e))
-               for e in cfg["eps_sweep"]]
-    worst_ratio = max(later / earlier for earlier, later in zip(defects, defects[1:]))
-    return float(worst_ratio), 1.2
-
-
-def _check_cross_formalism(cfg, basis, basis2, v):
-    eps = 0.05
-    rng = np.random.default_rng(7)
-    block = rng.normal(size=(10, 10))
-    block = 2e-5 * (block + block.T) / 2
-    vm = np.zeros((basis.size, basis.size))
-    vm[:10, :10] = block
-    mp = ModePotential(vm, epsilon=eps)
-    vi = interaction_potential(mp, basis, "H")
-    horizon = float(np.log(1e8) / eps)
-    s_dyn = smatrix_interaction(vi, "S1starPlus", horizon, eps, tol=1e-10)
-    s_mom = smatrix_momentum(mp, basis, "S1starPlus", eps=eps)
-    return float(np.max(np.abs(s_dyn.matrix - s_mom.matrix))), 1e-6
-
-
-def _check_crossing(cfg, basis, basis2, v):
-    t = cfg["time_target"]
-    k1 = free_propagator(basis, "K1prime", 0.0, t)
-    k2 = free_propagator(basis2, "K2", 0.0, t)
-    return float(np.max(np.abs(k1.matrix - k2.matrix))), 1e-10
-
-
-def _check_unitarity_negative_control(cfg, basis, basis2, v):
-    va = Potential(0.05j * np.exp(-basis.lattice.points ** 2), epsilon=0.05)
-    defect = unitarity_defect(smatrix_momentum(va, basis, cfg["family"], eps=0.05))
-    # reported as a lower bound: the check passes when the defect is large
-    return float(defect), 1e-2
-
-
-CHECKS = {
-    "composition": (_check_composition, "max"),
-    "boundary": (_check_boundary, "max"),
-    "residual": (_check_residual, "max"),
-    "conjugation": (_check_conjugation, "max"),
-    "born": (_check_born, "max"),
-    "unitarity_trend": (_check_unitarity, "max"),
-    "unitarity_negative_control": (_check_unitarity_negative_control, "min"),
-    "cross_formalism": (_check_cross_formalism, "max"),
-    "crossing": (_check_crossing, "max"),
-}
-
+# verification suite (the checks live in checks.py)
 
 def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
     ctx, lat, basis = build_scene(cfg)
-    c2 = crossing_transform(ctx)
-    basis2 = build_hamiltonian_basis(make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min,
-                                                  j_max=lat.j_max), cfg["mass"], c2)
+    basis2 = crossed_basis(basis)
     v = build_potential(cfg, lat)
     names = sorted(CHECKS)
     if only is not None:
@@ -453,29 +330,19 @@ def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
             raise ConfigError("only", f"unknown check {only!r}; available: {names}")
         names = [only]
     results = []
-    all_pass = True
     for name in names:
-        fn, sense = CHECKS[name]
-        value, tol = fn(cfg, basis, basis2, v)
-        passed = value <= tol if sense == "max" else value >= tol
-        all_pass = all_pass and passed
-        results.append({
-            "check": name,
-            "value": value,
-            "tolerance": tol,
-            "sense": sense,
-            "pass": bool(passed),
-        })
-        print(f"{name}: value={value:.3e} tol={tol:.1e} "
-              f"{'PASS' if passed else 'FAIL'}")
+        r = run_check(name, cfg, basis, basis2, v)
+        results.append(r)
+        print(f"{name}: value={r['value']:.3e} tol={r['tolerance']:.1e} "
+              f"{'PASS' if r['pass'] else 'FAIL'}")
+    failing = [r["check"] for r in results if not r["pass"]]
     os.makedirs(out, exist_ok=True)
     write_report(os.path.join(out, "verify_report.json"), {
         "provenance": _provenance(cfg),
         "checks": results,
-        "all_pass": bool(all_pass),
+        "all_pass": not failing,
     })
-    if not all_pass:
-        failing = [r["check"] for r in results if not r["pass"]]
+    if failing:
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0

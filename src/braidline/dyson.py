@@ -209,5 +209,4 @@ def smatrix_interaction(
     else:
         u = ode_evolution(vi, t_horizon, -t_horizon, tol)
     return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=u.matrix,
-                   family=family, epsilon=eps, tilde=False,
-                   kappa_shift=S_FAMILIES[family][4])
+                   family=family, epsilon=eps, tilde=False)

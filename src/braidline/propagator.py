@@ -6,8 +6,8 @@ y the source point, applied through the Jackson-weighted contraction
 (K f)(x) = sum_y K[x, y] w(y) f(y).  The four variants share one evolution
 phase exp(-i E (t_target - t_source)); their displayed source-time scalings
 cancel against the scaled momentum labels (that cancellation is exactly the
-boundary-limit argument), so the variant distinction is carried by
-geometry, conjugation flags and the stored scaling metadata.
+boundary-limit argument), so a variant name only selects the geometry and
+the conjugation flags.
 """
 
 from __future__ import annotations
@@ -40,19 +40,6 @@ ADVANCED = "advanced"
 def heaviside(t: float) -> float:
     """theta(t) = 1 for t >= 0, else 0.  The t = 0 slice is included."""
     return 1.0 if t >= 0.0 else 0.0
-
-
-def source_time_scale(variant: str, ctx) -> float:
-    """Literal source-time scaling of the displayed kernel definitions.
-
-    Metadata only: the scaling is absorbed by the scaled momentum labels
-    and the net evolution phase depends on t_target - t_source alone.
-    """
-    family, starred, primed = VARIANTS[variant]
-    q, kappa, zeta = ctx.q, ctx.kappa, ctx.zeta
-    if family == 1:
-        return -(q ** zeta) * kappa ** -2 if primed else -(q ** -zeta)
-    return -(q ** -zeta) * kappa ** 2 if not primed else -(q ** zeta)
 
 
 @dataclass
@@ -141,12 +128,9 @@ def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
 def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
     """Jackson-weighted composition of k1 (earlier) with k2 (later).
 
-    For the starred variants the displayed composition scales the
-    intermediate coordinate by kappa; the change of variables multiplies
-    the measure by kappa**-n while the kernel prefactor contributes
-    kappa**n, so the contraction reduces exactly to the plain weighted
-    product.  The bookkeeping factor is computed explicitly to keep that
-    cancellation visible.
+    The starred variants' kappa-scaled intermediate coordinate needs no
+    factor: the kernel prefactor kappa**n cancels the measure Jacobian
+    kappa**-n, leaving the plain weighted product.
     """
     if k1.basis is not k2.basis and k1.basis.lattice != k2.basis.lattice:
         raise ValueError("basis mismatch")
@@ -154,13 +138,6 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
         raise ValueError("variant mismatch")
     if k1.t_target != k2.t_source:
         raise ValueError("intermediate times do not match")
-    starred = VARIANTS[k1.variant][1]
-    n_dim = 1
-    kappa_factor = 1.0
-    if starred:
-        # kernel prefactor kappa**(+-n) times the measure Jacobian kappa**(-+n)
-        kappa = k1.ctx.kappa
-        kappa_factor = (kappa ** n_dim) * (kappa ** -n_dim)
     # The product is evaluated in the weight-symmetrised frame, where the
     # kernels are unitary and entries stay O(1); this keeps the entrywise
     # roundoff of the contraction below the identity tolerances.
@@ -168,7 +145,7 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
     sw = np.sqrt(w)
     a2 = (sw[:, None] * k2.matrix) * sw[None, :]
     a1 = (sw[:, None] * k1.matrix) * sw[None, :]
-    mat = kappa_factor * ((a2 @ a1) / sw[:, None] / sw[None, :])
+    mat = (a2 @ a1) / sw[:, None] / sw[None, :]
     causality = k1.causality if k1.causality == k2.causality else CAUSALITY_NONE
     return PropagatorKernel(
         basis=k1.basis, variant=k1.variant,

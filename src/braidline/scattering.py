@@ -108,13 +108,23 @@ def lippmann_schwinger_solve(
 
     R0 is diagonal with entries 1/(E - scale*E_p + i eps).  Returns the
     T-matrix and the spectral radius of the Born iteration operator V R0.
-    Singular systems are reported with a condition estimate, never
-    silently regularised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    t, iteration = _guarded_ls_solve(v.matrix(basis), basis, energy, eps, variant)
+    rho = float(np.max(np.abs(np.linalg.eigvals(iteration))))
+    return t, rho
+
+
+def _guarded_ls_solve(vm: np.ndarray, basis: WaveBasis, energy: float,
+                      eps: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """T = (I - V R0)^-1 V with R0 = 1/(E - scale*E_p + i eps), and V R0.
+
+    A negative ``eps`` gives the conjugated resolvent of the tilde route.
+    Singular systems are reported with a condition estimate, never
+    silently regularised.
+    """
     scale = variant_scale(variant, basis.ctx)
-    vm = v.matrix(basis)
     r0 = 1.0 / (energy - scale * basis.energies + 1j * eps)
     iteration = vm * r0[None, :]
     lhs = np.eye(basis.size, dtype=complex) - iteration
@@ -123,9 +133,7 @@ def lippmann_schwinger_solve(
         raise np.linalg.LinAlgError(
             f"Lippmann-Schwinger system is ill conditioned (cond={cond:.3e})"
         )
-    t = np.linalg.solve(lhs, vm)
-    rho = float(np.max(np.abs(np.linalg.eigvals(iteration))))
-    return t, rho
+    return np.linalg.solve(lhs, vm), iteration
 
 
 def born_wavefunction(
@@ -264,17 +272,19 @@ def green_residual(g: FullGreen) -> float:
 # ---------------------------------------------------------------------------
 # S-matrices
 
-# family -> (geometry family, time sign, starred, primed, kappa shift)
+# family -> (geometry family, time sign, starred, primed).  The families'
+# kappa shifts of the momentum label cancel against their measure
+# Jacobians, so a family only selects the time sign of the Dyson window.
 S_FAMILIES = {
-    "S2minus": (2, -1, False, False, +1),
-    "S1starPlus": (1, +1, True, False, -1),
-    "S1plusPrime": (1, +1, False, True, -1),
-    "S2starMinusPrime": (2, -1, True, True, +1),
+    "S2minus": (2, -1, False, False),
+    "S1starPlus": (1, +1, True, False),
+    "S1plusPrime": (1, +1, False, True),
+    "S2starMinusPrime": (2, -1, True, True),
     # conjugation partners
-    "S2minusPrime": (2, -1, False, True, +1),
-    "S1starPlusPrime": (1, +1, True, True, -1),
-    "S1plus": (1, +1, False, False, -1),
-    "S2starMinus": (2, -1, True, False, +1),
+    "S2minusPrime": (2, -1, False, True),
+    "S1starPlusPrime": (1, +1, True, True),
+    "S1plus": (1, +1, False, False),
+    "S2starMinus": (2, -1, True, False),
 }
 
 S_CONJ_PARTNERS = {
@@ -294,7 +304,6 @@ class SMatrix:
     family: str
     epsilon: float
     tilde: bool = False
-    kappa_shift: int = 0
 
 
 def smatrix_momentum(
@@ -309,7 +318,6 @@ def smatrix_momentum(
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
-    kappa_shift = S_FAMILIES[family][4]
     e = basis.energies
     scale = variant_scale(variant, basis.ctx)
     m = basis.size
@@ -322,26 +330,18 @@ def smatrix_momentum(
     else:
         vm_c = np.conj(v.matrix(basis))
         for row in range(m):
-            t_mat = _conjugate_ls_solve(vm_c, basis, scale * e[row], eps, variant)
+            t_mat, _ = _guarded_ls_solve(vm_c, basis, scale * e[row], -eps, variant)
             lor = (eps / np.pi) / ((scale * (e - e[row])) ** 2 + eps ** 2)
             s[row, :] += 2j * np.pi * lor * t_mat[:, row]
     return SMatrix(ctx=basis.ctx, basis=basis, matrix=s, family=family,
-                   epsilon=eps, tilde=tilde, kappa_shift=kappa_shift)
-
-
-def _conjugate_ls_solve(vm: np.ndarray, basis: WaveBasis, energy: float,
-                        eps: float, variant: str) -> np.ndarray:
-    scale = variant_scale(variant, basis.ctx)
-    r0 = 1.0 / (energy - scale * basis.energies - 1j * eps)
-    lhs = np.eye(basis.size, dtype=complex) - vm * r0[None, :]
-    return np.linalg.solve(lhs, vm)
+                   epsilon=eps, tilde=tilde)
 
 
 def conjugate_smatrix(s: SMatrix) -> SMatrix:
     """Entrywise conjugate with transposed labels; toggles tilde and prime."""
     return SMatrix(ctx=s.ctx, basis=s.basis, matrix=np.conj(s.matrix).T,
                    family=S_CONJ_PARTNERS[s.family], epsilon=s.epsilon,
-                   tilde=not s.tilde, kappa_shift=s.kappa_shift)
+                   tilde=not s.tilde)
 
 
 def transition_probability(s: SMatrix, i: int, j: int) -> float:
@@ -355,21 +355,13 @@ def transition_probability_table(s: SMatrix) -> np.ndarray:
 
 
 def unitarity_defect(s: SMatrix) -> float:
-    """max(||S S+ - I||_F, ||S+ S - I||_F) with kappa-shifted label pairing.
+    """max(||S S+ - I||_F, ||S+ S - I||_F).
 
-    The adjoint pairing shifts the summed momentum label by the family's
-    power of kappa in both factors at once, so the relabeling of the
-    dummy index cancels against its measure Jacobian; the bookkeeping
-    factor kappa**n * kappa**-n is computed explicitly and the product
-    reduces to the plain adjoint pairing.
+    The family's kappa shift of the summed momentum label cancels against
+    the Jacobian of the shifted measure, leaving the plain adjoint pairing.
     """
     mat = s.matrix
-    n_dim = 1
-    kappa = s.basis.ctx.kappa
-    # label shift kappa**(shift*n) against the inverse Jacobian of the
-    # shifted integration variable
-    pairing = (kappa ** (s.kappa_shift * n_dim)) * (kappa ** (-s.kappa_shift * n_dim))
     ident = np.eye(mat.shape[0])
-    d1 = np.linalg.norm(pairing * (mat @ mat.conj().T) - ident)
-    d2 = np.linalg.norm(pairing * (mat.conj().T @ mat) - ident)
+    d1 = np.linalg.norm(mat @ mat.conj().T - ident)
+    d2 = np.linalg.norm(mat.conj().T @ mat - ident)
     return float(max(d1, d2))

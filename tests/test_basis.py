@@ -85,17 +85,6 @@ def test_momentum_flip_permutation(basis):
     assert np.all(perm[perm] == np.arange(basis.size))
 
 
-def test_mode_kappa_shift_bookkeeping(basis):
-    idx, ok = basis.mode_kappa_shift(1)
-    assert np.count_nonzero(~ok) == 2  # the lowest pair has no lower partner
-    assert np.all(idx[~ok] == -1)
-    kept = np.nonzero(ok)[0]
-    # the shift lowers the pair rank by one and preserves the sign slot
-    assert np.all(idx[kept] == kept - 2)
-    idx0, ok0 = basis.mode_kappa_shift(0)
-    assert np.all(ok0) and np.all(idx0 == np.arange(basis.size))
-
-
 def test_project_expand_roundtrip(basis, lattice):
     rng = np.random.default_rng(11)
     f = LatticeFunction(lattice, rng.normal(size=50) + 1j * rng.normal(size=50))

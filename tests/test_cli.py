@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidline import checks
 from braidline.cli import (
     CHECKS,
     DEFAULT_CONFIG,
@@ -68,6 +72,24 @@ def test_invalid_json_rejected(tmp_path):
         load_config(str(path))
 
 
+# wrongly typed or out-of-range fields: (override, field named in the error)
+TYPE_PROBES = [
+    ({"mass": "1"}, "mass"),
+    ({"lattice": {"j_min": "a"}}, "lattice.j_min"),
+    ({"eps_sweep": [0.1, "x"]}, "eps_sweep"),
+    ({"time_target": "x"}, "time_target"),
+    ({"time_target": 0}, "time_target"),
+    ({"lattice": {"j_min": 0, "j_max": 0}}, "lattice.j_min"),
+    ({"born_order": 1.5}, "born_order"),
+    ({"potential": {"epsilon": math.nan}}, "potential.epsilon"),
+    ({"dyson": {"n_modes": 2.5}}, "dyson.n_modes"),
+    ({"mass": True}, "mass"),
+    ({"born_order": False}, "born_order"),
+    ({"eps_sweep": [0.1, math.inf]}, "eps_sweep"),
+    ({"family": ["S2minus"]}, "family"),
+]
+
+
 def test_validation_fields(tmp_path):
     cases = [
         ({"lattice": {"x0": -1.0}}, "lattice.x0"),
@@ -80,13 +102,64 @@ def test_validation_fields(tmp_path):
         ({"family": "S5"}, "family"),
         ({"dyson": {"tol": 0.0}}, "dyson.tol"),
         ({"dyson": {"n_modes": 1}}, "dyson.n_modes"),
-    ]
+    ] + TYPE_PROBES
     for override, field in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(override))
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert exc.value.field == field
+
+
+def test_config_type_errors_exit_2(tmp_path, capsys):
+    # through main(): a JSON error naming the field, never a traceback
+    for override, field in TYPE_PROBES:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(override))
+        assert run(["basis", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == field
+
+
+def test_integral_floats_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mass": 2, "eps_sweep": [1, 0.5]}))
+    cfg = load_config(str(path))
+    assert cfg["mass"] == 2 and cfg["eps_sweep"] == [1, 0.5]
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+                     max_leaves=8)
+
+
+def _config_objects(schema):
+    """JSON objects over the config's keys (plus an unknown one), with any
+    JSON value at every key and the schema followed into nested objects."""
+    fields = {k: (_config_objects(v) | _JSON if isinstance(v, dict) else _JSON)
+              for k, v in schema.items()}
+    fields["bogus"] = _JSON
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(user=_config_objects(DEFAULT_CONFIG))
+def test_load_config_fuzz(fuzz_dir, user):
+    # any JSON object yields a config or a ConfigError, nothing else
+    path = fuzz_dir / "cfg.json"
+    path.write_text(json.dumps(user))
+    try:
+        cfg = load_config(str(path))
+    except ConfigError as exc:
+        assert exc.field
+    else:
+        assert set(cfg) == set(DEFAULT_CONFIG)
 
 
 def test_cmd_basis_outputs(tmp_path):
@@ -159,6 +232,7 @@ def test_cmd_dyson_outputs(tmp_path):
 
 
 def test_cmd_verify_all_pass_and_deterministic(tmp_path, capsys):
+    # byte-for-byte reproducibility of the report is C12
     out = tmp_path / "vout"
     assert run(["verify", "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
@@ -168,11 +242,33 @@ def test_cmd_verify_all_pass_and_deterministic(tmp_path, capsys):
     printed = capsys.readouterr().out
     for name in names:
         assert name in printed
-    out2 = tmp_path / "vout2"
-    assert run(["verify", "--out", str(out2)]) == 0
-    a = (out / "verify_report.json").read_bytes()
-    b = (out2 / "verify_report.json").read_bytes()
-    assert a == b
+
+
+def test_checks_registry_is_shared():
+    assert CHECKS is checks.CHECKS
+    assert all(len(entry) == 2 for entry in CHECKS.values())
+
+
+@pytest.mark.parametrize("override", [{"eps_sweep": [0.05]},
+                                      {"potential": {"shape": "none"}}])
+def test_unitarity_trend_degenerate_sweeps(tmp_path, capsys, override):
+    # one sweep entry, or all-zero defects, report 0.0 and pass
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(override))
+    out = tmp_path / "v"
+    assert run(["verify", "--only", "unitarity_trend", "--config", str(cfgp),
+                "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["checks"][0]["value"] == 0.0
+
+
+def test_worst_ratio_edge_cases():
+    assert checks.worst_ratio([]) == 0.0
+    assert checks.worst_ratio([0.3]) == 0.0
+    assert checks.worst_ratio([0.0, 0.0]) == 0.0
+    assert checks.worst_ratio([0.0, 1e-3]) == math.inf
+    assert checks.worst_ratio([0.4, 0.2, 0.3]) == pytest.approx(1.5)
 
 
 def test_cmd_verify_only_filter(tmp_path):

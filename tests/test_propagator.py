@@ -17,7 +17,7 @@ from braidline import (
     solve_inhomogeneous,
     source_term,
 )
-from braidline.propagator import VARIANTS, heaviside, source_time_scale
+from braidline.propagator import VARIANTS, heaviside
 
 Q = 0.9
 MASS = 1.0
@@ -61,14 +61,6 @@ def test_geometry_enforced(basis, basis_g2):
         free_propagator(basis_g2, "K1prime", 0.0, 1.0)
     with pytest.raises(ValueError):
         free_propagator(basis, "K9", 0.0, 1.0)
-
-
-def test_source_time_scale_metadata(ctx):
-    q, kappa, zeta = ctx.q, ctx.kappa, ctx.zeta
-    assert source_time_scale("K1prime", ctx) == pytest.approx(-(q**zeta) * kappa**-2)
-    assert source_time_scale("K2", ctx) == pytest.approx(-(q**-zeta) * kappa**2)
-    assert source_time_scale("K1star", ctx) == pytest.approx(-(q**-zeta))
-    assert source_time_scale("K2starPrime", ctx) == pytest.approx(-(q**zeta))
 
 
 def test_boundary_limit_is_delta(basis, basis_g2):

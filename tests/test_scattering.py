@@ -104,6 +104,16 @@ def test_ls_reports_singular_system(basis):
         lippmann_schwinger_solve(v, basis, energy, EPS)
 
 
+def test_tilde_route_reports_near_singular_system(basis):
+    # the conjugated system I - conj(V) R0(E - i eps) of the tilde partner,
+    # made near-singular by the resonant potential detuned by 1e-14
+    vm = np.zeros((basis.size, basis.size), dtype=complex)
+    vm[8, 8] = 1j * EPS * (1.0 + 1e-14)
+    v = ModePotential(vm, epsilon=EPS)
+    with pytest.raises(np.linalg.LinAlgError):
+        smatrix_momentum(v, basis, "S2minusPrime", eps=EPS, tilde=True)
+
+
 def test_born_geometric_convergence(basis, weak_v):
     # the Born iteration converges geometrically at rate rho
     phi = np.zeros(basis.size, dtype=complex)
@@ -202,10 +212,9 @@ def test_green_residual_requires_exact(basis, weak_v):
 
 def test_family_table(ctx):
     assert len(S_FAMILIES) == 8
-    for fam, (geom, sign, starred, primed, shift) in S_FAMILIES.items():
+    for fam, (geom, sign, starred, primed) in S_FAMILIES.items():
         assert geom in (1, 2)
         assert sign in (-1, +1)
-        assert shift == (+1 if geom == 2 else -1)
     # conjugation pairing is a bidirectional involution
     for a, b in S_CONJ_PARTNERS.items():
         assert S_CONJ_PARTNERS[b] == a
