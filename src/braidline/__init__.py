@@ -42,6 +42,7 @@ from .scattering import (
     ModePotential,
     Potential,
     SMatrix,
+    born_radius,
     born_wavefunction,
     conjugate_smatrix,
     full_green,

@@ -18,8 +18,9 @@ from .dyson import interaction_potential, smatrix_interaction
 from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
 from .qcalc import crossing_transform, make_lattice
-from .scattering import (ModePotential, Potential, born_wavefunction, conjugate_smatrix,
-                         lippmann_schwinger_solve, smatrix_momentum, unitarity_defect)
+from .scattering import (ModePotential, Potential, born_radius, born_wavefunction,
+                         conjugate_smatrix, lippmann_schwinger_solve, smatrix_momentum,
+                         unitarity_defect)
 
 
 def crossed_basis(basis: WaveBasis) -> WaveBasis:
@@ -49,13 +50,13 @@ def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float],
     """Born-series error of incoming mode 6 per order against the exact
     Lippmann-Schwinger state, and the spectral radius rho of the iteration."""
     jq = 6
+    energy = float(basis.energies[jq])
     phi = CoefficientVector(basis, np.eye(basis.size)[jq])
-    t_mat, rho = lippmann_schwinger_solve(weak, basis, float(basis.energies[jq]),
-                                          weak.epsilon)
-    r0 = 1.0 / (basis.energies[jq] - basis.energies + 1j * weak.epsilon)
+    t_mat = lippmann_schwinger_solve(weak, basis, energy, weak.epsilon)
+    r0 = 1.0 / (energy - basis.energies + 1j * weak.epsilon)
     exact = phi.values + r0 * t_mat[:, jq]
     return [float(np.max(np.abs(born_wavefunction(phi, weak, n)[0].values - exact)))
-            for n in orders], rho
+            for n in orders], born_radius(weak, basis, energy, weak.epsilon)
 
 
 def worst_ratio(defects) -> float:

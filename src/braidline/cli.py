@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -59,6 +60,7 @@ DEFAULT_CONFIG = {
 }
 
 POTENTIAL_SHAPES = ("gaussian", "point", "none")
+MIN_MODES = 10
 
 
 class ConfigError(Exception):
@@ -127,16 +129,19 @@ def load_config(path: str | None) -> dict:
 def validate_config(cfg: dict) -> None:
     # every field already has its default's type, so each rule can be evaluated
     lat, pot, dy = cfg["lattice"], cfg["potential"], cfg["dyson"]
+    size = 2 * (lat["j_max"] - lat["j_min"] + 1)
     for field, ok, rule in (
         ("ctx.q", 0.0 < cfg["ctx"]["q"] < 1.0, "must lie in (0, 1)"),
         ("lattice.x0", lat["x0"] > 0, "must be positive"),
-        ("lattice.j_min", lat["j_min"] < lat["j_max"], "must be below lattice.j_max"),
+        # verify reads incoming mode 6 and a 10 x 10 mode block
+        ("lattice.j_min", size >= MIN_MODES,
+         f"must leave 2 * (j_max - j_min + 1) >= {MIN_MODES} lattice modes"),
         ("mass", cfg["mass"] > 0, "must be positive"),
         ("potential.shape", pot["shape"] in POTENTIAL_SHAPES,
          f"must be one of {POTENTIAL_SHAPES}"),
         ("potential.width", pot["shape"] != "gaussian" or pot["width"] > 0,
          "must be positive"),
-        ("potential.epsilon", pot["epsilon"] >= 0, "must be nonnegative"),
+        ("potential.epsilon", pot["epsilon"] > 0, "must be positive"),
         ("eps_sweep", min(cfg["eps_sweep"], default=0) > 0,
          "must be a nonempty list of positive numbers"),
         ("time_target", cfg["time_target"] != 0, "must be nonzero"),
@@ -144,7 +149,8 @@ def validate_config(cfg: dict) -> None:
         ("family", cfg["family"] in S_FAMILIES, f"must be one of {sorted(S_FAMILIES)}"),
         ("dyson.epsilon", dy["epsilon"] > 0, "must be positive"),
         ("dyson.tol", dy["tol"] > 0, "must be positive"),
-        ("dyson.n_modes", 2 <= dy["n_modes"] <= 50, "must be between 2 and 50"),
+        ("dyson.n_modes", 2 <= dy["n_modes"] <= min(50, size),
+         f"must be between 2 and {min(50, size)} (the lattice has {size} modes)"),
     ):
         if not ok:
             raise ConfigError(field, f"{field} {rule}")
@@ -232,7 +238,10 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     }
     if qexp:
         grid = np.linspace(0.3, 2.0, 8)
-        _, qexp_report = build_qexp_basis(lat, cfg["mass"], ctx, grid, n_trunc=60)
+        try:
+            _, qexp_report = build_qexp_basis(lat, cfg["mass"], ctx, grid, n_trunc=60)
+        except ValueError as exc:  # every momentum rejected, or a degenerate family
+            raise ConfigError("qexp", f"--qexp diagnostic unavailable: {exc}")
         report["qexp"] = {k: qexp_report[k]
                           for k in ("gram_defect", "n_modes", "rejected_momenta")}
     write_report(os.path.join(out, "basis_report.json"), report)
@@ -351,7 +360,9 @@ def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="braidline")
     parser.add_argument("--print-defaults", action="store_true",
                         help="print the default config as JSON and exit")

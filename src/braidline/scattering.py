@@ -10,7 +10,7 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -54,7 +54,7 @@ class Potential:
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.allclose(self.values.imag, 0.0))
+        return not bool(np.any(self.values.imag))
 
     def matrix(self, basis: WaveBasis) -> np.ndarray:
         """V in the energy basis: V_{pp'} = <u_p, V u_{p'}>."""
@@ -78,7 +78,7 @@ class ModePotential:
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.allclose(self._matrix, self._matrix.conj().T))
+        return bool(np.array_equal(self._matrix, self._matrix.conj().T))
 
     @property
     def values(self) -> np.ndarray:  # conjugation support
@@ -100,40 +100,117 @@ def gaussian_potential(lattice, strength: float, width: float = 1.0,
 # ---------------------------------------------------------------------------
 # Lippmann-Schwinger / Born
 
-def lippmann_schwinger_solve(
-    v: Potential, basis: WaveBasis, energy: float, eps: float,
-    variant: str = H_PLAIN,
-) -> tuple[np.ndarray, float]:
-    """Solve T = V + V R0(E + i eps) T as a dense linear system.
+# largest admitted condition number of a Lippmann-Schwinger system, and the
+# refinement target max|R[:, k]| <= 64 eps_mach max|V| in machine epsilons
+COND_LIMIT = 1e12
+RESIDUAL_ULPS = 64
 
-    R0 is diagonal with entries 1/(E - scale*E_p + i eps).  Returns the
-    T-matrix and the spectral radius of the Born iteration operator V R0.
+
+def lippmann_schwinger_solve(
+    v: Potential, basis: WaveBasis, energy, eps: float,
+    variant: str = H_PLAIN, diagnostics: dict | None = None,
+) -> np.ndarray:
+    """Solve T = V + V R0(E + i eps) T for every column in one decomposition.
+
+    ``energy`` holds one energy per column and a scalar broadcasts, so a
+    scalar gives the full T(E) while the on-shell energies give column k of
+    T(E_k) in column k.  R0 is diagonal with entries
+    1/(E - scale*E_p + i eps).  ``diagnostics``, if given, receives the
+    health of the solve (see ``_ls_columns``).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    t, iteration = _guarded_ls_solve(v.matrix(basis), basis, energy, eps, variant)
-    rho = float(np.max(np.abs(np.linalg.eigvals(iteration))))
-    return t, rho
+    return _ls_columns(v.matrix(basis), v.is_hermitian, basis, energy, eps, variant,
+                       diagnostics)
 
 
-def _guarded_ls_solve(vm: np.ndarray, basis: WaveBasis, energy: float,
-                      eps: float, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """T = (I - V R0)^-1 V with R0 = 1/(E - scale*E_p + i eps), and V R0.
+def born_radius(v: Potential, basis: WaveBasis, energy: float, eps: float,
+                variant: str = H_PLAIN) -> float:
+    """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    r0 = 1.0 / (energy - variant_scale(variant, basis.ctx) * basis.energies + 1j * eps)
+    return float(np.max(np.abs(np.linalg.eigvals(v.matrix(basis) * r0[None, :]))))
 
-    A negative ``eps`` gives the conjugated resolvent of the tilde route.
-    Singular systems are reported with a condition estimate, never
-    silently regularised.
+
+def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: float,
+                variant: str, diagnostics: dict | None) -> np.ndarray:
+    """Columns k of T = (I - V R0(z_k))^-1 V, z_k = energy[k] + i eps.
+
+    With H = scale*H0 + V = W diag(lam) W^-1 (``eigh`` when V is Hermitian
+    by construction, else ``eig``), the resolvent identity gives
+    (I - V R0(z))^-1 = I + V W g W^-1 with g = 1/(z - lam), so every column
+    is T = V + (V W)(g o W^-1 V).  Rounding in W grows with the top of the
+    spectrum, so T is refined against the exact residual
+    R = V - T + V (R0 o T) until every column meets 64 eps_mach max|V| or a
+    step fails to halve the worst residual; the columns still above it are
+    solved directly.  A negative ``eps`` gives the conjugated resolvent of
+    the tilde route.
+
+    Before refining, the bound (1 + |V|_F / min_p|z - scale*E_p|) *
+    (1 + |V|_F kappa(W) / min|z - lam|) on cond(I - V R0) is checked
+    against COND_LIMIT: ill-conditioned systems raise LinAlgError, never
+    silently regularised.  ``diagnostics`` receives the worst bound, the
+    refinement steps, the worst column residual and the direct solves.
     """
-    scale = variant_scale(variant, basis.ctx)
-    r0 = 1.0 / (energy - scale * basis.energies + 1j * eps)
-    iteration = vm * r0[None, :]
-    lhs = np.eye(basis.size, dtype=complex) - iteration
-    cond = np.linalg.cond(lhs)
-    if not np.isfinite(cond) or cond > 1e12:
+    m = basis.size
+    ep = variant_scale(variant, basis.ctx) * basis.energies
+    z = np.broadcast_to(np.asarray(energy, dtype=float), (m,)) + 1j * eps
+    r0 = 1.0 / (z[None, :] - ep[:, None])  # R0[p, k] at the energy of column k
+    h = np.diag(ep) + vm
+    if hermitian:
+        lam, w = np.linalg.eigh(h)
+        w_inv, kappa = w.conj().T, 1.0
+    else:
+        lam, w = np.linalg.eig(h)
+        w_inv, kappa = np.linalg.inv(w), np.linalg.cond(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
+    v_norm = np.linalg.norm(vm)
+    bound = ((1.0 + v_norm * np.max(np.abs(r0), axis=0))
+             * (1.0 + v_norm * kappa * np.max(np.abs(g), axis=0)))
+    worst_bound = float(np.max(bound))
+    if not np.isfinite(worst_bound) or worst_bound > COND_LIMIT:
         raise np.linalg.LinAlgError(
-            f"Lippmann-Schwinger system is ill conditioned (cond={cond:.3e})"
-        )
-    return np.linalg.solve(lhs, vm), iteration
+            f"Lippmann-Schwinger system is ill conditioned (cond bound={worst_bound:.3e})")
+    vw = vm @ w
+
+    def correct(r):  # (I + V G(z_k)) r[:, k] for every column k
+        return r + vw @ (g * (w_inv @ r))
+
+    def residual_norms(t):
+        r = vm - t + vm @ (r0 * t)
+        return r, np.max(np.abs(r), axis=0)
+
+    tol = RESIDUAL_ULPS * np.finfo(float).eps * np.max(np.abs(vm))
+    t = correct(vm)
+    res, err = residual_norms(t)
+    steps = 0
+    while err.max() > tol:
+        trial = t + correct(res)
+        trial_res, trial_err = residual_norms(trial)
+        if not trial_err.max() <= 0.5 * err.max():
+            break
+        t, res, err, steps = trial, trial_res, trial_err, steps + 1
+    direct = np.nonzero(err > tol)[0]
+    for k in direct:
+        t[:, k] = _guarded_ls_column(vm, r0[:, k], vm[:, k])
+    if direct.size:
+        err[direct] = residual_norms(t)[1][direct]
+    if diagnostics is not None:
+        diagnostics.update(condition_bound=worst_bound, refinement_steps=steps,
+                           max_residual=float(err.max()), direct_columns=int(direct.size))
+    return t
+
+
+def _guarded_ls_column(vm: np.ndarray, r0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Dense solve of (I - V R0) t = rhs, refused above COND_LIMIT."""
+    lhs = np.eye(vm.shape[0], dtype=complex) - vm * r0[None, :]
+    cond = np.linalg.cond(lhs)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise np.linalg.LinAlgError(
+            f"Lippmann-Schwinger system is ill conditioned (cond={cond:.3e})")
+    return np.linalg.solve(lhs, rhs)
 
 
 def born_wavefunction(
@@ -298,12 +375,17 @@ S_CONJ_PARTNERS.update({v: k for k, v in S_CONJ_PARTNERS.items()})
 
 @dataclass
 class SMatrix:
+    """An S-matrix with its labels.  ``diagnostics`` holds the health of the
+    solve that built it (see ``_ls_columns``) and is never written to a
+    report, so reports stay byte-identical from run to run."""
+
     ctx: object
     basis: WaveBasis
     matrix: np.ndarray
     family: str
     epsilon: float
     tilde: bool = False
+    diagnostics: dict = field(default_factory=dict)
 
 
 def smatrix_momentum(
@@ -312,36 +394,34 @@ def smatrix_momentum(
 ) -> SMatrix:
     """S_{pp'} = delta - 2 pi i delta_eps(E_p - E_p') T_{pp'}(E_p' + i eps).
 
-    Tilde partners are built independently through the conjugated
-    equations: conjugated potential, resolvent at E - i eps and transposed
-    placement with the opposite sign of 2 pi i.
+    Every on-shell column comes from one Lippmann-Schwinger solve.  Tilde
+    partners are built independently through the conjugated equations:
+    conjugated potential, resolvent at E - i eps and transposed placement
+    with the opposite sign of 2 pi i.
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
-    e = basis.energies
-    scale = variant_scale(variant, basis.ctx)
-    m = basis.size
-    s = np.eye(m, dtype=complex)
-    if not tilde:
-        for col in range(m):
-            t_mat, _ = lippmann_schwinger_solve(v, basis, scale * e[col], eps, variant)
-            lor = (eps / np.pi) / ((scale * (e - e[col])) ** 2 + eps ** 2)
-            s[:, col] -= 2j * np.pi * lor * t_mat[:, col]
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    e = variant_scale(variant, basis.ctx) * basis.energies
+    diagnostics: dict = {}
+    if tilde:
+        t_mat = _ls_columns(np.conj(v.matrix(basis)), v.is_hermitian, basis, e, -eps,
+                            variant, diagnostics)
     else:
-        vm_c = np.conj(v.matrix(basis))
-        for row in range(m):
-            t_mat, _ = _guarded_ls_solve(vm_c, basis, scale * e[row], -eps, variant)
-            lor = (eps / np.pi) / ((scale * (e - e[row])) ** 2 + eps ** 2)
-            s[row, :] += 2j * np.pi * lor * t_mat[:, row]
+        t_mat = lippmann_schwinger_solve(v, basis, e, eps, variant, diagnostics)
+    lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + eps ** 2)
+    step = 2j * np.pi * lor * t_mat
+    s = np.eye(basis.size) + step.T if tilde else np.eye(basis.size) - step
     return SMatrix(ctx=basis.ctx, basis=basis, matrix=s, family=family,
-                   epsilon=eps, tilde=tilde)
+                   epsilon=eps, tilde=tilde, diagnostics=diagnostics)
 
 
 def conjugate_smatrix(s: SMatrix) -> SMatrix:
     """Entrywise conjugate with transposed labels; toggles tilde and prime."""
     return SMatrix(ctx=s.ctx, basis=s.basis, matrix=np.conj(s.matrix).T,
                    family=S_CONJ_PARTNERS[s.family], epsilon=s.epsilon,
-                   tilde=not s.tilde)
+                   tilde=not s.tilde, diagnostics=dict(s.diagnostics))
 
 
 def transition_probability(s: SMatrix, i: int, j: int) -> float:

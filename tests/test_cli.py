@@ -87,7 +87,13 @@ TYPE_PROBES = [
     ({"born_order": False}, "born_order"),
     ({"eps_sweep": [0.1, math.inf]}, "eps_sweep"),
     ({"family": ["S2minus"]}, "family"),
+    ({"potential": {"epsilon": 0}}, "potential.epsilon"),
+    ({"lattice": {"j_min": -1, "j_max": 0}}, "lattice.j_min"),
+    ({"lattice": {"j_min": -2, "j_max": 2}, "dyson": {"n_modes": 11}}, "dyson.n_modes"),
 ]
+
+# the smallest lattice validate_config admits: N = 2 * (2 + 2 + 1) = 10 modes
+SMALLEST_LATTICE = {"lattice": {"j_min": -2, "j_max": 2}, "dyson": {"n_modes": 10}}
 
 
 def test_validation_fields(tmp_path):
@@ -118,6 +124,24 @@ def test_config_type_errors_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(override))
         assert run(["basis", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == field
+
+
+@pytest.mark.parametrize("command", ["basis", "propagate", "scatter", "dyson", "verify"])
+def test_smallest_lattice_runs_every_subcommand(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALLEST_LATTICE))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [SMALLEST_LATTICE, {"ctx": {"q": 0.5}}])
+def test_unavailable_qexp_diagnostic_exits_2(tmp_path, capsys, override):
+    # a numerically degenerate q-exponential family (10 modes at q = 0.9), or
+    # every momentum rejected by the series diagnostic (q = 0.5)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    assert run(["basis", "--qexp", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["field"] == "qexp"
 
 
 def test_integral_floats_accepted(tmp_path):

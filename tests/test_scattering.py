@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from braidline import (
     ModePotential,
     Potential,
+    born_radius,
     born_wavefunction,
     braided_line,
     build_hamiltonian_basis,
@@ -16,7 +19,9 @@ from braidline import (
     transition_probability,
     unitarity_defect,
 )
+from braidline import scattering
 from braidline.basis import CoefficientVector
+from braidline.checks import cross_formalism_potential
 from braidline.scattering import (
     S_CONJ_PARTNERS,
     S_FAMILIES,
@@ -75,7 +80,8 @@ def test_mode_potential_passthrough(basis):
 def test_ls_identity(basis, weak_v):
     # T = V + V R0 T with the uniform resolvent denominators
     energy = 1.0
-    t, rho = lippmann_schwinger_solve(weak_v, basis, energy, EPS)
+    t = lippmann_schwinger_solve(weak_v, basis, energy, EPS)
+    rho = born_radius(weak_v, basis, energy, EPS)
     vm = weak_v.matrix(basis)
     r0 = np.diag(1.0 / (energy - basis.energies + 1j * EPS))
     assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
@@ -84,7 +90,8 @@ def test_ls_identity(basis, weak_v):
 
 def test_ls_zero_potential(basis):
     v0 = Potential(np.zeros(basis.lattice.size), epsilon=EPS)
-    t, rho = lippmann_schwinger_solve(v0, basis, 1.0, EPS)
+    t = lippmann_schwinger_solve(v0, basis, 1.0, EPS)
+    rho = born_radius(v0, basis, 1.0, EPS)
     assert np.max(np.abs(t)) == 0.0
     assert rho == 0.0
 
@@ -92,6 +99,12 @@ def test_ls_zero_potential(basis):
 def test_ls_rejects_nonpositive_eps(basis, weak_v):
     with pytest.raises(ValueError):
         lippmann_schwinger_solve(weak_v, basis, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        born_radius(weak_v, basis, 1.0, 0.0)
+    for tilde in (False, True):
+        for eps in (0.0, -EPS):
+            with pytest.raises(ValueError):
+                smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
 
 
 def test_ls_reports_singular_system(basis):
@@ -292,3 +305,94 @@ def test_transition_row_sums_within_unitarity_defect(basis, weak_v):
     defect = unitarity_defect(s)
     rows = transition_probability_table(s).sum(axis=1)
     assert np.max(np.abs(rows - 1.0)) <= defect
+
+
+# ---------------------------------------------------------------------------
+# the one-decomposition solve against the dense per-column solve it replaced
+
+POTENTIALS = {
+    "gaussian": lambda b: gaussian_potential(b.lattice, strength=0.05, width=1.0,
+                                             epsilon=EPS),
+    "non_hermitian": lambda b: Potential(0.05j * np.exp(-b.lattice.points ** 2),
+                                         epsilon=EPS),
+    "cross_formalism": cross_formalism_potential,
+}
+
+
+def dense_smatrix(v, basis, eps, variant, tilde):
+    """Reference: one dense solve of (I - V R0(E_k +- i eps)) t = V e_k per
+    on-shell column k, placed as smatrix_momentum places it."""
+    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
+    e = variant_scale(variant, basis.ctx) * basis.energies
+    s = np.eye(basis.size, dtype=complex)
+    for k in range(basis.size):
+        r0 = 1.0 / (e[k] - e + (-1j if tilde else 1j) * eps)
+        t = np.linalg.solve(np.eye(basis.size) - vm * r0[None, :], vm[:, k])
+        lor = (eps / np.pi) / ((e - e[k]) ** 2 + eps ** 2)
+        if tilde:
+            s[k, :] += 2j * np.pi * lor * t
+        else:
+            s[:, k] -= 2j * np.pi * lor * t
+    return s
+
+
+def on_shell_residuals(v, basis, eps, variant="H"):
+    """Per-column max|R[:, k]| of R = V - T + V (R0 o T) for the on-shell
+    solve, its bound 64 eps_mach max|V|, and the solve's diagnostics."""
+    vm = v.matrix(basis)
+    e = variant_scale(variant, basis.ctx) * basis.energies
+    diagnostics = {}
+    t = lippmann_schwinger_solve(v, basis, e, eps, variant, diagnostics)
+    r0 = 1.0 / (e[None, :] + 1j * eps - e[:, None])
+    res = np.max(np.abs(vm - t + vm @ (r0 * t)), axis=0)
+    return res, 64 * np.finfo(float).eps * np.max(np.abs(vm)), diagnostics
+
+
+@pytest.fixture(scope="module")
+def basis102(ctx):
+    return build_hamiltonian_basis(make_lattice(Q, j_min=-25, j_max=25), MASS, ctx)
+
+
+@pytest.mark.parametrize("shape", sorted(POTENTIALS))
+@pytest.mark.parametrize("lattice_basis", ["basis", "basis102"])
+def test_smatrix_matches_dense_per_column_solve(request, lattice_basis, shape):
+    b = request.getfixturevalue(lattice_basis)
+    v = POTENTIALS[shape](b)
+    for eps, variant in itertools.product((0.1, 0.01), ("H", "Hprime")):
+        res, bound, diagnostics = on_shell_residuals(v, b, eps, variant)
+        assert diagnostics["direct_columns"] == 0
+        assert np.all(res <= bound)
+        for tilde in (False, True):
+            s = smatrix_momentum(v, b, "S2minus", eps=eps, variant=variant, tilde=tilde)
+            assert s.diagnostics["max_residual"] <= bound
+            ref = dense_smatrix(v, b, eps, variant, tilde)
+            assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, variant, tilde)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "non_hermitian"])
+def test_every_column_converges_at_n402(ctx, shape):
+    # the raw spectral T misses the bound at this Emax; refinement reaches it
+    b = build_hamiltonian_basis(make_lattice(Q, j_min=-100, j_max=100), MASS, ctx)
+    res, bound, diagnostics = on_shell_residuals(POTENTIALS[shape](b), b, 0.01)
+    assert b.size == 402
+    assert diagnostics["refinement_steps"] >= 1
+    assert diagnostics["direct_columns"] == 0
+    assert np.all(res <= bound)
+
+
+def test_unconverged_columns_fall_back_to_the_direct_solve(basis, weak_v, monkeypatch):
+    # an unreachable refinement target sends the columns to the guarded solve
+    monkeypatch.setattr(scattering, "RESIDUAL_ULPS", 0.0)
+    s = smatrix_momentum(weak_v, basis, "S2minus", eps=EPS)
+    assert s.diagnostics["direct_columns"] > 0
+    ref = dense_smatrix(weak_v, basis, EPS, "H", False)
+    assert np.max(np.abs(s.matrix - ref)) <= 1e-12
+
+
+def test_smatrix_diagnostics(basis, weak_v):
+    s = smatrix_momentum(weak_v, basis, "S2minus", eps=EPS)
+    d = s.diagnostics
+    assert set(d) == {"condition_bound", "refinement_steps", "max_residual",
+                      "direct_columns"}
+    assert 1.0 <= d["condition_bound"] <= scattering.COND_LIMIT
+    assert conjugate_smatrix(s).diagnostics == d
