@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import build_hamiltonian_basis, build_qexp_basis, delta_kernel, export_basis
+from .basis import (build_hamiltonian_basis, build_qexp_basis, delta_kernel, export_basis,
+                    half_line_hamiltonian)
 from .checks import (CHECKS, boundary_defect, crossed_basis, kernel_residual, run_check,
                      variant_bases)
 from .dyson import interaction_potential, ode_evolution, smatrix_interaction
@@ -61,6 +62,9 @@ DEFAULT_CONFIG = {
 
 POTENTIAL_SHAPES = ("gaussian", "point", "none")
 MIN_MODES = 10
+MAX_MODES = 802  # the largest lattice the benchmark builds
+# the eigensolver (stemr) fails on some H0 diagonals spanning ~240 decades
+H0_RANGE = 1e100
 
 
 class ConfigError(Exception):
@@ -133,9 +137,10 @@ def validate_config(cfg: dict) -> None:
     for field, ok, rule in (
         ("ctx.q", 0.0 < cfg["ctx"]["q"] < 1.0, "must lie in (0, 1)"),
         ("lattice.x0", lat["x0"] > 0, "must be positive"),
-        # verify reads incoming mode 6 and a 10 x 10 mode block
-        ("lattice.j_min", size >= MIN_MODES,
-         f"must leave 2 * (j_max - j_min + 1) >= {MIN_MODES} lattice modes"),
+        # verify reads incoming mode 6 and a 10 x 10 mode block; every
+        # kernel and S-matrix is a dense N x N matrix
+        ("lattice.j_min", MIN_MODES <= size <= MAX_MODES,
+         f"must leave {MIN_MODES} <= 2 * (j_max - j_min + 1) <= {MAX_MODES} lattice modes"),
         ("mass", cfg["mass"] > 0, "must be positive"),
         ("potential.shape", pot["shape"] in POTENTIAL_SHAPES,
          f"must be one of {POTENTIAL_SHAPES}"),
@@ -154,6 +159,17 @@ def validate_config(cfg: dict) -> None:
     ):
         if not ok:
             raise ConfigError(field, f"{field} {rule}")
+    # the size rule keeps this lattice small
+    q = cfg["ctx"]["q"]
+    with np.errstate(all="ignore"):
+        lattice = make_lattice(q, **lat)
+        diag = half_line_hamiltonian(lattice, cfg["mass"], braided_line(q))[0]
+    vals = np.abs(np.concatenate([lattice.points, lattice.weights]))
+    if not (np.all(np.isfinite(vals) & (vals >= np.finfo(float).tiny))
+            and np.all((diag >= 1 / H0_RANGE) & (diag <= H0_RANGE))):
+        raise ConfigError("lattice.x0", f"lattice.x0: q={q}, x0={lat['x0']}, j_min={lat['j_min']}, "
+                          f"j_max={lat['j_max']} and mass={cfg['mass']} put a point or weight outside the"
+                          f" normal floats, or H0 ~ 1/(2m((1-q)x)^2) outside [{1 / H0_RANGE:g}, {H0_RANGE:g}]")
 
 
 def config_hash(cfg: dict) -> str:
@@ -163,8 +179,7 @@ def config_hash(cfg: dict) -> str:
 
 def build_scene(cfg: dict):
     ctx = braided_line(cfg["ctx"]["q"])
-    lat = make_lattice(cfg["ctx"]["q"], x0=cfg["lattice"]["x0"],
-                       j_min=cfg["lattice"]["j_min"], j_max=cfg["lattice"]["j_max"])
+    lat = make_lattice(cfg["ctx"]["q"], **cfg["lattice"])
     basis = build_hamiltonian_basis(lat, cfg["mass"], ctx)
     return ctx, lat, basis
 
@@ -215,6 +230,14 @@ def write_report(path: str, report: dict) -> None:
 
 def _provenance(cfg: dict) -> dict:
     return {"config_sha256": config_hash(cfg), "version": __version__}
+
+
+def _guarded(build, *args, **kwargs):
+    """Call an S-matrix build; a refused Lippmann-Schwinger system is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError("potential", f"potential: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def cmd_scatter(cfg: dict, out: str) -> int:
     trend = []
     for eps in cfg["eps_sweep"]:
         v_eps = Potential(v.values, epsilon=eps, strength=v.strength)
-        s = smatrix_momentum(v_eps, basis, family, eps=eps)
+        s = _guarded(smatrix_momentum, v_eps, basis, family, eps=eps)
         tag = _fmt(eps)
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)
@@ -340,7 +363,7 @@ def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
         names = [only]
     results = []
     for name in names:
-        r = run_check(name, cfg, basis, basis2, v)
+        r = _guarded(run_check, name, cfg, basis, basis2, v)
         results.append(r)
         print(f"{name}: value={r['value']:.3e} tol={r['tolerance']:.1e} "
               f"{'PASS' if r['pass'] else 'FAIL'}")

@@ -191,21 +191,12 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     return float(np.linalg.norm(dmat - h_sign * hk))
 
 
-def source_term(kernel: PropagatorKernel) -> tuple[complex, np.ndarray]:
-    """Delta-source data of the causal Schroedinger equation.
-
-    Returns (prefactor, scaled_delta): the jump of the retarded kernel at
-    the source slice times i must equal prefactor * scaled_delta, with
-    prefactor = i kappa**n / vol and scaled_delta the completeness kernel
-    at kappa-scaled argument, which absorbs a Jacobian kappa**-n.
-    """
-    n_dim = 1
-    kappa = kernel.ctx.kappa
-    prefactor = 1j * kappa ** n_dim / kernel.basis.vol
-    scaled_delta = (kappa ** -n_dim) * delta_kernel(kernel.basis)
-    if kernel.tilde:
-        scaled_delta = np.conj(scaled_delta)
-    return prefactor, scaled_delta
+def source_term(kernel: PropagatorKernel) -> np.ndarray:
+    """Delta source of the causal Schroedinger equation: i times the jump of the
+    retarded kernel at the source slice, i.e. i times the completeness kernel,
+    conjugated for tilde kernels (kappa**n cancels the delta's Jacobian kappa**-n)."""
+    delta = delta_kernel(kernel.basis)
+    return 1j * (np.conj(delta) if kernel.tilde else delta)
 
 
 def conjugate_kernel(kernel: PropagatorKernel) -> PropagatorKernel:

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import eigsh
 
@@ -24,9 +25,9 @@ from braidline import (
     smatrix_momentum,
     unitarity_defect,
 )
+from braidline.basis import half_line_hamiltonian
 from braidline.checks import born_errors, cross_formalism_potential, crossed_basis, run_check
 from braidline.cli import build_potential, build_scene, load_config
-from braidline.qcalc import derivative_matrix
 from braidline.scattering import transition_probability_table
 from conftest import ACCEPTANCE_LINES
 
@@ -159,9 +160,6 @@ def _classical_limit_error(qv, t=0.05, k=160):
     ctx = braided_line(qv)
     x = lat.points
     n = x.size
-    d = csr_matrix(derivative_matrix(lat, ctx))
-    wj = lat.weights
-    hq = (diags(1.0 / wj) @ d.T @ diags(wj) @ d / (2.0 * MASS)).tocsr()
     # classical reference: central differences with trapezoid weights
     wt = np.zeros(n)
     wt[1:-1] = (x[2:] - x[:-2]) / 2
@@ -186,7 +184,16 @@ def _classical_limit_error(qv, t=0.05, k=160):
         c = vecs.T @ (sw * psi)
         return (vecs @ (np.exp(-1j * evals * t) * c)) / sw
 
-    out_q = propagate(hq, wj)
+    # q-lattice: the k lowest modes are k/2 degenerate even/odd pairs, which
+    # together propagate each branch with the k/2 lowest half-line modes
+    evals, vecs = eigh_tridiagonal(*half_line_hamiltonian(lat, MASS, ctx), select="i",
+                                   select_range=(0, k // 2 - 1))
+    sq = np.sqrt(lat.weights)
+    phi = sq * psi
+    out_q = np.empty_like(phi)
+    for branch in (slice(n // 2, None), slice(n // 2 - 1, None, -1)):  # innermost first
+        out_q[branch] = vecs @ (np.exp(-1j * evals * t) * (vecs.T @ phi[branch]))
+    out_q /= sq
     out_c = propagate(hc, wt)
     sw = np.sqrt(wt)
     return float(np.linalg.norm(sw * (out_q - out_c))

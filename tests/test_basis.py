@@ -45,15 +45,34 @@ def test_completeness_kernel(basis):
     assert np.max(np.abs(resolved - np.eye(basis.size))) < 1e-12
 
 
-def test_eigenvalue_residual(basis, lattice, ctx):
+# N = 50 keeps its absolute bound.  At N = 802 the entries of H0 u reach
+# Emax max|u| ~ 1e7, and the dense path this basis replaced read 8.4e-9 there.
+@pytest.mark.parametrize("q, j_max, bound", [(Q, 12, 1e-9), (0.99, 200, 1e-7)],
+                         ids=["n50", "n802"])
+def test_eigenvalue_residual(q, j_max, bound):
+    # the tridiagonal half-line basis against the dense path it replaced
     from braidline.qcalc import derivative_matrix
 
+    ctx = braided_line(q)
+    lattice = make_lattice(q, j_min=-j_max, j_max=j_max)
+    basis = build_hamiltonian_basis(lattice, MASS, ctx)
     d = derivative_matrix(lattice, ctx)
     w = basis.weights
     # H0 = D^dag D / 2m with the weighted adjoint
     h = (d.T * w[None, :]) @ d / w[:, None] / (2.0 * MASS)
     res = h @ basis.vectors - basis.vectors * basis.energies[None, :]
-    assert np.max(np.abs(res)) < 1e-9
+    assert np.max(np.abs(res)) < bound
+    # the weight-symmetrised H0 and its eigenpairs, relative to the top energy
+    sw = np.sqrt(w)
+    b = (sw[:, None] * d) / sw[None, :]
+    h_sym = b.T @ b / (2.0 * MASS)
+    e_max = np.max(basis.energies)
+    sym_vecs = sw[:, None] * basis.vectors
+    sym_res = h_sym @ sym_vecs - sym_vecs * basis.energies[None, :]
+    assert np.max(np.abs(sym_res)) <= 1e-13 * e_max
+    dense = np.linalg.eigvalsh(h_sym)
+    assert np.max(np.abs(np.sort(basis.energies) - dense)) <= 1e-12 * e_max
+    assert np.array_equal(basis.energies[0::2], basis.energies[1::2])
 
 
 def test_energies_nonnegative_and_sorted_in_pairs(basis):

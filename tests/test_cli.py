@@ -11,6 +11,7 @@ from braidline.cli import (
     CHECKS,
     DEFAULT_CONFIG,
     ConfigError,
+    build_scene,
     config_hash,
     load_config,
     main,
@@ -90,6 +91,16 @@ TYPE_PROBES = [
     ({"potential": {"epsilon": 0}}, "potential.epsilon"),
     ({"lattice": {"j_min": -1, "j_max": 0}}, "lattice.j_min"),
     ({"lattice": {"j_min": -2, "j_max": 2}, "dyson": {"n_modes": 11}}, "dyson.n_modes"),
+    # lattices too large, or out of the float range: used to end in a
+    # traceback or run for minutes
+    ({"lattice": {"j_min": -200, "j_max": 201}}, "lattice.j_min"),
+    ({"lattice": {"j_min": -3000, "j_max": 3000}}, "lattice.j_min"),
+    ({"ctx": {"q": 0.1}, "lattice": {"j_min": -400, "j_max": 400}}, "lattice.j_min"),
+    ({"ctx": {"q": 0.1}, "lattice": {"j_min": -200, "j_max": 200}}, "lattice.x0"),
+    ({"ctx": {"q": 1e-300}}, "lattice.x0"),
+    ({"lattice": {"x0": 1e-320}}, "lattice.x0"),
+    # H0's diagonal spans 1e-159..1e-77, where the stemr eigensolver fails
+    ({"ctx": {"q": 0.25}, "lattice": {"j_min": -132, "j_max": -64}}, "lattice.x0"),
 ]
 
 # the smallest lattice validate_config admits: N = 2 * (2 + 2 + 1) = 10 modes
@@ -144,6 +155,12 @@ def test_unavailable_qexp_diagnostic_exits_2(tmp_path, capsys, override):
     assert json.loads(capsys.readouterr().err)["field"] == "qexp"
 
 
+def test_largest_lattice_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ctx": {"q": 0.99}, "lattice": {"j_min": -200, "j_max": 200}}))
+    assert build_scene(load_config(str(path)))[2].size == 802
+
+
 def test_integral_floats_accepted(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mass": 2, "eps_sweep": [1, 0.5]}))
@@ -184,6 +201,24 @@ def test_load_config_fuzz(fuzz_dir, user):
         assert exc.field
     else:
         assert set(cfg) == set(DEFAULT_CONFIG)
+        # an accepted config builds a finite basis
+        basis = build_scene(cfg)[2]
+        assert np.all(np.isfinite(basis.energies)) and np.all(np.isfinite(basis.vectors))
+
+
+@pytest.mark.parametrize("command", ["scatter", "verify"])
+@pytest.mark.parametrize("override", [{"eps_sweep": [1e-300]},
+                                      {"potential": {"strength": 1e300}}])
+def test_refused_lippmann_schwinger_system_exits_2(tmp_path, capsys, command, override):
+    # the solver's condition guard refuses the system: a config error, not a
+    # LinAlgError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err.splitlines()[-1])
+    assert error["field"] == "potential" and "ill conditioned" in error["message"]
 
 
 def test_cmd_basis_outputs(tmp_path):

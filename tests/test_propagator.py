@@ -166,13 +166,11 @@ def test_double_causal_wrap_rejected(basis):
 
 
 def test_source_term_jump(basis):
-    # at coincident times the retarded kernel jumps by the delta kernel;
-    # the stored prefactor i kappa / vol against the kappa-scaled delta
-    # reproduces exactly that jump
+    # at coincident times the retarded kernel jumps by the delta kernel,
+    # so i times the jump is the source term
     k = make_retarded(free_propagator(basis, "K1prime", 0.4, 0.4))
-    prefactor, scaled_delta = source_term(k)
     jump = 1j * k.matrix
-    assert np.max(np.abs(jump - prefactor * scaled_delta)) < 1e-10
+    assert np.max(np.abs(jump - source_term(k))) < 1e-10
 
 
 def test_conjugation_partners(basis, basis_g2):
