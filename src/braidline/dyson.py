@@ -11,7 +11,7 @@ tolerance, which is measured rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -55,6 +55,8 @@ class EvolutionOperator:
     t_to: float
     construction: str  # "dyson(N)" or "ode(tol)"
     geometry: str = G1
+    # rhs_evals (right-hand-side calls) and coupled_modes (modes integrated)
+    diagnostics: dict = field(default_factory=dict)
 
     def unitarity_drift(self) -> float:
         u = self.matrix
@@ -74,10 +76,46 @@ def from_interaction_picture(psi: CoefficientVector, variant: str) -> Coefficien
     return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
 
 
-def _rhs_sign_and_side(geometry: str) -> tuple[complex, str]:
-    # G1: i dU/dt = V U  -> dU/dt = -i V U (left action)
-    # G2 (crossed): the conjugated equation evolves by right action with +i.
-    return (-1j, "left") if geometry == G1 else (1j, "right")
+def _integrate(
+    vi: InteractionPotential, t_from: float, t_to: float, rtol: float,
+    levels: int | None,
+) -> tuple[np.ndarray, dict]:
+    """One DOP853 solve on the modes V couples; returns (matrix, diagnostics).
+
+    ``levels=None`` integrates U' = c V_I U (G1, c = -i) or U' = c U V_I
+    (G2, c = +i) from U = 1.  ``levels=k`` integrates the Dyson hierarchy
+    I_j' = c V_I I_{j-1} (I_0 = 1, I_j = 0 at t_from) and returns
+    1 + I_1 + ... + I_k.  V_I(t) has the zero pattern of V at every t, so
+    rows and columns outside the coupled modes (a nonzero row or column of
+    V) stay those of the identity: the restriction is exact.  The complex
+    state goes to ``solve_ivp`` as it is, with atol = rtol.
+    """
+    m = vi.basis.size
+    idx = np.flatnonzero(np.any(vi.matrix, axis=0) | np.any(vi.matrix, axis=1))
+    n = idx.size
+    out = np.eye(m, dtype=complex)
+    if n == 0 or t_from == t_to or levels == 0:
+        return out, {"rhs_evals": 0, "coupled_modes": n}
+    block = np.ix_(idx, idx)
+    left = vi.basis.ctx.geometry == G1
+    coeff = -1j if left else 1j
+    ident = np.eye(n, dtype=complex)
+
+    def rhs(t, y):
+        vt = vi.at(t)[block]
+        if levels is None:
+            prev = y.reshape(n, n)
+        else:  # level j is driven by level j - 1
+            prev = np.concatenate([ident[None], y.reshape(levels, n, n)[:-1]])
+        return (coeff * (vt @ prev if left else prev @ vt)).ravel()
+
+    y0 = ident.ravel() if levels is None else np.zeros(levels * n * n, dtype=complex)
+    sol = solve_ivp(rhs, (t_from, t_to), y0, method="DOP853", rtol=rtol, atol=rtol)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    y = sol.y[:, -1].reshape(-1, n, n)
+    out[block] = y[0] if levels is None else ident + y.sum(axis=0)
+    return out, {"rhs_evals": int(sol.nfev), "coupled_modes": n}
 
 
 def ode_evolution(
@@ -86,29 +124,9 @@ def ode_evolution(
     """Adaptive high-order integration of the evolution equation."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = vi.basis.size
-    geometry = vi.basis.ctx.geometry
-    coeff, side = _rhs_sign_and_side(geometry)
-    if t_from == t_to or not np.any(vi.matrix):
-        return EvolutionOperator(np.eye(m, dtype=complex), t_from, t_to,
-                                 f"ode({tol:g})", geometry)
-
-    def rhs_real(t, y):
-        u = y[: m * m].reshape(m, m) + 1j * y[m * m:].reshape(m, m)
-        vt = vi.at(t)
-        du = coeff * (vt @ u) if side == "left" else coeff * (u @ vt)
-        return np.concatenate([du.real.ravel(), du.imag.ravel()])
-
-    y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)])
-    sol = solve_ivp(
-        rhs_real, (t_from, t_to), y0, method="DOP853",
-        rtol=tol * 1e-2, atol=tol * 1e-2, dense_output=False,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    u = y[: m * m].reshape(m, m) + 1j * y[m * m:].reshape(m, m)
-    return EvolutionOperator(u, t_from, t_to, f"ode({tol:g})", geometry)
+    u, diagnostics = _integrate(vi, t_from, t_to, tol * 1e-2, None)
+    return EvolutionOperator(u, t_from, t_to, f"ode({tol:g})", vi.basis.ctx.geometry,
+                             diagnostics)
 
 
 def dyson_evolution(
@@ -123,42 +141,9 @@ def dyson_evolution(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    m = vi.basis.size
-    geometry = vi.basis.ctx.geometry
-    if order == 0 or t_from == t_to or not np.any(vi.matrix):
-        return EvolutionOperator(np.eye(m, dtype=complex), t_from, t_to,
-                                 f"dyson({order})", geometry)
-    coeff, side = _rhs_sign_and_side(geometry)
-    level_tol = tol / order
-    nm = m * m
-
-    def rhs_real(t, y):
-        vt = vi.at(t)
-        out = np.zeros_like(y)
-        prev = np.eye(m, dtype=complex)
-        for k in range(order):
-            cur = y[2 * k * nm: (2 * k + 1) * nm].reshape(m, m) + 1j * y[
-                (2 * k + 1) * nm: (2 * k + 2) * nm
-            ].reshape(m, m)
-            d = coeff * (vt @ prev) if side == "left" else coeff * (prev @ vt)
-            out[2 * k * nm: (2 * k + 1) * nm] = d.real.ravel()
-            out[(2 * k + 1) * nm: (2 * k + 2) * nm] = d.imag.ravel()
-            prev = cur
-        return out
-
-    y0 = np.zeros(2 * nm * order)
-    sol = solve_ivp(rhs_real, (t_from, t_to), y0, method="DOP853",
-                    rtol=level_tol * 1e-2, atol=level_tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"quadrature failed: {sol.message}")
-    y = sol.y[:, -1]
-    u = np.eye(m, dtype=complex)
-    for k in range(order):
-        u = u + (
-            y[2 * k * nm: (2 * k + 1) * nm].reshape(m, m)
-            + 1j * y[(2 * k + 1) * nm: (2 * k + 2) * nm].reshape(m, m)
-        )
-    return EvolutionOperator(u, t_from, t_to, f"dyson({order})", geometry)
+    u, diagnostics = _integrate(vi, t_from, t_to, tol / max(order, 1) * 1e-2, order)
+    return EvolutionOperator(u, t_from, t_to, f"dyson({order})", vi.basis.ctx.geometry,
+                             diagnostics)
 
 
 def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
@@ -209,4 +194,4 @@ def smatrix_interaction(
     else:
         u = ode_evolution(vi, t_horizon, -t_horizon, tol)
     return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=u.matrix,
-                   family=family, epsilon=eps, tilde=False)
+                   family=family, epsilon=eps, tilde=False, diagnostics=dict(u.diagnostics))

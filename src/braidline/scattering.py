@@ -164,11 +164,12 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
     else:
         lam, w = np.linalg.eig(h)
         w_inv, kappa = np.linalg.inv(w), np.linalg.cond(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing or infinite bound is refused below, not warned about
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
-    v_norm = np.linalg.norm(vm)
-    bound = ((1.0 + v_norm * np.max(np.abs(r0), axis=0))
-             * (1.0 + v_norm * kappa * np.max(np.abs(g), axis=0)))
+        v_norm = np.linalg.norm(vm)
+        bound = ((1.0 + v_norm * np.max(np.abs(r0), axis=0))
+                 * (1.0 + v_norm * kappa * np.max(np.abs(g), axis=0)))
     worst_bound = float(np.max(bound))
     if not np.isfinite(worst_bound) or worst_bound > COND_LIMIT:
         raise np.linalg.LinAlgError(
@@ -410,7 +411,9 @@ def smatrix_momentum(
                             variant, diagnostics)
     else:
         t_mat = lippmann_schwinger_solve(v, basis, e, eps, variant, diagnostics)
-    lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + eps ** 2)
+    # beyond eps ~ 1e154 eps**2 overflows to inf and delta_eps to its limit 0
+    with np.errstate(over="ignore"):
+        lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))
     step = 2j * np.pi * lor * t_mat
     s = np.eye(basis.size) + step.T if tilde else np.eye(basis.size) - step
     return SMatrix(ctx=basis.ctx, basis=basis, matrix=s, family=family,

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from braidline import checks
@@ -175,10 +178,23 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                      max_leaves=8)
 
 
-def _config_objects(schema):
-    """JSON objects over the config's keys (plus an unknown one), with any
-    JSON value at every key and the schema followed into nested objects."""
-    fields = {k: (_config_objects(v) | _JSON if isinstance(v, dict) else _JSON)
+def _typed(default):
+    """Values of the default's type: the default itself, any number of the
+    kind the field takes, or a list of any floats."""
+    if isinstance(default, list):
+        return st.just(default) | st.lists(st.floats(), max_size=3)
+    if isinstance(default, float):
+        return st.just(default) | st.floats()
+    if isinstance(default, int):
+        return st.just(default) | st.integers(-64, 64) | st.integers()
+    return st.just(default)
+
+
+def _config_objects(schema, leaf=lambda default: _JSON):
+    """JSON objects over the config's keys (plus an unknown one), with a
+    ``leaf`` value (any JSON value by default) at every key and the schema
+    followed into nested objects."""
+    fields = {k: (_config_objects(v, leaf) | _JSON if isinstance(v, dict) else leaf(v))
               for k, v in schema.items()}
     fields["bogus"] = _JSON
     return st.fixed_dictionaries({}, optional=fields)
@@ -206,18 +222,39 @@ def test_load_config_fuzz(fuzz_dir, user):
         assert np.all(np.isfinite(basis.energies)) and np.all(np.isfinite(basis.vectors))
 
 
+@settings(max_examples=300, deadline=None)
+@example(command="scatter", user={"eps_sweep": [1.3407807929942597e154]})  # eps**2 overflowed
+@given(command=st.sampled_from(["basis", "scatter"]),
+       user=_config_objects(DEFAULT_CONFIG, lambda default: _typed(default) | _JSON))
+def test_main_fuzz(fuzz_dir, command, user):
+    # the CLI contract for any config-shaped JSON: exit 0, or exit 2 with
+    # exactly one JSON error object naming a field on stderr; never a traceback
+    path = fuzz_dir / "main.json"
+    path.write_text(json.dumps(user))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path), "--out", out])
+    event(f"{command} exit {code}")
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        error = json.loads(err.getvalue())
+        assert isinstance(error, dict) and error["field"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["scatter", "verify"])
 @pytest.mark.parametrize("override", [{"eps_sweep": [1e-300]},
                                       {"potential": {"strength": 1e300}}])
 def test_refused_lippmann_schwinger_system_exits_2(tmp_path, capsys, command, override):
     # the solver's condition guard refuses the system: a config error, not a
-    # LinAlgError traceback
+    # LinAlgError traceback, and no numpy warning ahead of it on stderr
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(override))
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    error = json.loads(err.splitlines()[-1])
+    error = json.loads(capsys.readouterr().err)
     assert error["field"] == "potential" and "ill conditioned" in error["message"]
 
 

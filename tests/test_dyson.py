@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from braidline import (
     ModePotential,
@@ -107,6 +108,66 @@ def test_dyson_order_truncation_scaling(basis):
         errs.append(np.linalg.norm(u2.matrix - ue.matrix))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(slopes - 3.0) < 0.3)
+
+
+def _packed_full_space(vi, t_from, t_to, tol, order=None):
+    """The integration the coupled-mode driver replaced: every one of the
+    m x m entries, complex matrices packed as real/imaginary halves.
+    ``order=None`` evolves U, else the Dyson hierarchy up to ``order``."""
+    m = vi.basis.size
+    nm = m * m
+    coeff, left = (-1j, True) if vi.basis.ctx.geometry == "G1" else (1j, False)
+    levels = 1 if order is None else order
+    rtol = (tol if order is None else tol / order) * 1e-2
+
+    def unpack(y, k):
+        return (y[2 * k * nm: (2 * k + 1) * nm].reshape(m, m)
+                + 1j * y[(2 * k + 1) * nm: (2 * k + 2) * nm].reshape(m, m))
+
+    def rhs_real(t, y):
+        vt = vi.at(t)
+        out = np.zeros_like(y)
+        prev = unpack(y, 0) if order is None else np.eye(m, dtype=complex)
+        for k in range(levels):
+            d = coeff * (vt @ prev) if left else coeff * (prev @ vt)
+            out[2 * k * nm: (2 * k + 1) * nm] = d.real.ravel()
+            out[(2 * k + 1) * nm: (2 * k + 2) * nm] = d.imag.ravel()
+            prev = unpack(y, k)
+        return out
+
+    y0 = np.zeros(2 * nm * levels)
+    if order is None:
+        y0[:nm] = np.eye(m).ravel()
+    sol = solve_ivp(rhs_real, (t_from, t_to), y0, method="DOP853", rtol=rtol, atol=rtol)
+    assert sol.success
+    y = sol.y[:, -1]
+    if order is None:
+        return unpack(y, 0)
+    return np.eye(m) + sum(unpack(y, k) for k in range(order))
+
+
+@pytest.mark.parametrize("crossed", [False, True], ids=["G1", "G2"])
+def test_coupled_modes_match_full_space_oracle(ctx, crossed):
+    # support neither contiguous nor symmetric: V[3, 17] alone plus a block
+    # on modes {1, 4, 9}; the restriction to modes {1, 3, 4, 9, 17} is exact
+    c = crossing_transform(ctx) if crossed else ctx
+    b = build_hamiltonian_basis(make_lattice(c.q), MASS, c)
+    rng = np.random.default_rng(5)
+    vm = np.zeros((b.size, b.size), dtype=complex)
+    vm[3, 17] = 0.3 - 0.1j
+    vm[np.ix_([1, 4, 9], [1, 4, 9])] = 0.2 * (rng.normal(size=(3, 3))
+                                              + 1j * rng.normal(size=(3, 3)))
+    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b, "H")
+    outside = np.ones(b.size, dtype=bool)
+    outside[[1, 3, 4, 9, 17]] = False
+    outside = outside[:, None] | outside[None, :]
+    for fast, order in ((ode_evolution(vic, -1.0, 1.0, 1e-10), None),
+                        (dyson_evolution(vic, -1.0, 1.0, 2, tol=1e-10), 2)):
+        ref = _packed_full_space(vic, -1.0, 1.0, 1e-10, order)
+        assert np.max(np.abs(fast.matrix - ref)) < 1e-9
+        assert np.array_equal(fast.matrix[outside], np.eye(b.size)[outside])
+        assert fast.diagnostics["coupled_modes"] == 5
+        assert fast.geometry == c.geometry
 
 
 def test_dyson_first_order_oracle(basis, vi):
@@ -219,6 +280,8 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     s_dyn = smatrix_interaction(vi10, "S1starPlus", horizon, eps, tol=1e-10)
     s_mom = smatrix_momentum(v, basis, "S1starPlus", eps=eps)
     assert np.max(np.abs(s_dyn.matrix - s_mom.matrix)) < 1e-6
+    assert s_dyn.diagnostics["coupled_modes"] == 10
+    assert s_dyn.diagnostics["rhs_evals"] > 0
 
 
 def test_smatrix_interaction_free_past_overlap(basis):
