@@ -1,24 +1,25 @@
 """Interaction picture: picture-change maps, interaction potentials,
-time-evolution operators (iterated-integral and ODE routes) and
-interaction-picture S-matrices.
+time-evolution operators (exact Dyson partial sums and the full evolution,
+both from one block exponential) and interaction-picture S-matrices.
 
 Geometry G1 evolution acts from the left on coefficient columns, geometry
 G2 from the right with the reversed operator ordering and the opposite
 sign of i, matching the crossed equations of motion.  For Hermitian
-interactions both routes produce unitary operators up to the integrator
-tolerance, which is measured rather than assumed.
+interactions the full evolution is unitary up to its tolerance, which is
+measured rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .basis import CoefficientVector, WaveBasis
 from .qcalc import G1
-from .scattering import Potential, SMatrix, S_FAMILIES, variant_scale
+from .scattering import Potential, SMatrix, S_FAMILIES, _dyson_blocks, variant_scale
 
 
 @dataclass
@@ -35,17 +36,12 @@ class InteractionPotential:
         return variant_scale(self.variant, self.basis.ctx)
 
     def at(self, t: float) -> np.ndarray:
-        e = self.basis.energies * self.scale
-        phase = np.exp(1j * e * t)
-        return (phase[:, None] * self.matrix * np.conj(phase)[None, :]) * np.exp(
-            -self.epsilon * abs(t)
-        )
+        phase = np.exp(1j * self.scale * self.basis.energies * t)
+        return np.outer(phase, phase.conj()) * self.matrix * np.exp(-self.epsilon * abs(t))
 
 
 def interaction_potential(v: Potential, basis: WaveBasis, variant: str) -> InteractionPotential:
-    return InteractionPotential(
-        basis=basis, matrix=v.matrix(basis), variant=variant, epsilon=v.epsilon,
-    )
+    return InteractionPotential(basis, v.matrix(basis), variant, v.epsilon)
 
 
 @dataclass
@@ -55,7 +51,7 @@ class EvolutionOperator:
     t_to: float
     construction: str  # "dyson(N)" or "ode(tol)"
     geometry: str = G1
-    # rhs_evals (right-hand-side calls) and coupled_modes (modes integrated)
+    # order (K), steps, tail and coupled_modes; see _integrate
     diagnostics: dict = field(default_factory=dict)
 
     def unitarity_drift(self) -> float:
@@ -76,83 +72,99 @@ def from_interaction_picture(psi: CoefficientVector, variant: str) -> Coefficien
     return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
 
 
+# the most sub-steps one evolution takes: a default-scene strength up to ~80
+MAX_STEPS = 256
+
+
 def _integrate(
-    vi: InteractionPotential, t_from: float, t_to: float, rtol: float,
+    vi: InteractionPotential, t_from: float, t_to: float, tol: float,
     levels: int | None,
 ) -> tuple[np.ndarray, dict]:
-    """One DOP853 solve on the modes V couples; returns (matrix, diagnostics).
+    """Time-ordered exponential on the modes V couples: (matrix, diagnostics).
 
-    ``levels=None`` integrates U' = c V_I U (G1, c = -i) or U' = c U V_I
-    (G2, c = +i) from U = 1.  ``levels=k`` integrates the Dyson hierarchy
-    I_j' = c V_I I_{j-1} (I_0 = 1, I_j = 0 at t_from) and returns
-    1 + I_1 + ... + I_k.  V_I(t) has the zero pattern of V at every t, so
-    rows and columns outside the coupled modes (a nonzero row or column of
-    V) stay those of the identity: the restriction is exact.  The complex
-    state goes to ``solve_ivp`` as it is, with atol = rtol.
+    ``levels=None`` gives U to ``tol`` (U' = c V_I U in G1 with c = -i,
+    U' = c U V_I in G2 with c = +i), ``levels=k`` the exact partial sum
+    1 + I_1 + ... + I_k.  Outside the coupled modes U is the identity, since
+    V_I(t) keeps the zero pattern of V.  Diagnostics: the order K, the steps,
+    the tail (largest entry of a last block) and the coupled modes.  The
+    README's "Interaction picture" sets out the steps, K and the refusals.
     """
-    m = vi.basis.size
     idx = np.flatnonzero(np.any(vi.matrix, axis=0) | np.any(vi.matrix, axis=1))
     n = idx.size
-    out = np.eye(m, dtype=complex)
+    out = np.eye(vi.basis.size, dtype=complex)
     if n == 0 or t_from == t_to or levels == 0:
-        return out, {"rhs_evals": 0, "coupled_modes": n}
-    block = np.ix_(idx, idx)
-    left = vi.basis.ctx.geometry == G1
-    coeff = -1j if left else 1j
-    ident = np.eye(n, dtype=complex)
+        return out, {"order": 0, "steps": 0, "tail": 0.0, "coupled_modes": n}
+    block, left, eps = np.ix_(idx, idx), vi.basis.ctx.geometry == G1, vi.epsilon
 
-    def rhs(t, y):
-        vt = vi.at(t)[block]
-        if levels is None:
-            prev = y.reshape(n, n)
-        else:  # level j is driven by level j - 1
-            prev = np.concatenate([ident[None], y.reshape(levels, n, n)[:-1]])
-        return (coeff * (vt @ prev if left else prev @ vt)).ravel()
+    def env(t):  # int_0^|t| exp(-eps s) ds
+        return -math.expm1(-eps * abs(t)) / eps if eps else abs(t)
 
-    y0 = ident.ravel() if levels is None else np.zeros(levels * n * n, dtype=complex)
-    sol = solve_ivp(rhs, (t_from, t_to), y0, method="DOP853", rtol=rtol, atol=rtol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    y = sol.y[:, -1].reshape(-1, n, n)
-    out[block] = y[0] if levels is None else ident + y.sum(axis=0)
-    return out, {"rhs_evals": int(sol.nfev), "coupled_modes": n}
+    sigma, c = (1.0, -1j) if left else (-1.0, 1j)  # G2 is the transposed problem
+    e = sigma * vi.scale * vi.basis.energies[idx]
+    # |t| is monotone on each piece, so the envelope is one exponential there
+    pieces = [(t_from, 0.0), (0.0, t_to)] if t_from * t_to < 0 else [(t_from, t_to)]
+    counts, order = [1] * len(pieces), levels
+    if levels is None:
+        vb = vi.matrix[block]
+        v_norm = float(np.linalg.norm(vb, 2)) if np.all(np.isfinite(vb)) else math.inf
+        xs = [v_norm * abs(env(b) - env(a)) for a, b in pieces]
+        if not sum(xs) <= MAX_STEPS:
+            raise np.linalg.LinAlgError(f"|V|_2 = {v_norm:.3e} needs {sum(xs):.3e} steps")
+        counts = [max(1, math.ceil(x)) for x in xs]
+        x = max(x / k for x, k in zip(xs, counts))
+        # the least K with steps * x^K / K! <= tol / 10, no finer than the rounding
+        order, bound = 1, sum(counts) * x
+        while bound > max(tol, np.finfo(float).eps) / 10:
+            order, bound = order + 1, bound * x / (order + 1)
+    acc, tail = None, 0.0
+    for (a, b), k in zip(pieces, counts):
+        g = np.linspace(env(a), env(b), k + 1)[1:-1]
+        ts = [a, *np.copysign(-np.log1p(-eps * g) / eps if eps else g, a + b), b]
+        for t0, t1 in zip(ts[:-1], ts[1:]):
+            # W at the end nearer t = 0: a step towards it is the transposed
+            # problem in reversed time, so no diagonal block of M grows
+            h, grow = t1 - t0, abs(t1) < abs(t0)
+            w = vi.at(t1 if grow else t0)[block]
+            blocks = _dyson_blocks(e, w.T if left == grow else w, c, eps * np.sign(h), h, order)
+            tail = max(tail, float(np.max(np.abs(blocks[-1]))))
+            step = np.exp(1j * e * h)[:, None] * blocks
+            step = step.transpose(0, 2, 1) if grow else step
+            step = step.sum(axis=0, keepdims=True) if levels is None else step
+            acc = step if acc is None else np.stack(  # graded by order, truncated
+                [sum(step[i] @ acc[j - i] for i in range(j + 1)) for j in range(len(acc))])
+    if levels is None and not tail <= tol:
+        raise np.linalg.LinAlgError(f"Dyson order {order} leaves {tail:.3e} > tol={tol:g}")
+    u = acc.sum(axis=0)
+    out[block] = u if left else u.T
+    return out, {"order": order, "steps": sum(counts), "tail": tail, "coupled_modes": n}
 
 
 def ode_evolution(
     vi: InteractionPotential, t_from: float, t_to: float, tol: float,
 ) -> EvolutionOperator:
-    """Adaptive high-order integration of the evolution equation."""
+    """U(t_to, t_from) to ``tol``: sub-steps of the block exponential."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    u, diagnostics = _integrate(vi, t_from, t_to, tol * 1e-2, None)
-    return EvolutionOperator(u, t_from, t_to, f"ode({tol:g})", vi.basis.ctx.geometry,
-                             diagnostics)
+    u, diag = _integrate(vi, t_from, t_to, tol, None)
+    return EvolutionOperator(u, t_from, t_to, f"ode({tol:g})", vi.basis.ctx.geometry, diag)
 
 
 def dyson_evolution(
     vi: InteractionPotential, t_from: float, t_to: float, order: int,
-    tol: float = 1e-10,
 ) -> EvolutionOperator:
-    """Order-N truncation of the iterated time-ordered integrals.
-
-    The hierarchy I_k(t) = (-+i) int V(s) I_{k-1}(s) ds is integrated
-    jointly with adaptive stepping; per-level tolerance tol/order keeps
-    the total error budget explicit.  Order 0 returns the identity.
-    """
+    """Order-N truncation 1 + I_1 + ... + I_N of the iterated time-ordered
+    integrals I_k(t) = (-+i) int V(s) I_{k-1}(s) ds, exact block by block.
+    Order 0 returns the identity."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    u, diagnostics = _integrate(vi, t_from, t_to, tol / max(order, 1) * 1e-2, order)
-    return EvolutionOperator(u, t_from, t_to, f"dyson({order})", vi.basis.ctx.geometry,
-                             diagnostics)
+    u, diag = _integrate(vi, t_from, t_to, 0.0, order)
+    return EvolutionOperator(u, t_from, t_to, f"dyson({order})", vi.basis.ctx.geometry, diag)
 
 
 def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
     if psi.time != u.t_from:
         raise ValueError("state time does not match the operator window")
-    if u.geometry == G1:
-        vals = u.matrix @ psi.values
-    else:
-        vals = psi.values @ u.matrix
+    vals = u.matrix @ psi.values if u.geometry == G1 else psi.values @ u.matrix
     return CoefficientVector(psi.basis, vals, time=u.t_to)
 
 
@@ -182,16 +194,12 @@ def smatrix_interaction(
         raise ValueError(f"unknown S-matrix family {family!r}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if np.exp(-eps * t_horizon) > 1e-8:
-        raise ValueError(
-            "horizon too short for the requested eps: need exp(-eps*T) <= 1e-8"
-        )
+    # T = ln(1e8) / eps itself can round to exp(-eps*T) a few ulps above 1e-8
+    if np.exp(-eps * t_horizon) > 1e-8 * (1 + 1e-12):
+        raise ValueError("horizon too short for the requested eps: need exp(-eps*T) <= 1e-8")
     if vi.epsilon != eps:
         raise ValueError("interaction epsilon must match the requested eps")
     sign = S_FAMILIES[family][1]
-    if sign > 0:
-        u = ode_evolution(vi, -t_horizon, t_horizon, tol)
-    else:
-        u = ode_evolution(vi, t_horizon, -t_horizon, tol)
+    u = ode_evolution(vi, -sign * t_horizon, sign * t_horizon, tol)
     return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=u.matrix,
                    family=family, epsilon=eps, tilde=False, diagnostics=dict(u.diagnostics))

@@ -292,7 +292,7 @@ def full_green(
         h = np.diag(e).astype(complex) + vm
         mat_modes = expm(-1j * h * dt)
     else:
-        mat_modes = _born_green_modes(vm, e, dt, order)
+        mat_modes = _dyson_blocks(e, vm, -1j, 0.0, dt, order).sum(axis=0)
     u = basis.vectors
     mat = u @ mat_modes @ u.conj().T
     kern = PropagatorKernel(
@@ -302,27 +302,20 @@ def full_green(
     return FullGreen(kernel=kern, potential=v, variant=variant, order=order)
 
 
-def _born_green_modes(vm: np.ndarray, e: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """Sum of the first ``order`` iterated time integrals, evaluated exactly.
+def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: float,
+                  order: int) -> np.ndarray:
+    """The (0, k) blocks, k = 0..order, of expm(h M), stacked on axis 0.
 
-    Uses the block-bidiagonal exponential: for M with diagonal blocks
-    -i diag(e) and superdiagonal blocks -i V, the (0, n) block of exp(M t)
-    is exactly the n-th nested integral of the expansion.
+    M is block-bidiagonal: diagonal blocks -i diag(e) - k*rate, superdiagonal
+    blocks c*w.  Block k is exactly the k-th term of the Dyson series of
+    U' = (-i diag(e) + c exp(-rate tau) w) U on [0, h] (C. Van Loan,
+    "Computing integrals involving the matrix exponential", IEEE TAC 23,
+    1978): the free phases are carried exactly, at any step length.
     """
-    m = e.size
-    nb = order + 1
-    big = np.zeros((nb * m, nb * m), dtype=complex)
-    d = -1j * np.diag(e)
-    n = -1j * vm
-    for b in range(nb):
-        big[b * m:(b + 1) * m, b * m:(b + 1) * m] = d
-        if b + 1 < nb:
-            big[b * m:(b + 1) * m, (b + 1) * m:(b + 2) * m] = n
-    full = expm(big * dt)
-    out = np.zeros((m, m), dtype=complex)
-    for b in range(nb):
-        out += full[0:m, b * m:(b + 1) * m]
-    return out
+    m, nb = e.size, order + 1
+    big = (np.diag(np.tile(-1j * e, nb) - rate * np.repeat(np.arange(nb), m))
+           + np.kron(np.eye(nb, k=1), c * w))
+    return expm(h * big)[:m].reshape(m, nb, m).transpose(1, 0, 2)
 
 
 def green_residual(g: FullGreen) -> float:

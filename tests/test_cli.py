@@ -222,13 +222,28 @@ def test_load_config_fuzz(fuzz_dir, user):
         assert np.all(np.isfinite(basis.energies)) and np.all(np.isfinite(basis.vectors))
 
 
+_FUZZ_CONFIGS = _config_objects(DEFAULT_CONFIG, lambda default: _typed(default) | _JSON)
+
+
 @settings(max_examples=300, deadline=None)
 @example(command="scatter", user={"eps_sweep": [1.3407807929942597e154]})  # eps**2 overflowed
-@given(command=st.sampled_from(["basis", "scatter"]),
-       user=_config_objects(DEFAULT_CONFIG, lambda default: _typed(default) | _JSON))
+@given(command=st.sampled_from(["basis", "scatter"]), user=_FUZZ_CONFIGS)
 def test_main_fuzz(fuzz_dir, command, user):
-    # the CLI contract for any config-shaped JSON: exit 0, or exit 2 with
-    # exactly one JSON error object naming a field on stderr; never a traceback
+    _main_contract(fuzz_dir, command, user)
+
+
+# dyson and verify run the interaction picture, a second or more per config
+@settings(max_examples=30, deadline=None)
+@example(command="dyson", user={"dyson": {"epsilon": 1.12}})  # exp(-eps*T) rounded above 1e-8
+@given(command=st.sampled_from(["dyson", "verify"]), user=_FUZZ_CONFIGS)
+def test_main_fuzz_dyson_verify(fuzz_dir, command, user):
+    _main_contract(fuzz_dir, command, user)
+
+
+def _main_contract(fuzz_dir, command, user):
+    # the CLI contract for any config-shaped JSON: exit 0, exit 1 when a verify
+    # check fails, or exit 2 with exactly one JSON error object naming a field
+    # on stderr; never a traceback
     path = fuzz_dir / "main.json"
     path.write_text(json.dumps(user))
     err = io.StringIO()
@@ -238,6 +253,8 @@ def test_main_fuzz(fuzz_dir, command, user):
     event(f"{command} exit {code}")
     if code == 0:
         assert err.getvalue() == ""
+    elif code == 1:
+        assert command == "verify" and err.getvalue().startswith("failing checks: ")
     else:
         assert code == 2
         error = json.loads(err.getvalue())
@@ -256,6 +273,18 @@ def test_refused_lippmann_schwinger_system_exits_2(tmp_path, capsys, command, ov
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["field"] == "potential" and "ill conditioned" in error["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strength", [1e6, 1e300])
+def test_refused_interaction_picture_exits_2(tmp_path, capsys, strength):
+    # |V|_2 asks for more sub-steps than the evolution takes: a config error,
+    # with no traceback and no numpy warning ahead of the JSON on stderr
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"strength": strength}}))
+    assert run(["dyson", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["field"] == "potential" and "steps" in error["message"]
 
 
 def test_cmd_basis_outputs(tmp_path):
