@@ -31,14 +31,11 @@ def crossed_basis(basis: WaveBasis) -> WaveBasis:
         make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min, j_max=lat.j_max), basis.mass, c2)
 
 
-def variant_bases(basis: WaveBasis, basis2: WaveBasis) -> list[tuple[str, WaveBasis]]:
-    """Each kernel variant, sorted by name, with the basis of its geometry."""
-    return [(v, (basis, basis2)[VARIANTS[v][0] - 1]) for v in sorted(VARIANTS)]
-
-
-def kernel_residual(b: WaveBasis, variant: str, t: float) -> float:
-    """Schroedinger residual of the retarded kernel from time 0 to t."""
-    return schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
+def geometry_variants(basis: WaveBasis, basis2: WaveBasis) -> list[tuple[WaveBasis, list[str]]]:
+    """Each geometry's basis with its kernel variants, sorted by name.  A variant
+    only selects the geometry, so one kernel per geometry serves all its names."""
+    return [(b, sorted(v for v in VARIANTS if VARIANTS[v][0] == family))
+            for family, b in ((1, basis), (2, basis2))]
 
 
 def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
@@ -83,37 +80,40 @@ def cross_formalism_potential(basis: WaveBasis) -> ModePotential:
 def _check_composition(cfg, basis, basis2, v):
     worst = 0.0
     rng = np.random.default_rng(42)
-    for variant, b in variant_bases(basis, basis2):
-        for _ in range(5):
-            t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
-            got = compose(free_propagator(b, variant, t0, t1),
-                          free_propagator(b, variant, t1, t2))
-            direct = free_propagator(b, variant, t0, t2)
-            worst = max(worst, float(np.max(np.abs(got.matrix - direct.matrix))))
+    # per variant, in name order: each draws its own times
+    for b, names in geometry_variants(basis, basis2):
+        for variant in names:
+            for _ in range(5):
+                t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
+                got = compose(free_propagator(b, variant, t0, t1),
+                              free_propagator(b, variant, t1, t2))
+                direct = free_propagator(b, variant, t0, t2)
+                worst = max(worst, float(np.max(np.abs(got.matrix - direct.matrix))))
     return worst, 1e-12
 
 
 def _check_boundary(cfg, basis, basis2, v):
     return max(boundary_defect(b, variant, cfg["time_target"])
-               for variant, b in variant_bases(basis, basis2)), 1e-12
+               for b, (variant, *_) in geometry_variants(basis, basis2)), 1e-12
 
 
 def _check_residual(cfg, basis, basis2, v):
     # retarded and advanced wave-equation residuals plus the source jump
     t = cfg["time_target"]
     worst = 0.0
-    for variant, b in variant_bases(basis, basis2):
+    for b, (variant, *_) in geometry_variants(basis, basis2):
+        retarded = schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
         advanced = schrodinger_residual(make_advanced(free_propagator(b, variant, t, 0.0)))
         coincident = make_retarded(free_propagator(b, variant, t, t))
         jump = float(np.max(np.abs(1j * coincident.matrix - source_term(coincident))))
-        worst = max(worst, kernel_residual(b, variant, t), advanced, jump)
+        worst = max(worst, retarded, advanced, jump)
     return worst, 1e-10
 
 
 def _check_conjugation(cfg, basis, basis2, v):
     t = cfg["time_target"]
     worst = 0.0
-    for variant, b in variant_bases(basis, basis2):
+    for b, (variant, *_) in geometry_variants(basis, basis2):
         ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
         partner = free_propagator(b, ck.variant, -0.2, t, tilde=True)
         worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -26,10 +27,9 @@ import numpy as np
 from . import __version__
 from .basis import (build_hamiltonian_basis, build_qexp_basis, delta_kernel, export_basis,
                     half_line_hamiltonian)
-from .checks import (CHECKS, boundary_defect, crossed_basis, kernel_residual, run_check,
-                     variant_bases)
-from .dyson import interaction_potential, ode_evolution, smatrix_interaction
-from .propagator import VARIANTS, free_propagator
+from .checks import CHECKS, boundary_defect, crossed_basis, geometry_variants, run_check
+from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
+from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
 from .qcalc import braided_line, make_lattice
 from .scattering import (
     ModePotential,
@@ -276,13 +276,17 @@ def cmd_propagate(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     t = cfg["time_target"]
     rows = []
-    for variant, b in variant_bases(basis, crossed_basis(basis)):
-        kern = free_propagator(b, variant, 0.0, t)
-        write_matrix_csv(os.path.join(out, f"kernel_{variant}.csv"), kern.matrix)
-        rows.append([variant, _fmt(kernel_residual(b, variant, t)),
-                     _fmt(boundary_defect(b, variant, t))])
+    for b, names in geometry_variants(basis, crossed_basis(basis)):
+        kern = free_propagator(b, names[0], 0.0, t)
+        first = os.path.join(out, f"kernel_{names[0]}.csv")
+        write_matrix_csv(first, kern.matrix)
+        for variant in names[1:]:
+            shutil.copyfile(first, os.path.join(out, f"kernel_{variant}.csv"))
+        defects = [_fmt(schrodinger_residual(make_retarded(kern))),
+                   _fmt(boundary_defect(b, names[0], t))]
+        rows += [[variant, *defects] for variant in names]
     _write_table(os.path.join(out, "propagator_checks.csv"),
-                 ["variant", "schrodinger_residual", "boundary_defect"], rows)
+                 ["variant", "schrodinger_residual", "boundary_defect"], sorted(rows))
     write_report(os.path.join(out, "propagator_report.json"), {
         "provenance": _provenance(cfg),
         "time_target": t,
@@ -330,9 +334,10 @@ def cmd_dyson(cfg: dict, out: str) -> int:
     vi = interaction_potential(ModePotential(block, epsilon=eps), basis, "H")
     horizon = float(np.log(1e8) / eps)
     os.makedirs(out, exist_ok=True)
+    # one evolution per run: the S-matrix of either time sign follows from it
     u = _guarded(ode_evolution, vi, -horizon, horizon, tol)
     write_matrix_csv(os.path.join(out, "evolution.csv"), u.matrix)
-    s = _guarded(smatrix_interaction, vi, cfg["family"], horizon, eps, tol=tol)
+    s = smatrix_from_evolution(vi, u, cfg["family"])
     write_matrix_csv(os.path.join(out, f"smatrix_interaction_{cfg['family']}.csv"),
                      s.matrix)
     write_report(os.path.join(out, "dyson_report.json"), {

@@ -181,15 +181,22 @@ def interaction_coefficients(
     return times, np.stack(rows, axis=0)
 
 
+def smatrix_from_evolution(vi: InteractionPotential, u: EvolutionOperator, family: str) -> SMatrix:
+    """The family's S-matrix from the forward evolution U(T, -T) of ``vi``: U for
+    time sign +1, the reversed window U(-T, T) = U(T, -T)^-1 for -1 (the
+    inverse, not the adjoint, so a non-Hermitian V stays right)."""
+    mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
+    return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=mat, family=family,
+                   epsilon=vi.epsilon, tilde=False, diagnostics=dict(u.diagnostics))
+
+
 def smatrix_interaction(
     vi: InteractionPotential, family: str, t_horizon: float, eps: float,
     tol: float = 1e-8,
 ) -> SMatrix:
-    """S = U(+-T, -+T): evolution across the switched-on window.
-
-    Requires exp(-eps*T) <= 1e-8 so the interaction is negligible outside
-    the window.  Families with time sign -1 run the reversed window.
-    """
+    """S = U(+-T, -+T) across the switched-on window, from one forward
+    evolution.  Requires exp(-eps*T) <= 1e-8 so the interaction is negligible
+    outside it."""
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
     if eps <= 0:
@@ -199,7 +206,4 @@ def smatrix_interaction(
         raise ValueError("horizon too short for the requested eps: need exp(-eps*T) <= 1e-8")
     if vi.epsilon != eps:
         raise ValueError("interaction epsilon must match the requested eps")
-    sign = S_FAMILIES[family][1]
-    u = ode_evolution(vi, -sign * t_horizon, sign * t_horizon, tol)
-    return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=u.matrix,
-                   family=family, epsilon=eps, tilde=False, diagnostics=dict(u.diagnostics))
+    return smatrix_from_evolution(vi, ode_evolution(vi, -t_horizon, t_horizon, tol), family)

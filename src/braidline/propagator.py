@@ -73,6 +73,16 @@ def _phase_sign(tilde: bool) -> float:
     return 1.0 if tilde else -1.0
 
 
+def _check_variant(basis: WaveBasis, variant: str) -> None:
+    """Refuse an unknown variant or one of the other geometry."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    expected = G1 if VARIANTS[variant][0] == 1 else G2
+    if basis.ctx.geometry != expected:
+        raise ValueError(f"variant {variant} belongs to geometry {expected}, "
+                         f"basis context is {basis.ctx.geometry}")
+
+
 def free_propagator(
     basis: WaveBasis,
     variant: str,
@@ -81,15 +91,7 @@ def free_propagator(
     tilde: bool = False,
 ) -> PropagatorKernel:
     """Spectral kernel evolving the source slice to the target slice."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    family = VARIANTS[variant][0]
-    expected = G1 if family == 1 else G2
-    if basis.ctx.geometry != expected:
-        raise ValueError(
-            f"variant {variant} belongs to geometry {expected}, "
-            f"basis context is {basis.ctx.geometry}"
-        )
+    _check_variant(basis, variant)
     dt = t_target - t_source
     phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * dt)
     u = np.conj(basis.vectors) if tilde else basis.vectors
@@ -236,28 +238,28 @@ def solve_inhomogeneous(
 
     Trapezoidal quadrature in time; the spatial contraction is the
     Jackson-weighted kernel application.  The residual of the Schroedinger
-    operator applied to the result reproduces the source to O(dt^2).
+    operator applied to the result reproduces the source to O(dt^2).  Each
+    source is projected onto the modes once; the causal phases
+    theta(t - s) exp(-i E (t - s)) (retarded) or theta(s - t) exp(+i E (t - s))
+    (advanced) act mode by mode.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("empty time window")
-    if times.size > 1:
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0]):
-            raise ValueError("source grid must be uniform")
-        dt = float(steps[0])
-    else:
-        dt = 1.0
-    trap = np.full(times.size, dt)
-    if times.size > 1:
-        trap[0] = trap[-1] = 0.5 * dt
-    sign = 1j if advanced else -1j
-    out = []
-    for t in np.asarray(t_eval, dtype=float):
-        acc = np.zeros(basis.lattice.size, dtype=complex)
-        for wgt, ts, rho in zip(trap, times, sources):
-            bare = free_propagator(basis, variant, ts, t)
-            causal = make_advanced(bare) if advanced else make_retarded(bare)
-            acc += wgt * causal.apply(rho).values
-        out.append(LatticeFunction(basis.lattice, sign * acc, time=float(t)))
-    return out
+    _check_variant(basis, variant)
+    times, t_eval = np.asarray(times, dtype=float), np.asarray(t_eval, dtype=float)
+    if times.size == 0 or len(sources) != times.size:
+        raise ValueError(f"need one source per time of a nonempty window, got "
+                         f"{len(sources)} for {times.size}")
+    if any(rho.lattice != basis.lattice for rho in sources):
+        raise ValueError("lattice mismatch")
+    steps = np.diff(times)
+    if steps.size and not np.allclose(steps, steps[0]):
+        raise ValueError("source grid must be uniform")
+    trap = np.full(times.size, float(steps[0]) if steps.size else 1.0)
+    trap[[0, -1]] *= 0.5 if steps.size else 1.0
+    u = basis.vectors
+    coeff = (np.stack([rho.values for rho in sources]) * basis.weights) @ u.conj()  # (s, p)
+    lag = t_eval[:, None] - times[None, :]  # t - s
+    gate = trap * (lag <= 0.0 if advanced else lag >= 0.0)
+    sign = 1.0 if advanced else -1.0
+    phase = gate[:, :, None] * np.exp(sign * 1j * lag[:, :, None] * basis.energies)
+    vals = (sign * 1j * np.einsum("tsp,sp->tp", phase, coeff)) @ u.T
+    return [LatticeFunction(basis.lattice, v, time=float(t)) for v, t in zip(vals, t_eval)]

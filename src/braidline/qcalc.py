@@ -218,31 +218,17 @@ def q_exponential(z: complex, q: float, n_trunc: int) -> QExpResult:
     return QExpResult(complex(total), last, bool(converged))
 
 
-def derivative_matrix(lattice: QLattice, ctx: QContext) -> np.ndarray:
-    """Matrix of the Jackson difference quotient on the lattice.
-
-    Row i realises (f(x_i) - f(s x_i)) / ((1 - s) x_i) with s the context's
-    shift factor.  Where s*x falls off the lattice the shifted term is
-    zero-filled.
-    """
-    s = ctx.shift_factor
-    if not np.isclose(s, lattice.base):
-        raise ValueError("context shift factor does not match the lattice base")
-    n = lattice.size
-    idx, ok = lattice.shift_map(1)
-    denom = (1.0 - s) * lattice.points
-    d = np.zeros((n, n))
-    d[np.arange(n), np.arange(n)] = 1.0 / denom
-    rows = np.arange(n)[ok]
-    d[rows, idx[ok]] -= 1.0 / denom[ok]
-    return d
-
-
 def jackson_derivative(f: LatticeFunction, ctx: QContext) -> LatticeFunction:
-    """Pointwise difference quotient; boundary rows flagged invalid."""
-    d = derivative_matrix(f.lattice, ctx)
-    _, ok = f.lattice.shift_map(1)
-    return LatticeFunction(f.lattice, d @ f.values, time=f.time, valid=f.valid & ok)
+    """Pointwise difference quotient (f(x) - f(s x)) / ((1 - s) x), s the
+    context's shift factor.  Where s x falls off the lattice the shifted term
+    is zero-filled and the row flagged invalid."""
+    s = ctx.shift_factor
+    if not np.isclose(s, f.lattice.base):
+        raise ValueError("context shift factor does not match the lattice base")
+    idx, ok = f.lattice.shift_map(1)
+    shifted = np.where(ok, f.values[idx], 0.0)
+    vals = (f.values - shifted) / ((1.0 - s) * f.lattice.points)
+    return LatticeFunction(f.lattice, vals, time=f.time, valid=f.valid & ok)
 
 
 def jackson_integral(f: LatticeFunction) -> complex:

@@ -137,8 +137,7 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
                 variant: str, diagnostics: dict | None) -> np.ndarray:
     """Columns k of T = (I - V R0(z_k))^-1 V, z_k = energy[k] + i eps.
 
-    With H = scale*H0 + V = W diag(lam) W^-1 (``eigh`` when V is Hermitian
-    by construction, else ``eig``), the resolvent identity gives
+    With H = scale*H0 + V = W diag(lam) W^-1 (``_eigen``), the resolvent identity gives
     (I - V R0(z))^-1 = I + V W g W^-1 with g = 1/(z - lam), so every column
     is T = V + (V W)(g o W^-1 V).  Rounding in W grows with the top of the
     spectrum, so T is refined against the exact residual
@@ -157,13 +156,7 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
     ep = variant_scale(variant, basis.ctx) * basis.energies
     z = np.broadcast_to(np.asarray(energy, dtype=float), (m,)) + 1j * eps
     r0 = 1.0 / (z[None, :] - ep[:, None])  # R0[p, k] at the energy of column k
-    h = np.diag(ep) + vm
-    if hermitian:
-        lam, w = np.linalg.eigh(h)
-        w_inv, kappa = w.conj().T, 1.0
-    else:
-        lam, w = np.linalg.eig(h)
-        w_inv, kappa = np.linalg.inv(w), np.linalg.cond(w)
+    lam, w, w_inv, kappa = _eigen(np.diag(ep) + vm, hermitian)
     # an overflowing or infinite bound is refused below, not warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
@@ -202,6 +195,20 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
         diagnostics.update(condition_bound=worst_bound, refinement_steps=steps,
                            max_residual=float(err.max()), direct_columns=int(direct.size))
     return t
+
+
+def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(lam, W, W^-1, kappa(W)) of h = scale*H0 + V = W diag(lam) W^-1: ``eigh``
+    when V is Hermitian by construction, else ``eig``, refused (LinAlgError)
+    when kappa(W) exceeds COND_LIMIT."""
+    if hermitian:
+        lam, w = np.linalg.eigh(h)
+        return lam, w, w.conj().T, 1.0
+    lam, w = np.linalg.eig(h)
+    kappa = np.linalg.cond(w)
+    if not kappa <= COND_LIMIT:  # NaN included
+        raise np.linalg.LinAlgError(f"eigenbasis of scale*H0 + V has cond={kappa:.3e}")
+    return lam, w, np.linalg.inv(w), kappa
 
 
 def _guarded_ls_column(vm: np.ndarray, r0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -279,18 +286,17 @@ def full_green(
     Iterating generates the interacting evolution; ``order`` truncates the
     expansion in powers of V (each iterated time integral is evaluated
     exactly through a block matrix exponential), while ``order=None``
-    solves the full system by propagating with scale*H0 + V.
+    gives the full evolution W exp(-i lam dt) W^-1 from the eigenbasis of
+    scale*H0 + V.
     """
-    scale = variant_scale(variant, basis.ctx)
     vm = v.matrix(basis)
-    e = scale * basis.energies
+    e = variant_scale(variant, basis.ctx) * basis.energies
     dt = t_target - t_source
-    m = basis.size
     if dt < 0:
-        mat_modes = np.zeros((m, m), dtype=complex)
+        mat_modes = np.zeros_like(vm)
     elif order is None:
-        h = np.diag(e).astype(complex) + vm
-        mat_modes = expm(-1j * h * dt)
+        lam, w, w_inv, _ = _eigen(np.diag(e) + vm, v.is_hermitian)
+        mat_modes = (w * np.exp(-1j * lam * dt)) @ w_inv
     else:
         mat_modes = _dyson_blocks(e, vm, -1j, 0.0, dt, order).sum(axis=0)
     u = basis.vectors
@@ -319,24 +325,20 @@ def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: floa
 
 
 def green_residual(g: FullGreen) -> float:
-    """|| i d_t G - (scale*H0 + V) G ||_F off the source slice.
-
-    Only defined for exact-order kernels, whose time derivative is
-    analytic through the full Hamiltonian.
-    """
-    if g.order is not None:
-        raise ValueError("residual check requires the exact kernel")
-    basis = g.kernel.basis
-    scale = variant_scale(g.variant, basis.ctx)
-    vm = g.potential.matrix(basis)
-    h = np.diag(scale * basis.energies).astype(complex) + vm
-    u = basis.vectors
-    coeff = u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)
-    lhs = u @ (h @ coeff)  # (scale*H0 + V) G
-    # i d_t G = H G holds analytically; measure the reconstruction error
+    """|| i d_t G - (scale*H0 + V) G ||_F of an exact-order kernel off the source
+    slice, with i d_t G = theta(dt) W lam exp(-i lam dt) W^-1 analytic through
+    the eigenbasis of the full Hamiltonian."""
     dt = g.kernel.t_target - g.kernel.t_source
-    dmodes = h @ expm(-1j * h * dt)
-    rhs = u @ dmodes @ u.conj().T
+    if g.order is not None or dt == 0:
+        raise ValueError("residual check requires the exact kernel off the source slice")
+    basis = g.kernel.basis
+    h = np.diag(variant_scale(g.variant, basis.ctx) * basis.energies) + g.potential.matrix(basis)
+    u = basis.vectors
+    lhs = u @ (h @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # (scale*H0 + V) G
+    rhs = 0.0  # on the causal zero side
+    if dt > 0:
+        lam, w, w_inv, _ = _eigen(h, g.potential.is_hermitian)
+        rhs = u @ ((w * (lam * np.exp(-1j * lam * dt))) @ w_inv) @ u.conj().T
     return float(np.linalg.norm(lhs - rhs))
 
 

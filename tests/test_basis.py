@@ -13,6 +13,7 @@ from braidline import (
     project,
 )
 from braidline.basis import CoefficientVector, export_basis
+from oracles import derivative_matrix
 
 Q = 0.9
 MASS = 1.0
@@ -51,8 +52,6 @@ def test_completeness_kernel(basis):
                          ids=["n50", "n802"])
 def test_eigenvalue_residual(q, j_max, bound):
     # the tridiagonal half-line basis against the dense path it replaced
-    from braidline.qcalc import derivative_matrix
-
     ctx = braided_line(q)
     lattice = make_lattice(q, j_min=-j_max, j_max=j_max)
     basis = build_hamiltonian_basis(lattice, MASS, ctx)

@@ -313,6 +313,12 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     assert s_dyn.diagnostics["coupled_modes"] == 10
     assert s_dyn.diagnostics["order"] >= 1 and s_dyn.diagnostics["steps"] == 2
     assert s_dyn.diagnostics["tail"] <= 1e-10
+    # a time sign -1 family takes the reversed window, U(T, -T)^-1; the
+    # momentum route ignores the time sign, so there it is the adjoint
+    s_minus = smatrix_interaction(vi10, "S2minus", horizon, eps, tol=1e-10)
+    assert np.max(np.abs(s_minus.matrix @ s_dyn.matrix - np.eye(basis.size))) <= 1e-12
+    s_mom_minus = smatrix_momentum(v, basis, "S2minus", eps=eps)
+    assert np.max(np.abs(s_minus.matrix - s_mom_minus.matrix.conj().T)) < 1e-6
 
 
 def test_smatrix_interaction_free_past_overlap(basis):

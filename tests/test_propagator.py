@@ -18,6 +18,7 @@ from braidline import (
     source_term,
 )
 from braidline.propagator import VARIANTS, heaviside
+from oracles import pairwise_inhomogeneous
 
 Q = 0.9
 MASS = 1.0
@@ -229,8 +230,27 @@ def test_inhomogeneous_solution_quadrature_order(basis):
     assert e1 / e2 > 3.0  # ~4x per halving
 
 
+@pytest.mark.parametrize("advanced", [False, True], ids=["retarded", "advanced"])
+def test_inhomogeneous_matches_pairwise_kernels(basis, advanced):
+    # the mode projection against one causal kernel per (t, s) pair, with
+    # evaluation times before, on the edge of, inside and after the window
+    rng = np.random.default_rng(11)
+    times = np.linspace(-0.4, 0.4, 65)
+    sources = [LatticeFunction(basis.lattice, rng.normal(size=50) + 1j * rng.normal(size=50),
+                               time=t) for t in times]
+    t_eval = np.array([-0.9, -0.4, 0.1, 1.3])
+    got = solve_inhomogeneous(sources, basis, "K1prime", times, t_eval, advanced=advanced)
+    want = pairwise_inhomogeneous(sources, basis, "K1prime", times, t_eval, advanced)
+    assert [f.time for f in got] == list(t_eval)
+    assert np.max(np.abs(np.stack([f.values for f in got]) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_inhomogeneous_requires_uniform_grid(basis):
     times = np.array([0.0, 0.1, 0.35])
     sources = [LatticeFunction(basis.lattice, np.zeros(50)) for _ in times]
     with pytest.raises(ValueError):
         solve_inhomogeneous(sources, basis, "K1prime", times, np.array([1.0]))
+    # one source per source time: a short list is refused, not truncated
+    grid = np.linspace(0.0, 0.4, 5)
+    with pytest.raises(ValueError):
+        solve_inhomogeneous(sources, basis, "K1prime", grid, np.array([1.0]))

@@ -19,7 +19,7 @@ from braidline import (
     q_number,
     sesquilinear,
 )
-from braidline.qcalc import derivative_matrix
+from oracles import derivative_matrix
 
 Q = 0.9
 
@@ -178,10 +178,27 @@ def test_derivative_flags_boundary(lattice, ctx):
     assert np.allclose(df.values[df.valid], 0.0)
 
 
-def test_derivative_matrix_requires_matching_base(lattice):
+@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 200)], ids=["n50", "n802"])
+def test_derivative_matches_dense_matrix(q, j_max):
+    # the two-point stencil against the dense matrix it replaced
+    ctx = braided_line(q)
+    lat = make_lattice(q, j_min=-j_max, j_max=j_max)
+    rng = np.random.default_rng(3)
+    x = lat.points
+    d = derivative_matrix(lat, ctx)
+    for vals in (rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size),
+                 np.exp(-x * x).astype(complex)):
+        df = jackson_derivative(LatticeFunction(lat, vals), ctx)
+        dense = d @ vals
+        assert np.max(np.abs(df.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+        _, ok = lat.shift_map(1)
+        assert np.array_equal(df.valid, ok)
+
+
+def test_jackson_derivative_requires_matching_base(lattice):
     other = QContext(q=0.8, kappa=0.8, zeta=-1)
     with pytest.raises(ValueError):
-        derivative_matrix(lattice, other)
+        jackson_derivative(LatticeFunction(lattice, np.ones(lattice.size)), other)
 
 
 def test_integral_geometric_series_oracle(lattice):

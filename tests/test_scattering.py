@@ -22,6 +22,7 @@ from braidline import (
 from braidline import scattering
 from braidline.basis import CoefficientVector
 from braidline.checks import cross_formalism_potential
+from oracles import expm_green
 from braidline.scattering import (
     S_CONJ_PARTNERS,
     S_FAMILIES,
@@ -191,6 +192,28 @@ def test_full_green_residual(basis, weak_v):
 def test_full_green_retarded(basis, weak_v):
     g = full_green(weak_v, basis, "H", None, 0.7, 0.0)
     assert np.max(np.abs(g.kernel.matrix)) == 0.0
+    # the causal zero side solves the equation, since i d_t G carries theta too
+    assert green_residual(g) == 0.0
+
+
+@pytest.mark.parametrize("dt", [0.4, 0.7, 3.0])
+@pytest.mark.parametrize("hermitian", [True, False], ids=["weak_v", "gain"])
+def test_full_green_matches_expm(basis, weak_v, hermitian, dt):
+    # the eigenbasis of scale*H0 + V against the matrix exponential it replaced
+    v = weak_v if hermitian else Potential(0.05j * np.exp(-basis.lattice.points ** 2),
+                                           epsilon=EPS)
+    g = full_green(v, basis, "H", None, 0.0, dt)
+    u, w = basis.vectors, basis.weights
+    modes = u.conj().T @ (w[:, None] * g.kernel.matrix * w[None, :]) @ u
+    assert np.max(np.abs(modes - expm_green(v, basis, "H", dt))) < 1e-10
+
+
+def test_full_green_refuses_defective_hamiltonian(basis):
+    # a coupling inside the exactly degenerate pair (0, 1) makes a Jordan block
+    vm = np.zeros((basis.size, basis.size), dtype=complex)
+    vm[0, 1] = 1e-3
+    with pytest.raises(np.linalg.LinAlgError):
+        full_green(ModePotential(vm, epsilon=EPS), basis, "H", None, 0.0, 0.7)
 
 
 def test_full_green_born_orders_converge(basis, weak_v):
@@ -218,6 +241,8 @@ def test_green_residual_requires_exact(basis, weak_v):
     g = full_green(weak_v, basis, "H", 3, 0.0, 0.7)
     with pytest.raises(ValueError):
         green_residual(g)
+    with pytest.raises(ValueError):  # undefined on the source slice
+        green_residual(full_green(weak_v, basis, "H", None, 0.7, 0.7))
 
 
 # ---------------------------------------------------------------------------
