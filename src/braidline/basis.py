@@ -26,7 +26,7 @@ class WaveBasis:
     mass: float
     energies: np.ndarray  # (M,)
     momenta: np.ndarray  # (M,) signed labels
-    vectors: np.ndarray  # (N, M), columns orthonormal under the weights
+    vectors: np.ndarray  # (N, M), columns orthonormal under the weights; real for H0
     parity: np.ndarray  # (M,) +-1
 
     @property
@@ -113,7 +113,7 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     energies = np.repeat(evals, 2)
     parity = np.tile([1.0, -1.0], evals.size)
     momenta = parity * np.sqrt(2.0 * mass * np.clip(energies, 0.0, None))
-    vectors = np.empty((w.size, w.size), dtype=complex)
+    vectors = np.empty((w.size, w.size))
     vectors[:, 0::2], vectors[:, 1::2] = u_even, u_odd
     return WaveBasis(ctx=ctx, lattice=lattice, mass=mass, energies=energies,
                      momenta=momenta, vectors=vectors, parity=parity)
@@ -195,13 +195,30 @@ def expand(c: CoefficientVector, t: float) -> LatticeFunction:
     return LatticeFunction(c.basis.lattice, vals, time=t)
 
 
-def delta_kernel(basis: WaveBasis) -> np.ndarray:
-    """Completeness kernel Delta(x, y) = sum_p u_p(x) conj(u_p(y)).
+def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
+    """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy.
 
-    Satisfies Delta @ diag(w) = identity and reproduces any lattice
-    function under the weighted contraction.
-    """
-    return basis.vectors @ basis.vectors.conj().T
+    The free modes are real and H0 never couples the mirrored half-lines, so the
+    kernel is one positive-branch block, mirrored onto the negative branch, with
+    exact zeros across the branches (each +-p pair shares f_p).  The block takes
+    one real GEMM for a real f and two for a complex f.  A complex basis, such as
+    the q-exponential one, is refused."""
+    if np.iscomplexobj(basis.vectors):
+        raise ValueError("spectral kernels need the real free basis")
+    half = basis.lattice.size // 2
+    pos, f = basis.vectors[half:], np.asarray(f)
+    block = (pos * f.real) @ pos.T
+    if np.iscomplexobj(f):
+        block = block + 1j * ((pos * f.imag) @ pos.T)
+    out = np.zeros((2 * half, 2 * half), dtype=block.dtype)
+    out[half:, half:], out[:half, :half] = block, block[::-1, ::-1]
+    return out
+
+
+def delta_kernel(basis: WaveBasis) -> np.ndarray:
+    """Completeness kernel Delta(x, y) = sum_p u_p(x) u_p(y); Delta @ diag(w) = identity,
+    so it reproduces any lattice function under the weighted contraction."""
+    return spectral_kernel(basis, np.ones(basis.size))
 
 
 def export_basis(basis: WaveBasis, path: str) -> None:

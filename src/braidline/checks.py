@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis, delta_kernel
+from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis
 from .dyson import interaction_potential, smatrix_interaction
 from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
@@ -39,8 +39,9 @@ def geometry_variants(basis: WaveBasis, basis2: WaveBasis) -> list[tuple[WaveBas
 
 
 def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
-    """Distance of the coincident-time kernel at t from the delta kernel."""
-    return float(np.max(np.abs(free_propagator(b, variant, t, t).matrix - delta_kernel(b))))
+    """Distance max |K(t, t) diag(w) - I| of the coincident kernel from the Jackson delta."""
+    return float(np.max(np.abs(free_propagator(b, variant, t, t).matrix * b.weights
+                               - np.eye(b.size))))
 
 
 def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float], float]:

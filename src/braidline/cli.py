@@ -170,6 +170,10 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("lattice.x0", f"lattice.x0: q={q}, x0={lat['x0']}, j_min={lat['j_min']}, "
                           f"j_max={lat['j_max']} and mass={cfg['mass']} put a point or weight outside the"
                           f" normal floats, or H0 ~ 1/(2m((1-q)x)^2) outside [{1 / H0_RANGE:g}, {H0_RANGE:g}]")
+    # every kernel phase E*t must be a finite float; E_max < 4 max diag (Gershgorin)
+    if not np.isfinite(4.0 * float(diag.max()) * abs(cfg["time_target"])):
+        raise ConfigError("time_target", f"time_target: E_max*|time_target| overflows the "
+                          f"kernel phases (largest H0 diagonal {float(diag.max()):g})")
 
 
 def config_hash(cfg: dict) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import WaveBasis, delta_kernel
+from .basis import WaveBasis, spectral_kernel
 from .qcalc import G1, G2, LatticeFunction
 
 # variant name -> (family, starred, primed)
@@ -90,15 +90,13 @@ def free_propagator(
     t_target: float,
     tilde: bool = False,
 ) -> PropagatorKernel:
-    """Spectral kernel evolving the source slice to the target slice."""
+    """Spectral kernel evolving the source slice to the target slice; the modes
+    are real, so a tilde kernel differs only in its phase sign."""
     _check_variant(basis, variant)
-    dt = t_target - t_source
-    phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * dt)
-    u = np.conj(basis.vectors) if tilde else basis.vectors
-    mat = (u * phase) @ u.conj().T
+    phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * (t_target - t_source))
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
-        matrix=mat, tilde=tilde, causality=CAUSALITY_NONE,
+        matrix=spectral_kernel(basis, phase), tilde=tilde, causality=CAUSALITY_NONE,
     )
 
 
@@ -140,14 +138,7 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
         raise ValueError("variant mismatch")
     if k1.t_target != k2.t_source:
         raise ValueError("intermediate times do not match")
-    # The product is evaluated in the weight-symmetrised frame, where the
-    # kernels are unitary and entries stay O(1); this keeps the entrywise
-    # roundoff of the contraction below the identity tolerances.
-    w = k1.basis.weights
-    sw = np.sqrt(w)
-    a2 = (sw[:, None] * k2.matrix) * sw[None, :]
-    a1 = (sw[:, None] * k1.matrix) * sw[None, :]
-    mat = (a2 @ a1) / sw[:, None] / sw[None, :]
+    mat = k2.matrix @ (k1.basis.weights[:, None] * k1.matrix)
     causality = k1.causality if k1.causality == k2.causality else CAUSALITY_NONE
     return PropagatorKernel(
         basis=k1.basis, variant=k1.variant,
@@ -156,49 +147,30 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
     )
 
 
-def _hamiltonian_action(basis: WaveBasis, mat: np.ndarray) -> np.ndarray:
-    """H0 applied to the target leg of a kernel matrix."""
-    u = basis.vectors
-    coeff = u.conj().T @ (basis.weights[:, None] * mat)
-    return u @ (basis.energies[:, None] * coeff)
-
-
 def schrodinger_residual(kernel: PropagatorKernel) -> float:
     """|| i d_t K - (+-) H0 K ||_F with the analytic time derivative.
 
-    Retarded and bare kernels satisfy the +H0 equation, advanced kernels
-    the sign-flipped one.  Must be called off the source slice.
+    A kernel with phase exp(s i E dt) satisfies i d_t K = -s H0 K: retarded and
+    bare kernels the +H0 equation, advanced and tilde kernels each flip the
+    sign once.  Must be called off the source slice.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
     dt = kernel.t_target - kernel.t_source
-    theta = 1.0
-    if kernel.causality == RETARDED:
-        theta = heaviside(dt)
-    elif kernel.causality == ADVANCED:
-        theta = heaviside(-dt)
-    s_eff = _phase_sign(kernel.tilde)
-    if kernel.causality == ADVANCED:
-        s_eff = -s_eff
-    u = np.conj(kernel.basis.vectors) if kernel.tilde else kernel.basis.vectors
-    e = kernel.basis.energies
-    phase = np.exp(s_eff * 1j * e * dt)
+    theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
+    s = _phase_sign(kernel.tilde) * (-1.0 if kernel.causality == ADVANCED else 1.0)
+    b, e = kernel.basis, kernel.basis.energies
     # i d_t acting on exp(s i E dt) brings down -s E per mode
-    dmat = theta * ((u * (-s_eff * e * phase)) @ u.conj().T)
-    h_sign = -1.0 if kernel.causality == ADVANCED else 1.0
-    # tilde kernels obey the conjugated equation, flipping H0 once more
-    if kernel.tilde:
-        h_sign = -h_sign
-    hk = _hamiltonian_action(kernel.basis, kernel.matrix)
-    return float(np.linalg.norm(dmat - h_sign * hk))
+    dmat = theta * spectral_kernel(b, -s * e * np.exp(s * 1j * e * dt))
+    hk = spectral_kernel(b, e) @ (b.weights[:, None] * kernel.matrix)
+    return float(np.linalg.norm(dmat + s * hk))
 
 
 def source_term(kernel: PropagatorKernel) -> np.ndarray:
-    """Delta source of the causal Schroedinger equation: i times the jump of the
-    retarded kernel at the source slice, i.e. i times the completeness kernel,
-    conjugated for tilde kernels (kappa**n cancels the delta's Jacobian kappa**-n)."""
-    delta = delta_kernel(kernel.basis)
-    return 1j * (np.conj(delta) if kernel.tilde else delta)
+    """Delta source of the causal Schroedinger equation, plain and tilde alike: i times
+    the jump of the retarded kernel at the source slice, i.e. i times the Jackson
+    delta diag(1/w) (kappa**n cancels the delta's Jacobian kappa**-n)."""
+    return 1j * np.diag(1.0 / kernel.basis.weights)
 
 
 def conjugate_kernel(kernel: PropagatorKernel) -> PropagatorKernel:

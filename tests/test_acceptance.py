@@ -5,6 +5,7 @@ Each test covers one acceptance criterion and records a single
 summary after the run.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -89,6 +90,19 @@ def test_c03_schrodinger_equation_with_source(scene):
 
 def test_c04_coincident_time_boundary(scene):
     registered("boundary", scene, "C04 coincident-time kernel is the delta function")
+
+
+def test_c04_and_source_jump_detect_a_missing_mode(scene):
+    # a basis with one mode zeroed is incomplete: its coincident kernel is not
+    # the Jackson delta, and its jump misses the source i diag(1/w)
+    cfg, *bases, v = scene
+    holed = []
+    for b in bases:
+        vectors = b.vectors.copy()
+        vectors[:, 3] = 0.0
+        holed.append(dataclasses.replace(b, vectors=vectors))
+    assert run_check("boundary", cfg, *holed, v)["value"] > 1e-12
+    assert run_check("residual", cfg, *holed, v)["value"] > 1e-10
 
 
 def test_c05_conjugation_partners(scene):

@@ -193,3 +193,8 @@ def test_export_basis_roundtrip(tmp_path, basis):
     # repr floats reproduce exactly
     first_energy = float(text[1].split(",")[1])
     assert first_energy == basis.energies[0]
+    # the real vectors keep the interleaved re/im columns: every im_u entry is
+    # exactly 0.0 and every re_u entry reproduces the stored vector
+    rows = [line.split(",")[2:] for line in text[4:]]
+    assert all(entry == "0.0" for row in rows for entry in row[1::2])
+    assert np.array_equal(np.array([row[0::2] for row in rows], dtype=float), basis.vectors)

@@ -104,6 +104,9 @@ TYPE_PROBES = [
     ({"lattice": {"x0": 1e-320}}, "lattice.x0"),
     # H0's diagonal spans 1e-159..1e-77, where the stemr eigensolver fails
     ({"ctx": {"q": 0.25}, "lattice": {"j_min": -132, "j_max": -64}}, "lattice.x0"),
+    # E*t overflowed the phases: NaN kernels and a numpy warning on stderr
+    ({"time_target": -1e308}, "time_target"),
+    ({"lattice": {"x0": 1e-45}, "time_target": 1e220}, "time_target"),
 ]
 
 # the smallest lattice validate_config admits: N = 2 * (2 + 2 + 1) = 10 modes
@@ -232,10 +235,12 @@ def test_main_fuzz(fuzz_dir, command, user):
     _main_contract(fuzz_dir, command, user)
 
 
-# dyson and verify run the interaction picture, a second or more per config
+# dyson and verify run the interaction picture, a second or more per config;
+# propagate builds and checks the free kernels at the configured time
 @settings(max_examples=30, deadline=None)
 @example(command="dyson", user={"dyson": {"epsilon": 1.12}})  # exp(-eps*T) rounded above 1e-8
-@given(command=st.sampled_from(["dyson", "verify"]), user=_FUZZ_CONFIGS)
+@example(command="propagate", user={"time_target": -1e308})  # E*t overflowed
+@given(command=st.sampled_from(["dyson", "verify", "propagate"]), user=_FUZZ_CONFIGS)
 def test_main_fuzz_dyson_verify(fuzz_dir, command, user):
     _main_contract(fuzz_dir, command, user)
 

@@ -5,6 +5,7 @@ from braidline import (
     LatticeFunction,
     braided_line,
     build_hamiltonian_basis,
+    build_qexp_basis,
     compose,
     conjugate_kernel,
     crossing_transform,
@@ -17,8 +18,9 @@ from braidline import (
     solve_inhomogeneous,
     source_term,
 )
+from braidline.basis import spectral_kernel
 from braidline.propagator import VARIANTS, heaviside
-from oracles import pairwise_inhomogeneous
+from oracles import dense_kernel, pairwise_inhomogeneous
 
 Q = 0.9
 MASS = 1.0
@@ -69,6 +71,41 @@ def test_boundary_limit_is_delta(basis, basis_g2):
         b = pick_basis(variant, basis, basis_g2)
         k = free_propagator(b, variant, 0.3, 0.3)
         assert np.max(np.abs(k.matrix - delta_kernel(b))) < 1e-12
+
+
+@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100), (0.99, 200)],
+                         ids=["n50", "n402", "n802"])
+@pytest.mark.parametrize("geometry", [1, 2], ids=["G1", "G2"])
+def test_spectral_kernel_matches_dense_oracle(q, j_max, geometry):
+    # the mirrored half-line builder against the dense complex product over
+    # every mode, for the delta kernel, plain and tilde kernels and H0 K
+    ctx = braided_line(q) if geometry == 1 else crossing_transform(braided_line(q))
+    b = build_hamiltonian_basis(make_lattice(ctx.q, j_min=-j_max, j_max=j_max), MASS, ctx)
+    assert b.vectors.dtype == np.float64
+    half, e = b.size // 2, b.energies
+
+    def check(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert not got[:half, half:].any() and not got[half:, :half].any()
+
+    check(delta_kernel(b), dense_kernel(b, np.ones(b.size)))
+    variant = "K1prime" if geometry == 1 else "K2"
+    for dt in (0.0, 0.7, -2.5):
+        for tilde in (False, True):
+            k = free_propagator(b, variant, 0.0, dt, tilde=tilde).matrix
+            check(k, dense_kernel(b, np.exp((1j if tilde else -1j) * e * dt)))
+    # H0 and its action on the target leg of a kernel, as the residual forms it
+    h0 = spectral_kernel(b, e)
+    check(h0, dense_kernel(b, e))
+    check(h0 @ (b.weights[:, None] * k), dense_kernel(b, e) @ (b.weights[:, None] * k))
+
+
+def test_spectral_kernel_refuses_complex_basis(basis):
+    qb, _ = build_qexp_basis(basis.lattice, MASS, basis.ctx, np.linspace(0.3, 2.0, 8), 60)
+    with pytest.raises(ValueError):
+        spectral_kernel(qb, np.ones(qb.size))
+    with pytest.raises(ValueError):
+        delta_kernel(qb)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
