@@ -10,7 +10,6 @@ carries +p and the odd member -p.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,26 +133,13 @@ def build_qexp_basis(
     diagnostic companion, not the default.
     """
     momentum_grid = np.asarray(momentum_grid, dtype=float)
-    kept: list[np.ndarray] = []
-    kept_p: list[float] = []
-    rejected: list[float] = []
-    for p in momentum_grid:
-        col = np.empty(lattice.size, dtype=complex)
-        bad = False
-        for i, x in enumerate(lattice.points):
-            res = q_exponential(1j * p * x, ctx.q, n_trunc)
-            if not res.converged:
-                bad = True
-                break
-            col[i] = res.value
-        if bad:
-            rejected.append(float(p))
-        else:
-            kept.append(col)
-            kept_p.append(float(p))
-    if not kept:
+    series = q_exponential(1j * np.outer(lattice.points, momentum_grid), ctx.q, n_trunc)
+    ok = series.converged.all(axis=0)  # one diverging point rejects the momentum
+    if not ok.any():
         raise ValueError("all requested momenta rejected by the convergence diagnostic")
-    v = np.stack(kept, axis=1)
+    # C order, as the Gram GEMM expects: a boolean column index returns a
+    # Fortran-ordered copy, which moves gram_defect in the last bit
+    v = np.compress(ok, series.value, axis=1)
     w = lattice.weights
     norms = np.sqrt(np.real(np.sum(w[:, None] * np.abs(v) ** 2, axis=0)))
     v = v / norms[None, :]
@@ -166,13 +152,14 @@ def build_qexp_basis(
         raise ValueError("q-exponential family is numerically degenerate")
     gram_inv_half = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
     v_orth = v @ gram_inv_half
-    p_arr = np.array(kept_p)
+    p_arr = momentum_grid[ok]
     basis = WaveBasis(
         ctx=ctx, lattice=lattice, mass=mass,
         energies=p_arr ** 2 / (2.0 * mass), momenta=p_arr,
         vectors=v_orth, parity=np.zeros_like(p_arr),
     )
-    report = {"gram_defect": defect, "rejected_momenta": rejected, "n_modes": len(kept_p)}
+    report = {"gram_defect": defect, "rejected_momenta": momentum_grid[~ok].tolist(),
+              "n_modes": p_arr.size}
     return basis, report
 
 
@@ -219,27 +206,3 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
     """Completeness kernel Delta(x, y) = sum_p u_p(x) u_p(y); Delta @ diag(w) = identity,
     so it reproduces any lattice function under the weighted contraction."""
     return spectral_kernel(basis, np.ones(basis.size))
-
-
-def export_basis(basis: WaveBasis, path: str) -> None:
-    """CSV export: points, weights, energies/momenta, mode vectors.
-
-    Mode vectors are written as interleaved real/imag columns, one row per
-    lattice point.
-    """
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["# q", repr(float(basis.ctx.q)), "mass", repr(float(basis.mass)),
-                     "geometry", basis.ctx.geometry])
-        wr.writerow(["# energies"] + [repr(float(e)) for e in basis.energies])
-        wr.writerow(["# momenta"] + [repr(float(p)) for p in basis.momenta])
-        header = ["x", "w"]
-        for k in range(basis.size):
-            header += [f"re_u{k}", f"im_u{k}"]
-        wr.writerow(header)
-        for i in range(basis.lattice.size):
-            row = [repr(float(basis.lattice.points[i])), repr(float(basis.weights[i]))]
-            for k in range(basis.size):
-                row += [repr(float(basis.vectors[i, k].real)),
-                        repr(float(basis.vectors[i, k].imag))]
-            wr.writerow(row)

@@ -16,6 +16,7 @@ import copy
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import (build_hamiltonian_basis, build_qexp_basis, delta_kernel, export_basis,
+from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
                     half_line_hamiltonian)
 from .checks import CHECKS, boundary_defect, crossed_basis, geometry_variants, run_check
 from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
@@ -204,26 +205,42 @@ def build_potential(cfg: dict, lattice) -> Potential:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_table(path: str, header: list, rows) -> None:
+def _write_table(path: str, header: list, rows, preamble=()) -> None:
+    """The one CSV writer.  Values are Python floats (``.tolist()`` or ``float(x)``,
+    never numpy scalars), which ``csv`` writes as their repr."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
+        wr.writerows(preamble)
         wr.writerow(header)
         wr.writerows(rows)
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
+    """One (row, col, value) or (row, col, re, im) line per entry, row-major,
+    streamed one matrix row at a time."""
     mat = np.asarray(mat)
     if np.iscomplexobj(mat):
-        _write_table(path, ["row", "col", "re", "im"],
-                     ([i, j, _fmt(mat[i, j].real), _fmt(mat[i, j].imag)]
-                      for i, j in np.ndindex(mat.shape)))
+        names, parts = ("re", "im"), (mat.real, mat.imag)
     else:
-        _write_table(path, ["row", "col", "value"],
-                     ([i, j, _fmt(mat[i, j])] for i, j in np.ndindex(mat.shape)))
+        names, parts = ("value",), (np.asarray(mat, dtype=float),)
+    rows = (line for i in range(mat.shape[0]) for line in
+            zip(itertools.repeat(i), range(mat.shape[1]), *(part[i].tolist() for part in parts)))
+    _write_table(path, ["row", "col", *names], rows)
+
+
+def export_basis(basis: WaveBasis, path: str) -> None:
+    """Points, weights, energies/momenta and mode vectors, one row per lattice
+    point, each mode as an interleaved real/imag column pair."""
+    u = basis.vectors
+    table = np.empty((u.shape[0], 2 + 2 * u.shape[1]))
+    table[:, 0], table[:, 1] = basis.lattice.points, basis.weights
+    table[:, 2::2], table[:, 3::2] = u.real, u.imag
+    ctx = basis.ctx
+    header = ["x", "w", *(f"{part}_u{k}" for k in range(basis.size) for part in ("re", "im"))]
+    preamble = [["# q", float(ctx.q), "mass", float(basis.mass), "geometry", ctx.geometry],
+                ["# energies", *basis.energies.tolist()],
+                ["# momenta", *basis.momenta.tolist()]]
+    _write_table(path, header, (row.tolist() for row in table), preamble)
 
 
 def write_report(path: str, report: dict) -> None:
@@ -252,8 +269,8 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     os.makedirs(out, exist_ok=True)
     export_basis(basis, os.path.join(out, "basis.csv"))
     _write_table(os.path.join(out, "spectrum.csv"), ["mode", "energy", "momentum", "parity"],
-                 ([k, _fmt(e), _fmt(p), _fmt(par)] for k, (e, p, par)
-                  in enumerate(zip(basis.energies, basis.momenta, basis.parity))))
+                 zip(range(basis.size), basis.energies.tolist(), basis.momenta.tolist(),
+                     basis.parity.tolist()))
     gram_defect = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
     comp_defect = float(np.max(np.abs(
         delta_kernel(basis) * basis.weights[None, :] - np.eye(basis.size))))
@@ -286,11 +303,11 @@ def cmd_propagate(cfg: dict, out: str) -> int:
         write_matrix_csv(first, kern.matrix)
         for variant in names[1:]:
             shutil.copyfile(first, os.path.join(out, f"kernel_{variant}.csv"))
-        defects = [_fmt(schrodinger_residual(make_retarded(kern))),
-                   _fmt(boundary_defect(b, names[0], t))]
+        defects = [schrodinger_residual(make_retarded(kern)), boundary_defect(b, names[0], t)]
         rows += [[variant, *defects] for variant in names]
     _write_table(os.path.join(out, "propagator_checks.csv"),
-                 ["variant", "schrodinger_residual", "boundary_defect"], sorted(rows))
+                 ["variant", "schrodinger_residual", "boundary_defect"],
+                 sorted(rows, key=lambda row: row[0]))
     write_report(os.path.join(out, "propagator_report.json"), {
         "provenance": _provenance(cfg),
         "time_target": t,
@@ -308,12 +325,11 @@ def cmd_scatter(cfg: dict, out: str) -> int:
     for eps in cfg["eps_sweep"]:
         v_eps = Potential(v.values, epsilon=eps, strength=v.strength)
         s = _guarded(smatrix_momentum, v_eps, basis, family, eps=eps)
-        tag = _fmt(eps)
+        tag = float(eps)  # an integer sweep entry still names eps1.0
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)
         write_matrix_csv(os.path.join(out, f"omega_{family}_eps{tag}.csv"), omega)
-        trend.append([tag, _fmt(unitarity_defect(s)),
-                      _fmt(np.max(np.abs(omega.sum(axis=1) - 1.0)))])
+        trend.append([tag, unitarity_defect(s), float(np.max(np.abs(omega.sum(axis=1) - 1.0)))])
     _write_table(os.path.join(out, "unitarity_trend.csv"),
                  ["eps", "unitarity_defect", "max_row_sum_deviation"], trend)
     write_report(os.path.join(out, "scatter_report.json"), {

@@ -181,21 +181,19 @@ def conjugate_kernel(kernel: PropagatorKernel) -> PropagatorKernel:
     reflections are internal to the partner's definition).  The map is an
     involution.
     """
-    family, starred, primed = VARIANTS[kernel.variant]
-    partner = _variant_name(family, starred, not primed)
     return PropagatorKernel(
-        basis=kernel.basis, variant=partner,
+        basis=kernel.basis, variant=conjugation_partner(VARIANTS, kernel.variant),
         t_source=kernel.t_source, t_target=kernel.t_target,
         matrix=np.conj(kernel.matrix), tilde=not kernel.tilde,
         causality=kernel.causality,
     )
 
 
-def _variant_name(family: int, starred: bool, primed: bool) -> str:
-    for name, key in VARIANTS.items():
-        if key == (family, starred, primed):
-            return name
-    raise KeyError((family, starred, primed))
+def conjugation_partner(table: dict, name: str) -> str:
+    """The name in ``table`` (``VARIANTS`` or ``S_FAMILIES``) whose flags are those
+    of ``name`` with the last one, the prime, toggled."""
+    *flags, primed = table[name]
+    return next(other for other, key in table.items() if key == (*flags, not primed))
 
 
 def solve_inhomogeneous(

@@ -191,31 +191,38 @@ def q_factorial(n: int, q: float) -> float:
 
 
 class QExpResult(NamedTuple):
-    value: complex
-    last_term: float  # magnitude of the last retained term
-    converged: bool
+    value: complex | np.ndarray
+    last_term: float | np.ndarray  # magnitude of the last retained term
+    converged: bool | np.ndarray
 
 
-def q_exponential(z: complex, q: float, n_trunc: int) -> QExpResult:
-    """Partial sum of sum_n z**n / [n]_q! with a convergence diagnostic.
+def q_exponential(z, q: float, n_trunc: int) -> QExpResult:
+    """Partial sum of sum_n z**n / [n]_q! with a convergence diagnostic, entrywise.
 
-    Overflowing terms stop the summation and are reported through
-    ``converged=False`` rather than silently propagating infs.
+    An entry whose term overflows stops summing there and is reported through
+    ``converged=False`` and an infinite last term rather than silently
+    propagating infs.  A scalar z gives a complex, a float and a bool.  The real
+    and imaginary parts are divided by [n]_q separately, as Python's complex
+    arithmetic does; numpy's complex / real rounds differently in the last bit.
     """
     if n_trunc < 1:
         raise ValueError("n_trunc must be >= 1")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    last = 1.0
+    z = np.asarray(z, dtype=complex)
+    total, term = np.ones_like(z), np.ones_like(z)
+    dead = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_trunc + 1):
-            term = term * z / q_number(n, q)
-            if not np.isfinite(term):
-                return QExpResult(total, np.inf, False)
-            total += term
-            last = abs(term)
-    converged = np.isfinite(total) and last <= 1e-6 * max(abs(total), 1.0)
-    return QExpResult(complex(total), last, bool(converged))
+            qn = q_number(n, q)
+            term *= z
+            term.real /= qn
+            term.imag /= qn
+            dead |= ~np.isfinite(term)
+            total = np.where(dead, total, total + term)
+        last = np.where(dead, np.inf, np.abs(term))
+        converged = np.isfinite(total) & (last <= 1e-6 * np.maximum(np.abs(total), 1.0))
+    if z.ndim == 0:
+        return QExpResult(complex(total), float(last), bool(converged))
+    return QExpResult(total, last, converged)
 
 
 def jackson_derivative(f: LatticeFunction, ctx: QContext) -> LatticeFunction:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .basis import CoefficientVector, WaveBasis
-from .propagator import PropagatorKernel
+from .propagator import PropagatorKernel, conjugation_partner
 
 H_PLAIN = "H"
 H_PRIME = "Hprime"
@@ -74,6 +74,8 @@ class ModePotential:
     def __init__(self, matrix: np.ndarray, epsilon: float = 0.0):
         self._matrix = np.asarray(matrix, dtype=complex)
         self.epsilon = float(epsilon)
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be nonnegative")
         self.strength = 1.0
 
     @property
@@ -360,15 +362,6 @@ S_FAMILIES = {
     "S2starMinus": (2, -1, True, False),
 }
 
-S_CONJ_PARTNERS = {
-    "S2minus": "S2minusPrime",
-    "S1starPlus": "S1starPlusPrime",
-    "S1plusPrime": "S1plus",
-    "S2starMinusPrime": "S2starMinus",
-}
-S_CONJ_PARTNERS.update({v: k for k, v in S_CONJ_PARTNERS.items()})
-
-
 @dataclass
 class SMatrix:
     """An S-matrix with its labels.  ``diagnostics`` holds the health of the
@@ -418,7 +411,7 @@ def smatrix_momentum(
 def conjugate_smatrix(s: SMatrix) -> SMatrix:
     """Entrywise conjugate with transposed labels; toggles tilde and prime."""
     return SMatrix(ctx=s.ctx, basis=s.basis, matrix=np.conj(s.matrix).T,
-                   family=S_CONJ_PARTNERS[s.family], epsilon=s.epsilon,
+                   family=conjugation_partner(S_FAMILIES, s.family), epsilon=s.epsilon,
                    tilde=not s.tilde, diagnostics=dict(s.diagnostics))
 
 

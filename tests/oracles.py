@@ -1,10 +1,16 @@
-"""Dense reference implementations the library's fast paths are tested against.
+"""Reference implementations the library's fast paths are tested against.
 
-Each builds the full operator the library avoids: the N x N Jackson
+The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel over both branches, the
 matrix-exponential interacting Green's function and the per-(evaluation,
-source) kernel loop of the inhomogeneous solve.
+source) kernel loop of the inhomogeneous solve.  The scalar ones evaluate one
+entry at a time: the q-exponential series in Python complex arithmetic, and
+the CSV writers formatting each value by hand as repr(float(x)).
 """
+
+import cmath
+import csv
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -63,3 +69,57 @@ def dense_kernel(basis, f):
     branches and every mode: the reference for ``basis.spectral_kernel``."""
     u = basis.vectors
     return (u * f) @ u.conj().T
+
+
+def q_exponential_series(z, q, n_trunc):
+    """(value, last term, converged) of sum_n z**n / [n]_q! for one Python complex z,
+    stopping at the first overflowing term."""
+    total, term, last = 1.0 + 0.0j, 1.0 + 0.0j, 1.0
+    for n in range(1, n_trunc + 1):
+        term = term * z / ((1.0 - q ** n) / (1.0 - q))
+        if not cmath.isfinite(term):
+            return total, math.inf, False
+        total += term
+        last = abs(term)
+    converged = cmath.isfinite(total) and last <= 1e-6 * max(abs(total), 1.0)
+    return total, last, converged
+
+
+# floats whose repr the CSV writers must reproduce: signed zero, subnormals,
+# +-1e300, nan, +-inf, the largest double and the switch to exponent notation
+SPECIAL_FLOATS = np.array([-0.0, 5e-324, 2.5e-310, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                           0.1, 1.7976931348623157e308, 1e16, -2.0])
+
+
+def write_matrix_csv(path, mat):
+    """The matrix CSV with every value formatted by hand, entry by entry."""
+    mat = np.asarray(mat)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        if np.iscomplexobj(mat):
+            wr.writerow(["row", "col", "re", "im"])
+            wr.writerows([i, j, repr(float(mat[i, j].real)), repr(float(mat[i, j].imag))]
+                         for i, j in np.ndindex(mat.shape))
+        else:
+            wr.writerow(["row", "col", "value"])
+            wr.writerows([i, j, repr(float(mat[i, j]))] for i, j in np.ndindex(mat.shape))
+
+
+def export_basis(basis, path):
+    """The basis CSV with every value formatted by hand, entry by entry."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["# q", repr(float(basis.ctx.q)), "mass", repr(float(basis.mass)),
+                     "geometry", basis.ctx.geometry])
+        wr.writerow(["# energies"] + [repr(float(e)) for e in basis.energies])
+        wr.writerow(["# momenta"] + [repr(float(p)) for p in basis.momenta])
+        header = ["x", "w"]
+        for k in range(basis.size):
+            header += [f"re_u{k}", f"im_u{k}"]
+        wr.writerow(header)
+        for i in range(basis.lattice.size):
+            row = [repr(float(basis.lattice.points[i])), repr(float(basis.weights[i]))]
+            for k in range(basis.size):
+                row += [repr(float(basis.vectors[i, k].real)),
+                        repr(float(basis.vectors[i, k].imag))]
+            wr.writerow(row)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from braidline import (
     make_lattice,
     project,
 )
-from braidline.basis import CoefficientVector, export_basis
-from oracles import derivative_matrix
+from braidline.basis import CoefficientVector
+from braidline.cli import export_basis
+import oracles
+from oracles import SPECIAL_FLOATS, derivative_matrix
 
 Q = 0.9
 MASS = 1.0
@@ -181,6 +185,26 @@ def test_qexp_basis_rejects_divergent_momenta(lattice, ctx):
     grid = np.array([1e6])
     with pytest.raises(ValueError):
         build_qexp_basis(lattice, MASS, ctx, grid, n_trunc=300)
+    # one diverging lattice point rejects its momentum; the others are kept
+    qb, report = build_qexp_basis(lattice, MASS, ctx, np.array([0.5, 1e6, 1.0]), n_trunc=300)
+    assert report["rejected_momenta"] == [1e6] and report["n_modes"] == 2
+    assert np.array_equal(qb.momenta, [0.5, 1.0])
+
+
+def test_export_basis_matches_per_entry_oracle(tmp_path, basis, lattice, ctx):
+    # the real free basis, the complex q-exponential one, and one holding
+    # signed zeros, subnormals, +-1e300, nan and inf in every written field
+    qb, _ = build_qexp_basis(lattice, MASS, ctx, np.linspace(0.3, 2.0, 8), n_trunc=60)
+    n, m = basis.vectors.shape
+    vals = np.empty((n, m), dtype=complex)
+    vals.real = np.resize(SPECIAL_FLOATS, (n, m))
+    vals.imag = np.resize(SPECIAL_FLOATS[::-1], (n, m))
+    odd = replace(basis, vectors=vals, energies=np.resize(SPECIAL_FLOATS, m),
+                  momenta=np.resize(SPECIAL_FLOATS[::-1], m), mass=1e-300)
+    for b in (basis, qb, odd):
+        export_basis(b, str(tmp_path / "new.csv"))
+        oracles.export_basis(b, str(tmp_path / "ref.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_export_basis_roundtrip(tmp_path, basis):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from braidline import checks
+import oracles
+from braidline import checks, cli
 from braidline.cli import (
     CHECKS,
     DEFAULT_CONFIG,
@@ -19,6 +20,7 @@ from braidline.cli import (
     load_config,
     main,
 )
+from oracles import SPECIAL_FLOATS
 
 
 def run(args):
@@ -172,6 +174,11 @@ def test_integral_floats_accepted(tmp_path):
     path.write_text(json.dumps({"mass": 2, "eps_sweep": [1, 0.5]}))
     cfg = load_config(str(path))
     assert cfg["mass"] == 2 and cfg["eps_sweep"] == [1, 0.5]
+    # an integer sweep entry is written as a float, in file names and values
+    assert run(["scatter", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "smatrix_S2minus_eps1.0.csv").exists()
+    trend = (tmp_path / "o" / "unitarity_trend.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in trend[1:]] == ["1.0", "0.5"]
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -425,12 +432,25 @@ def test_cmd_verify_negative_control_in_report(tmp_path):
     assert check["value"] >= check["tolerance"]
 
 
-def test_scatter_outputs_byte_identical(tmp_path):
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"eps_sweep": [0.05]}))
+@pytest.mark.parametrize("argv", [["basis", "--qexp"], ["propagate"], ["scatter"], ["dyson"],
+                                  ["verify"]], ids=lambda argv: argv[0])
+def test_outputs_byte_identical(tmp_path, argv):
+    # every output file of a subcommand, byte for byte across two runs
     outs = []
-    for name in ("s1", "s2"):
-        out = tmp_path / name
-        assert run(["scatter", "--config", str(cfgp), "--out", str(out)]) == 0
-        outs.append((out / "smatrix_S2minus_eps0.05.csv").read_bytes())
-    assert outs[0] == outs[1]
+    for name in ("r1", "r2"):
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+    assert outs[0] == outs[1] and outs[0]
+
+
+COMPLEX_SPECIAL = np.empty((4, 3), dtype=complex)
+COMPLEX_SPECIAL.real = SPECIAL_FLOATS.reshape(4, 3)
+COMPLEX_SPECIAL.imag = SPECIAL_FLOATS[::-1].reshape(4, 3)
+
+
+@pytest.mark.parametrize("mat", [SPECIAL_FLOATS.reshape(3, 4), COMPLEX_SPECIAL,
+                                 np.arange(-6, 6).reshape(3, 4)], ids=["real", "complex", "int"])
+def test_write_matrix_csv_matches_per_entry_oracle(tmp_path, mat):
+    cli.write_matrix_csv(str(tmp_path / "new.csv"), mat)
+    oracles.write_matrix_csv(str(tmp_path / "ref.csv"), mat)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -19,7 +19,7 @@ from braidline import (
     q_number,
     sesquilinear,
 )
-from oracles import derivative_matrix
+from oracles import derivative_matrix, q_exponential_series
 
 Q = 0.9
 
@@ -136,21 +136,34 @@ def test_q_number_classical_limit():
 
 
 def test_q_exponential_series_oracle():
-    # partial sums computed independently
-    z = 0.3 + 0.1j
-    total = 1.0
-    term = 1.0
-    for n in range(1, 31):
-        term = term * z / q_number(n, Q)
-        total += term
-    res = q_exponential(z, Q, 30)
+    # a general complex z against the partial sums computed independently
+    res = q_exponential(0.3 + 0.1j, Q, 30)
     assert res.converged
-    assert res.value == pytest.approx(total, rel=1e-13)
+    assert res == q_exponential_series(0.3 + 0.1j, Q, 30)
 
 
 def test_q_exponential_overflow_flagged():
     res = q_exponential(1e200, Q, 400)
     assert not res.converged
+
+
+@pytest.mark.parametrize("momenta, n_trunc", [(np.linspace(0.3, 2.0, 8), 60),
+                                               (np.array([0.5, 1e6]), 300)],
+                         ids=["basis_grid", "overflow"])
+def test_q_exponential_grid_matches_scalar_series(lattice, momenta, n_trunc):
+    # the points x momenta grid of build_qexp_basis in one call against the
+    # series summed entry by entry in Python complex arithmetic, bit for bit
+    z = 1j * np.outer(lattice.points, momenta)
+    res = q_exponential(z, Q, n_trunc)
+    ref = [q_exponential_series(complex(zz), Q, n_trunc) for zz in z.ravel()]
+    value, last, converged = (np.array(col).reshape(z.shape) for col in zip(*ref))
+    assert np.array_equal(res.value.view(np.uint64), value.view(np.uint64))
+    assert np.array_equal(res.last_term, last)
+    assert np.array_equal(res.converged, converged)
+    assert converged[:, 0].all() and not converged[:, -1].all()  # the last is rejected
+    one = q_exponential(z[3, 1], Q, n_trunc)
+    assert [type(x) for x in one] == [complex, float, bool]
+    assert one == (value[3, 1], last[3, 1], converged[3, 1])
 
 
 def test_q_exponential_rejects_bad_truncation():

@@ -23,8 +23,8 @@ from braidline import scattering
 from braidline.basis import CoefficientVector
 from braidline.checks import cross_formalism_potential
 from oracles import expm_green
+from braidline.propagator import conjugation_partner
 from braidline.scattering import (
-    S_CONJ_PARTNERS,
     S_FAMILIES,
     green_residual,
     transition_probability_table,
@@ -253,9 +253,16 @@ def test_family_table(ctx):
     for fam, (geom, sign, starred, primed) in S_FAMILIES.items():
         assert geom in (1, 2)
         assert sign in (-1, +1)
-    # conjugation pairing is a bidirectional involution
-    for a, b in S_CONJ_PARTNERS.items():
-        assert S_CONJ_PARTNERS[b] == a
+        # the partner toggles the prime only, and pairing is an involution
+        partner = conjugation_partner(S_FAMILIES, fam)
+        assert S_FAMILIES[partner] == (geom, sign, starred, not primed)
+        assert conjugation_partner(S_FAMILIES, partner) == fam
+
+
+def test_mode_potential_refuses_negative_epsilon(basis):
+    # a negative rate would switch on a growing envelope exp(+|eps t|)
+    with pytest.raises(ValueError, match="epsilon"):
+        ModePotential(np.eye(basis.size), epsilon=-0.1)
 
 
 def test_smatrix_zero_potential_identity(basis):
@@ -270,7 +277,8 @@ def test_smatrix_conjugation_partners(basis, weak_v):
     for fam in ("S2minus", "S1starPlus", "S1plusPrime", "S2starMinusPrime"):
         s = smatrix_momentum(weak_v, basis, fam, eps=EPS)
         cs = conjugate_smatrix(s)
-        assert cs.family == S_CONJ_PARTNERS[fam]
+        geom, sign, starred, primed = S_FAMILIES[fam]
+        assert S_FAMILIES[cs.family] == (geom, sign, starred, not primed)
         assert cs.tilde
         built = smatrix_momentum(weak_v, basis, cs.family, eps=EPS, tilde=True)
         assert np.max(np.abs(cs.matrix - built.matrix)) < 1e-10
