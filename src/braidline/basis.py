@@ -11,6 +11,7 @@ carries +p and the odd member -p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -206,3 +207,24 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
     """Completeness kernel Delta(x, y) = sum_p u_p(x) u_p(y); Delta @ diag(w) = identity,
     so it reproduces any lattice function under the weighted contraction."""
     return spectral_kernel(basis, np.ones(basis.size))
+
+
+def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ (w[:, None] * b), one block product at a time over the 2x2 partition of
+    rows and columns into the mirrored half-lines.  A block product with an all-zero
+    factor is skipped, so free kernels cost two half-size products; a real block of
+    ``a`` times a complex one of ``b`` runs as two real GEMMs, not promoted."""
+    half = a.shape[0] // 2
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
+    parts = (slice(None, half), slice(half, None))
+    for r, c, k in product(parts, repeat=3):
+        x, y = a[r, k], b[k, c]
+        if not (x.any() and y.any()):
+            continue
+        y = w[k, None] * y
+        if np.iscomplexobj(x) or not np.iscomplexobj(y):
+            out[r, c] += x @ y
+        else:
+            out[r, c].real += x @ y.real
+            out[r, c].imag += x @ y.imag
+    return out

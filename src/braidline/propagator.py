@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import WaveBasis, spectral_kernel
+from .basis import WaveBasis, branch_product, spectral_kernel
 from .qcalc import G1, G2, LatticeFunction
 
 # variant name -> (family, starred, primed)
@@ -101,15 +101,17 @@ def free_propagator(
 
 
 def make_retarded(kernel: PropagatorKernel) -> PropagatorKernel:
-    """Multiply by theta(t_target - t_source)."""
+    """Multiply by theta(t_target - t_source): share the bare matrix, or exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
     theta = heaviside(kernel.t_target - kernel.t_source)
-    return replace(kernel, matrix=theta * kernel.matrix, causality=RETARDED)
+    matrix = kernel.matrix if theta else np.zeros_like(kernel.matrix)
+    return replace(kernel, matrix=matrix, causality=RETARDED)
 
 
 def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
-    """Time-reflected counterpart: K_-(t_y, t_x) = K_+(-t_y, -t_x)."""
+    """Time-reflected counterpart: K_-(t_y, t_x) = K_+(-t_y, -t_x), gated by theta
+    as in make_retarded: it shares the reflected matrix, or holds exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
     reflected = free_propagator(
@@ -120,7 +122,8 @@ def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
     return PropagatorKernel(
         basis=kernel.basis, variant=kernel.variant,
         t_source=kernel.t_source, t_target=kernel.t_target,
-        matrix=theta * reflected.matrix, tilde=kernel.tilde,
+        matrix=reflected.matrix if theta else np.zeros_like(reflected.matrix),
+        tilde=kernel.tilde,
         causality=ADVANCED,
     )
 
@@ -138,7 +141,7 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
         raise ValueError("variant mismatch")
     if k1.t_target != k2.t_source:
         raise ValueError("intermediate times do not match")
-    mat = k2.matrix @ (k1.basis.weights[:, None] * k1.matrix)
+    mat = branch_product(k2.matrix, k1.basis.weights, k1.matrix)
     causality = k1.causality if k1.causality == k2.causality else CAUSALITY_NONE
     return PropagatorKernel(
         basis=k1.basis, variant=k1.variant,
@@ -162,7 +165,7 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     b, e = kernel.basis, kernel.basis.energies
     # i d_t acting on exp(s i E dt) brings down -s E per mode
     dmat = theta * spectral_kernel(b, -s * e * np.exp(s * 1j * e * dt))
-    hk = spectral_kernel(b, e) @ (b.weights[:, None] * kernel.matrix)
+    hk = branch_product(spectral_kernel(b, e), b.weights, kernel.matrix)
     return float(np.linalg.norm(dmat + s * hk))
 
 

@@ -1,11 +1,12 @@
 """Reference implementations the library's fast paths are tested against.
 
 The dense ones build the full operator the library avoids: the N x N Jackson
-derivative matrix, the dense complex spectral kernel over both branches, the
-matrix-exponential interacting Green's function and the per-(evaluation,
-source) kernel loop of the inhomogeneous solve.  The scalar ones evaluate one
-entry at a time: the q-exponential series in Python complex arithmetic, and
-the CSV writers formatting each value by hand as repr(float(x)).
+derivative matrix, the dense complex spectral kernel and the weighted kernel
+product over both branches, the matrix-exponential interacting Green's
+function and the per-(evaluation, source) kernel loop of the inhomogeneous
+solve.  The scalar ones evaluate one entry at a time: the q-exponential
+series in Python complex arithmetic, and the CSV writers formatting each
+value by hand as repr(float(x)).
 """
 
 import cmath
@@ -69,6 +70,12 @@ def dense_kernel(basis, f):
     branches and every mode: the reference for ``basis.spectral_kernel``."""
     u = basis.vectors
     return (u * f) @ u.conj().T
+
+
+def weighted_product(a, w, b):
+    """a @ (w[:, None] * b) as one dense product over both branches: the reference
+    for ``basis.branch_product``."""
+    return a @ (w[:, None] * b)
 
 
 def q_exponential_series(z, q, n_trunc):

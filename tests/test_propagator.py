@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from braidline import (
     crossing_transform,
     delta_kernel,
     free_propagator,
+    full_green,
+    gaussian_potential,
     make_advanced,
     make_retarded,
     make_lattice,
@@ -18,9 +22,9 @@ from braidline import (
     solve_inhomogeneous,
     source_term,
 )
-from braidline.basis import spectral_kernel
+from braidline.basis import branch_product, spectral_kernel
 from braidline.propagator import VARIANTS, heaviside
-from oracles import dense_kernel, pairwise_inhomogeneous
+from oracles import dense_kernel, pairwise_inhomogeneous, weighted_product
 
 Q = 0.9
 MASS = 1.0
@@ -40,6 +44,11 @@ def basis(ctx):
 def basis_g2(ctx):
     c2 = crossing_transform(ctx)
     return build_hamiltonian_basis(make_lattice(c2.q), MASS, c2)
+
+
+@pytest.fixture(scope="module")
+def weak_v(basis):
+    return gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=0.05)
 
 
 def pick_basis(variant, basis, basis_g2):
@@ -73,14 +82,23 @@ def test_boundary_limit_is_delta(basis, basis_g2):
         assert np.max(np.abs(k.matrix - delta_kernel(b))) < 1e-12
 
 
-@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100), (0.99, 200)],
-                         ids=["n50", "n402", "n802"])
-@pytest.mark.parametrize("geometry", [1, 2], ids=["G1", "G2"])
+# free bases at N = 50, 402 and 802 in both geometries
+SIZES = pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100), (0.99, 200)],
+                                ids=["n50", "n402", "n802"])
+GEOMETRIES = pytest.mark.parametrize("geometry", [1, 2], ids=["G1", "G2"])
+
+
+def free_basis(q, j_max, geometry):
+    ctx = braided_line(q) if geometry == 1 else crossing_transform(braided_line(q))
+    return build_hamiltonian_basis(make_lattice(ctx.q, j_min=-j_max, j_max=j_max), MASS, ctx)
+
+
+@SIZES
+@GEOMETRIES
 def test_spectral_kernel_matches_dense_oracle(q, j_max, geometry):
     # the mirrored half-line builder against the dense complex product over
     # every mode, for the delta kernel, plain and tilde kernels and H0 K
-    ctx = braided_line(q) if geometry == 1 else crossing_transform(braided_line(q))
-    b = build_hamiltonian_basis(make_lattice(ctx.q, j_min=-j_max, j_max=j_max), MASS, ctx)
+    b = free_basis(q, j_max, geometry)
     assert b.vectors.dtype == np.float64
     half, e = b.size // 2, b.energies
 
@@ -98,6 +116,51 @@ def test_spectral_kernel_matches_dense_oracle(q, j_max, geometry):
     h0 = spectral_kernel(b, e)
     check(h0, dense_kernel(b, e))
     check(h0 @ (b.weights[:, None] * k), dense_kernel(b, e) @ (b.weights[:, None] * k))
+
+
+def check_product(a, w, b):
+    got, want = branch_product(a, w, b), weighted_product(a, w, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    return got
+
+
+@SIZES
+@GEOMETRIES
+def test_branch_product_matches_weighted_oracle(q, j_max, geometry):
+    # the per-branch-block product against the dense one over both branches,
+    # as compose (complex x complex) and the residual (real H0 x complex) form it
+    b = free_basis(q, j_max, geometry)
+    half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
+    h0 = spectral_kernel(b, b.energies)
+    for tilde in (False, True):
+        k01 = free_propagator(b, variant, -0.4, 0.3, tilde=tilde).matrix
+        k12 = free_propagator(b, variant, 0.3, 1.1, tilde=tilde).matrix
+        for a, k in ((k12, k01), (h0, k01)):
+            got = check_product(a, w, k)
+            assert not got[:half, half:].any() and not got[half:, :half].any()
+
+
+def test_branch_product_dense_and_partial_operands(basis, weak_v):
+    # dense operands take every block product; a cross-branch-only operand and
+    # an all-zero one are exact too
+    w, half = basis.weights, basis.size // 2
+    green = full_green(weak_v, basis, "H", None, 0.0, 0.4).kernel.matrix
+    assert green[:half, half:].any()
+    check_product(green, w, green)
+    rng = np.random.default_rng(11)
+    real = rng.normal(size=(basis.size, basis.size))
+    check_product(real, w, green)
+    check_product(green, w, real)
+    cross = np.zeros_like(green)
+    cross[:half, half:] = green[:half, half:]
+    kern = free_propagator(basis, "K1", 0.0, 0.6).matrix
+    for a, b in ((cross, kern), (kern, cross), (cross, cross), (real, cross)):
+        check_product(a, w, b)
+    zero = make_retarded(free_propagator(basis, "K1", 0.6, 0.0)).matrix
+    assert not zero.any()
+    for a, b in ((zero, kern), (kern, zero), (real, zero)):
+        assert not check_product(a, w, b).any()
 
 
 def test_spectral_kernel_refuses_complex_basis(basis):
@@ -193,6 +256,46 @@ def test_advanced_is_time_reflection(basis):
     fwd = make_retarded(free_propagator(basis, "K1prime", -0.8, 0.3))
     bwd = make_advanced(free_propagator(basis, "K1prime", 0.8, -0.3))
     assert np.max(np.abs(bwd.matrix - fwd.matrix)) < 1e-12
+
+
+def test_causal_gate_gives_bare_values_or_exact_zeros(basis):
+    bare = free_propagator(basis, "K1", 0.1, 0.9)
+    assert np.array_equal(make_retarded(bare).matrix, bare.matrix)
+    reflected = free_propagator(basis, "K1", -0.9, -0.1)
+    assert np.array_equal(make_advanced(free_propagator(basis, "K1", 0.9, 0.1)).matrix,
+                          reflected.matrix)
+    for gated in (make_retarded(free_propagator(basis, "K1", 0.9, 0.1)).matrix,
+                  make_advanced(bare).matrix):
+        assert gated.shape == bare.matrix.shape and gated.dtype == bare.matrix.dtype
+        # +0.0 everywhere: no -0.0 left from multiplying by theta = 0
+        assert not gated.any() and not np.signbit(gated.view(float)).any()
+
+
+def test_cross_branch_entry_is_not_skipped(basis):
+    # a kernel that is not block-diagonal must not be treated as one: a stray
+    # cross-branch entry shows in the residual and is carried through compose
+    half = basis.size // 2
+    k = make_retarded(free_propagator(basis, "K1", 0.0, 0.7))
+    assert schrodinger_residual(k) < 1e-10
+    mat = k.matrix.copy()
+    mat[half - 3, half + 5] = 1e-6
+    stray = replace(k, matrix=mat)
+    assert schrodinger_residual(stray) > 1e-10
+    later = free_propagator(basis, "K1", 0.7, 1.2)
+    got = compose(stray, later).matrix
+    want = weighted_product(later.matrix, basis.weights, mat)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert got[:half, half + 5].any()
+
+
+def test_compose_and_residual_leave_inputs_unchanged(basis):
+    k1 = make_retarded(free_propagator(basis, "K1", 0.0, 0.4, tilde=True))
+    k2 = make_retarded(free_propagator(basis, "K1", 0.4, 0.9, tilde=True))
+    before = [k1.matrix.copy(), k2.matrix.copy(), basis.weights.copy()]
+    schrodinger_residual(compose(k1, k2))
+    schrodinger_residual(k1)
+    for old, new in zip(before, (k1.matrix, k2.matrix, basis.weights)):
+        assert np.array_equal(old, new)
 
 
 def test_double_causal_wrap_rejected(basis):
