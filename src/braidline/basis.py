@@ -86,7 +86,7 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     with v an eigenvector and J the branch mirror, (Jv, +-v)/sqrt(2) are the
     even and odd modes of the symmetrised H0, so each +-p pair is exactly
     degenerate.  The LAPACK routine is MRRR (``stemr``), always: on the default
-    scene it gives the residual check C03 5.5e-11, against 1.8e-10 (above the
+    scene it gives the residual check C03 5.2e-11, against 1.8e-10 (above the
     1e-10 bound) from ``stevd``, ``stev`` or a dense ``eigh``.
     """
     if lattice.size < 4:

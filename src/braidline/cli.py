@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -64,6 +62,7 @@ DEFAULT_CONFIG = {
 POTENTIAL_SHAPES = ("gaussian", "point", "none")
 MIN_MODES = 10
 MAX_MODES = 802  # the largest lattice the benchmark builds
+CHUNK = 1024  # array entries per CSV repr call and write, in whole rows
 # the eigensolver (stemr) fails on some H0 diagonals spanning ~240 decades
 H0_RANGE = 1e100
 
@@ -205,27 +204,35 @@ def build_potential(cfg: dict, lattice) -> Potential:
 # ---------------------------------------------------------------------------
 # deterministic writers
 
-def _write_table(path: str, header: list, rows, preamble=()) -> None:
-    """The one CSV writer.  Values are Python floats (``.tolist()`` or ``float(x)``,
-    never numpy scalars), which ``csv`` writes as their repr."""
+def _reprs(values) -> tuple:
+    """repr(float(x)) of each value, complex as re, im, from one C-level call."""
+    flat = np.ravel(values)
+    flat = flat.astype(complex).view(float) if np.iscomplexobj(flat) else flat.astype(float)
+    # a float list's repr is "[a, b, ...]", and no float repr contains ", "
+    return tuple(repr(flat.tolist())[1:-1].split(", ")) if flat.size else ()
+
+
+def _write_table(path: str, header: list, values: np.ndarray, row_template, preamble=()):
+    """The one CSV writer: the ``preamble`` (template, floats) lines, the header,
+    then row k of the 2-D ``values`` as ``row_template(k)`` with a "%s" per float,
+    one repr call and one write per chunk of whole rows (about CHUNK entries).
+    The bytes are ``csv.writer``'s: CRLF line ends, ints as str, floats as repr."""
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerows(preamble)
-        wr.writerow(header)
-        wr.writerows(rows)
+        for template, floats in [*preamble, (",".join(header) + "\r\n", ())]:
+            fh.write(template % _reprs(floats))
+        step = max(1, CHUNK // max(values.shape[1], 1))
+        for k in range(0, len(values), step):
+            block = values[k:k + step]
+            fh.write("".join(map(row_template, range(k, k + len(block)))) % _reprs(block))
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
-    """One (row, col, value) or (row, col, re, im) line per entry, row-major,
-    streamed one matrix row at a time."""
+    """One (row, col, value) or (row, col, re, im) line per entry, row-major."""
     mat = np.asarray(mat)
-    if np.iscomplexobj(mat):
-        names, parts = ("re", "im"), (mat.real, mat.imag)
-    else:
-        names, parts = ("value",), (np.asarray(mat, dtype=float),)
-    rows = (line for i in range(mat.shape[0]) for line in
-            zip(itertools.repeat(i), range(mat.shape[1]), *(part[i].tolist() for part in parts)))
-    _write_table(path, ["row", "col", *names], rows)
+    names = ("re", "im") if np.iscomplexobj(mat) else ("value",)
+    cols = [f"{j}," + ",".join(["%s"] * len(names)) + "\r\n" for j in range(mat.shape[1])]
+    _write_table(path, ["row", "col", *names], mat,
+                 lambda i: f"{i}," + f"{i},".join(cols) if cols else "")
 
 
 def export_basis(basis: WaveBasis, path: str) -> None:
@@ -235,12 +242,12 @@ def export_basis(basis: WaveBasis, path: str) -> None:
     table = np.empty((u.shape[0], 2 + 2 * u.shape[1]))
     table[:, 0], table[:, 1] = basis.lattice.points, basis.weights
     table[:, 2::2], table[:, 3::2] = u.real, u.imag
-    ctx = basis.ctx
     header = ["x", "w", *(f"{part}_u{k}" for k in range(basis.size) for part in ("re", "im"))]
-    preamble = [["# q", float(ctx.q), "mass", float(basis.mass), "geometry", ctx.geometry],
-                ["# energies", *basis.energies.tolist()],
-                ["# momenta", *basis.momenta.tolist()]]
-    _write_table(path, header, (row.tolist() for row in table), preamble)
+    preamble = [(f"# q,%s,mass,%s,geometry,{basis.ctx.geometry}\r\n", [basis.ctx.q, basis.mass]),
+                ("# energies" + ",%s" * basis.size + "\r\n", basis.energies),
+                ("# momenta" + ",%s" * basis.size + "\r\n", basis.momenta)]
+    row = ",".join(["%s"] * table.shape[1]) + "\r\n"
+    _write_table(path, header, table, lambda k: row, preamble)
 
 
 def write_report(path: str, report: dict) -> None:
@@ -269,8 +276,8 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     os.makedirs(out, exist_ok=True)
     export_basis(basis, os.path.join(out, "basis.csv"))
     _write_table(os.path.join(out, "spectrum.csv"), ["mode", "energy", "momentum", "parity"],
-                 zip(range(basis.size), basis.energies.tolist(), basis.momenta.tolist(),
-                     basis.parity.tolist()))
+                 np.column_stack([basis.energies, basis.momenta, basis.parity]),
+                 "{},%s,%s,%s\r\n".format)
     gram_defect = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
     comp_defect = float(np.max(np.abs(
         delta_kernel(basis) * basis.weights[None, :] - np.eye(basis.size))))
@@ -296,7 +303,7 @@ def cmd_propagate(cfg: dict, out: str) -> int:
     ctx, lat, basis = build_scene(cfg)
     os.makedirs(out, exist_ok=True)
     t = cfg["time_target"]
-    rows = []
+    rows = {}
     for b, names in geometry_variants(basis, crossed_basis(basis)):
         kern = free_propagator(b, names[0], 0.0, t)
         first = os.path.join(out, f"kernel_{names[0]}.csv")
@@ -304,10 +311,11 @@ def cmd_propagate(cfg: dict, out: str) -> int:
         for variant in names[1:]:
             shutil.copyfile(first, os.path.join(out, f"kernel_{variant}.csv"))
         defects = [schrodinger_residual(make_retarded(kern)), boundary_defect(b, names[0], t)]
-        rows += [[variant, *defects] for variant in names]
+        rows.update(dict.fromkeys(names, defects))
+    variants = sorted(rows)
     _write_table(os.path.join(out, "propagator_checks.csv"),
                  ["variant", "schrodinger_residual", "boundary_defect"],
-                 sorted(rows, key=lambda row: row[0]))
+                 np.array([rows[v] for v in variants]), lambda k: f"{variants[k]},%s,%s\r\n")
     write_report(os.path.join(out, "propagator_report.json"), {
         "provenance": _provenance(cfg),
         "time_target": t,
@@ -331,7 +339,8 @@ def cmd_scatter(cfg: dict, out: str) -> int:
         write_matrix_csv(os.path.join(out, f"omega_{family}_eps{tag}.csv"), omega)
         trend.append([tag, unitarity_defect(s), float(np.max(np.abs(omega.sum(axis=1) - 1.0)))])
     _write_table(os.path.join(out, "unitarity_trend.csv"),
-                 ["eps", "unitarity_defect", "max_row_sum_deviation"], trend)
+                 ["eps", "unitarity_defect", "max_row_sum_deviation"], np.array(trend),
+                 lambda k: "%s,%s,%s\r\n")
     write_report(os.path.join(out, "scatter_report.json"), {
         "provenance": _provenance(cfg),
         "family": family,
@@ -439,13 +448,10 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else cfg["out"]
         if args.command == "basis":
             return cmd_basis(cfg, out, args.qexp)
-        if args.command == "propagate":
-            return cmd_propagate(cfg, out)
-        if args.command == "scatter":
-            return cmd_scatter(cfg, out)
-        if args.command == "dyson":
-            return cmd_dyson(cfg, out)
-        return cmd_verify(cfg, out, args.only)
+        if args.command == "verify":
+            return cmd_verify(cfg, out, args.only)
+        cmd = {"propagate": cmd_propagate, "scatter": cmd_scatter, "dyson": cmd_dyson}
+        return cmd[args.command](cfg, out)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": str(exc)}), file=sys.stderr)

@@ -114,18 +114,12 @@ def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
     as in make_retarded: it shares the reflected matrix, or holds exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
-    reflected = free_propagator(
-        kernel.basis, kernel.variant, -kernel.t_source, -kernel.t_target,
-        tilde=kernel.tilde,
-    )
-    theta = heaviside(-kernel.t_target + kernel.t_source)
-    return PropagatorKernel(
-        basis=kernel.basis, variant=kernel.variant,
-        t_source=kernel.t_source, t_target=kernel.t_target,
-        matrix=reflected.matrix if theta else np.zeros_like(reflected.matrix),
-        tilde=kernel.tilde,
-        causality=ADVANCED,
-    )
+    if not heaviside(kernel.t_source - kernel.t_target):
+        return replace(kernel, matrix=np.zeros(kernel.matrix.shape, dtype=complex),
+                       causality=ADVANCED)
+    reflected = free_propagator(kernel.basis, kernel.variant, -kernel.t_source,
+                                -kernel.t_target, tilde=kernel.tilde)
+    return replace(kernel, matrix=reflected.matrix, causality=ADVANCED)
 
 
 def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:

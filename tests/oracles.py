@@ -5,8 +5,8 @@ derivative matrix, the dense complex spectral kernel and the weighted kernel
 product over both branches, the matrix-exponential interacting Green's
 function and the per-(evaluation, source) kernel loop of the inhomogeneous
 solve.  The scalar ones evaluate one entry at a time: the q-exponential
-series in Python complex arithmetic, and the CSV writers formatting each
-value by hand as repr(float(x)).
+series in Python complex arithmetic, and the CSV writers, which hand
+``csv.writer`` each value formatted by hand as repr(float(x)).
 """
 
 import cmath
@@ -130,3 +130,32 @@ def export_basis(basis, path):
                 row += [repr(float(basis.vectors[i, k].real)),
                         repr(float(basis.vectors[i, k].imag))]
             wr.writerow(row)
+
+
+def _write_rows(path, header, rows):
+    """A header and rows through ``csv.writer``, every float formatted by hand."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                     for row in rows)
+
+
+def write_spectrum(basis, path):
+    """spectrum.csv: mode number, energy, momentum and parity of each mode."""
+    _write_rows(path, ["mode", "energy", "momentum", "parity"],
+                [[k, float(basis.energies[k]), float(basis.momenta[k]), float(basis.parity[k])]
+                 for k in range(basis.size)])
+
+
+def write_unitarity_trend(rows, path):
+    """unitarity_trend.csv from (eps, unitarity defect, max row-sum deviation) rows."""
+    _write_rows(path, ["eps", "unitarity_defect", "max_row_sum_deviation"],
+                [[float(x) for x in row] for row in rows])
+
+
+def write_propagator_checks(rows, path):
+    """propagator_checks.csv from (variant, Schrodinger residual, boundary defect)
+    rows, sorted by variant."""
+    _write_rows(path, ["variant", "schrodinger_residual", "boundary_defect"],
+                sorted([variant, float(res), float(bd)] for variant, res, bd in rows))

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from braidline.cli import (
     load_config,
     main,
 )
+from braidline.scattering import transition_probability_table
 from oracles import SPECIAL_FLOATS
 
 
@@ -454,3 +457,119 @@ def test_write_matrix_csv_matches_per_entry_oracle(tmp_path, mat):
     cli.write_matrix_csv(str(tmp_path / "new.csv"), mat)
     oracles.write_matrix_csv(str(tmp_path / "ref.csv"), mat)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _special_chunk_edges(mat, chunk, offset=0):
+    """Put SPECIAL_FLOATS on the first and last entry of each chunk the writer
+    formats in one repr call (whole rows, about ``chunk`` entries)."""
+    n, m = mat.shape
+    step = max(1, chunk // max(m, 1))
+    edges = [pos for r in range(0, n if m else 0, step)
+             for pos in ((r, 0), (min(r + step, n) - 1, m - 1))]
+    vals = np.roll(SPECIAL_FLOATS, offset)
+    for k, pos in enumerate(edges):
+        re, im = vals[k % vals.size], vals[-1 - k % vals.size]
+        mat[pos] = complex(re, im) if np.iscomplexobj(mat) else re
+
+
+# every dtype the writer widens to float64, with values of any repr
+_MATRIX_KINDS = {
+    "real": (np.float64, st.floats()),
+    "complex": (np.complex128, st.builds(complex, st.floats(), st.floats())),
+    "int": (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    "complex64": (np.complex64, st.builds(complex, st.floats(width=32), st.floats(width=32))),
+}
+_SHAPES = (st.tuples(st.just(1), st.integers(0, 12)) | st.tuples(st.integers(0, 12), st.just(1))
+           | st.tuples(st.integers(0, 8), st.integers(0, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_MATRIX_KINDS)), shape=_SHAPES, chunk=st.integers(1, 10),
+       data=st.data())
+def test_write_matrix_csv_property(fuzz_dir, kind, shape, chunk, data):
+    # a small chunk size makes small matrices span several chunks
+    dtype, elements = _MATRIX_KINDS[kind]
+    n, m = shape
+    values = data.draw(st.lists(elements, min_size=n * m, max_size=n * m))
+    mat = np.array(values, dtype=dtype).reshape(shape)
+    if kind in ("real", "complex"):
+        _special_chunk_edges(mat, chunk, data.draw(st.integers(0, SPECIAL_FLOATS.size - 1)))
+    with mock.patch.object(cli, "CHUNK", chunk):
+        cli.write_matrix_csv(str(fuzz_dir / "new.csv"), mat)
+    oracles.write_matrix_csv(str(fuzz_dir / "ref.csv"), mat)
+    assert (fuzz_dir / "new.csv").read_bytes() == (fuzz_dir / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(3, cli.CHUNK + 1), (2 * cli.CHUNK + 3, 1), (7, cli.CHUNK // 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_write_matrix_csv_spans_chunks(tmp_path, shape, dtype):
+    # several chunks at the real chunk size, one row wider than a chunk or many
+    # rows per chunk, with subnormal to ~1e301 magnitudes
+    rng = np.random.default_rng(7)
+    mat = np.ldexp(rng.standard_normal(shape), rng.integers(-1070, 1000, size=shape))
+    if dtype is complex:
+        mat = mat + 1j * np.ldexp(rng.standard_normal(shape), rng.integers(-1070, 1000, size=shape))
+    _special_chunk_edges(mat, cli.CHUNK)
+    cli.write_matrix_csv(str(tmp_path / "new.csv"), mat)
+    oracles.write_matrix_csv(str(tmp_path / "ref.csv"), mat)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_small_tables_match_csv_oracles(tmp_path, monkeypatch):
+    # spectrum.csv, propagator_checks.csv and unitarity_trend.csv against the
+    # csv.writer oracles, with SPECIAL_FLOATS standing in for the spectrum and
+    # for every defect the CLI writes
+    special = iter(np.resize(SPECIAL_FLOATS, 64).tolist())
+    cfg = load_config(None)
+    ctx, lat, basis = build_scene(cfg)
+    m = basis.size
+    odd = replace(basis, energies=np.resize(SPECIAL_FLOATS, m),
+                  momenta=np.resize(SPECIAL_FLOATS[::-1], m),
+                  parity=np.resize(SPECIAL_FLOATS[5:], m))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_scene", lambda _: (ctx, lat, odd))
+        assert run(["basis", "--out", str(tmp_path / "b")]) == 0
+    oracles.write_spectrum(odd, tmp_path / "spectrum.csv")
+    spectrum = (tmp_path / "b" / "spectrum.csv").read_bytes()
+    assert spectrum == (tmp_path / "spectrum.csv").read_bytes()
+
+    residual, boundary, trend = {}, {}, []
+    monkeypatch.setattr(cli, "schrodinger_residual",
+                        lambda k: residual.setdefault(k.variant, next(special)))
+    monkeypatch.setattr(cli, "boundary_defect",
+                        lambda b, variant, t: boundary.setdefault(variant, next(special)))
+
+    def unitarity(s):
+        dev = float(np.max(np.abs(transition_probability_table(s).sum(axis=1) - 1.0)))
+        trend.append([cfg["eps_sweep"][len(trend)], next(special), dev])
+        return trend[-1][1]
+
+    monkeypatch.setattr(cli, "unitarity_defect", unitarity)
+    assert run(["propagate", "--out", str(tmp_path / "p")]) == 0
+    assert run(["scatter", "--out", str(tmp_path / "s")]) == 0
+    rows = [(variant, residual[names[0]], boundary[names[0]])
+            for _, names in checks.geometry_variants(basis, checks.crossed_basis(basis))
+            for variant in names]
+    oracles.write_propagator_checks(rows, tmp_path / "propagator_checks.csv")
+    oracles.write_unitarity_trend(trend, tmp_path / "unitarity_trend.csv")
+    for out, name in (("p", "propagator_checks.csv"), ("s", "unitarity_trend.csv")):
+        assert (tmp_path / out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_scatter_n102_matrices_match_oracle(tmp_path):
+    # the benchmark's scatter scene (N=102): each matrix CSV, read back with
+    # float() and rewritten by the per-entry oracle, repeats byte for byte
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"lattice": {"j_min": -25, "j_max": 25}}))
+    out = tmp_path / "o"
+    assert run(["scatter", "--config", str(cfgp), "--out", str(out)]) == 0
+    paths = sorted(out.glob("*_eps*.csv"))
+    assert len(paths) == 2 * len(DEFAULT_CONFIG["eps_sweep"])
+    for path in paths:
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        if len(rows[0]) == 4:
+            mat = np.array([complex(float(re), float(im)) for _, _, re, im in rows])
+        else:
+            mat = np.array([float(value) for _, _, value in rows])
+        oracles.write_matrix_csv(str(tmp_path / "ref.csv"), mat.reshape(102, 102))
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

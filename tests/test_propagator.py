@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from braidline import propagator
 from braidline import (
     LatticeFunction,
     braided_line,
@@ -250,6 +251,20 @@ def test_retarded_vanishes_for_reversed_times(basis):
 def test_advanced_vanishes_for_forward_times(basis):
     k = make_advanced(free_propagator(basis, "K1prime", 0.2, 1.0))
     assert np.max(np.abs(k.matrix)) == 0.0
+
+
+def test_advanced_gate_closed_builds_no_kernel(basis, monkeypatch):
+    # theta = 0 is read before the reflected kernel would be built
+    bare = free_propagator(basis, "K1prime", 0.2, 1.0, tilde=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reflected kernel built for theta = 0")
+
+    monkeypatch.setattr(propagator, "free_propagator", refuse)
+    k = make_advanced(bare)
+    assert k.causality == "advanced" and k.tilde and k.variant == "K1prime"
+    assert k.matrix.shape == bare.matrix.shape and k.matrix.dtype == complex
+    assert not k.matrix.any()
 
 
 def test_advanced_is_time_reflection(basis):
