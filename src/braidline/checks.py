@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis
-from .dyson import interaction_potential, smatrix_interaction
+from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
 from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
 from .qcalc import crossing_transform, make_lattice
@@ -118,7 +118,8 @@ def _check_conjugation(cfg, basis, basis2, v):
         ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
         partner = free_propagator(b, ck.variant, -0.2, t, tilde=True)
         worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
-    # an S-matrix family is only a label, so one plain/tilde pair covers all
+    # a family selects only its time sign and its tilde partner solves with the
+    # opposite one, so one plain/tilde pair covers both resolvents
     cs = conjugate_smatrix(smatrix_momentum(v, basis, cfg["family"], eps=v.epsilon))
     built = smatrix_momentum(v, basis, cs.family, eps=v.epsilon, tilde=True)
     return max(worst, float(np.max(np.abs(cs.matrix - built.matrix)))), 1e-10
@@ -139,11 +140,12 @@ def _check_unitarity(cfg, basis, basis2, v):
 
 def _check_cross_formalism(cfg, basis, basis2, v):
     mp = cross_formalism_potential(basis)
-    eps = mp.epsilon
     vi = interaction_potential(mp, basis, "H")
-    s_dyn = smatrix_interaction(vi, "S1starPlus", float(np.log(1e8) / eps), eps, tol=1e-10)
-    s_mom = smatrix_momentum(mp, basis, "S1starPlus", eps=eps)
-    return float(np.max(np.abs(s_dyn.matrix - s_mom.matrix))), 1e-6
+    horizon = float(np.log(1e8) / mp.epsilon)
+    u = ode_evolution(vi, -horizon, horizon, 1e-10)  # one window gives both time signs
+    return max(float(np.max(np.abs(smatrix_from_evolution(vi, u, family).matrix
+                                   - smatrix_momentum(mp, basis, family, mp.epsilon).matrix)))
+               for family in ("S1starPlus", "S2minus")), 1e-6
 
 
 def _check_crossing(cfg, basis, basis2, v):

@@ -144,8 +144,9 @@ def validate_config(cfg: dict) -> None:
         ("mass", cfg["mass"] > 0, "must be positive"),
         ("potential.shape", pot["shape"] in POTENTIAL_SHAPES,
          f"must be one of {POTENTIAL_SHAPES}"),
-        ("potential.width", pot["shape"] != "gaussian" or pot["width"] > 0,
-         "must be positive"),
+        ("potential.width", pot["shape"] != "gaussian" or pot["width"] > 0
+         and np.finfo(float).tiny <= 2.0 * pot["width"] * pot["width"] < math.inf,
+         "must be positive with 2 * width**2 a normal float"),
         ("potential.epsilon", pot["epsilon"] > 0, "must be positive"),
         ("eps_sweep", min(cfg["eps_sweep"], default=0) > 0,
          "must be a nonempty list of positive numbers"),
@@ -331,8 +332,7 @@ def cmd_scatter(cfg: dict, out: str) -> int:
     family = cfg["family"]
     trend = []
     for eps in cfg["eps_sweep"]:
-        v_eps = Potential(v.values, epsilon=eps, strength=v.strength)
-        s = _guarded(smatrix_momentum, v_eps, basis, family, eps=eps)
+        s = _guarded(smatrix_momentum, v, basis, family, eps=eps)
         tag = float(eps)  # an integer sweep entry still names eps1.0
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)

@@ -76,15 +76,10 @@ class ModePotential:
         self.epsilon = float(epsilon)
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        self.strength = 1.0
 
     @property
     def is_hermitian(self) -> bool:
         return bool(np.array_equal(self._matrix, self._matrix.conj().T))
-
-    @property
-    def values(self) -> np.ndarray:  # conjugation support
-        return self._matrix
 
     def matrix(self, basis: WaveBasis) -> np.ndarray:
         if self._matrix.shape != (basis.size, basis.size):
@@ -94,8 +89,9 @@ class ModePotential:
 
 def gaussian_potential(lattice, strength: float, width: float = 1.0,
                        center: float = 0.0, epsilon: float = 0.0) -> Potential:
-    x = lattice.points
-    vals = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+    # cli.validate_config keeps 2 * width**2 a normal float, so no value is NaN
+    with np.errstate(over="ignore", under="ignore"):
+        vals = np.exp(-np.square(lattice.points - center) / (2.0 * np.square(width)))
     return Potential(values=vals, epsilon=epsilon, strength=strength)
 
 
@@ -145,8 +141,8 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
     spectrum, so T is refined against the exact residual
     R = V - T + V (R0 o T) until every column meets 64 eps_mach max|V| or a
     step fails to halve the worst residual; the columns still above it are
-    solved directly.  A negative ``eps`` gives the conjugated resolvent of
-    the tilde route.
+    solved directly.  ``eps`` carries the sign of the resolvent: negative
+    for the advanced z = E - i|eps|.
 
     Before refining, the bound (1 + |V|_F / min_p|z - scale*E_p|) *
     (1 + |V|_F kappa(W) / min|z - lam|) on cond(I - V R0) is checked
@@ -349,7 +345,7 @@ def green_residual(g: FullGreen) -> float:
 
 # family -> (geometry family, time sign, starred, primed).  The families'
 # kappa shifts of the momentum label cancel against their measure
-# Jacobians, so a family only selects the time sign of the Dyson window.
+# Jacobians, so a family only selects the time sign of its resolvent and window.
 S_FAMILIES = {
     "S2minus": (2, -1, False, False),
     "S1starPlus": (1, +1, True, False),
@@ -381,29 +377,27 @@ def smatrix_momentum(
     v: Potential, basis: WaveBasis, family: str, eps: float,
     variant: str = H_PLAIN, tilde: bool = False,
 ) -> SMatrix:
-    """S_{pp'} = delta - 2 pi i delta_eps(E_p - E_p') T_{pp'}(E_p' + i eps).
+    """S_{pp'} = delta - sigma 2 pi i delta_eps(E_p - E_p') T_{pp'}(E_p' + i sigma eps).
 
-    Every on-shell column comes from one Lippmann-Schwinger solve.  Tilde
-    partners are built independently through the conjugated equations:
-    conjugated potential, resolvent at E - i eps and transposed placement
-    with the opposite sign of 2 pi i.
+    sigma is the family's time sign: S+ from the retarded T for +1, S- = (S+)^-1
+    from the advanced T for -1, as U(T, -T) and its inverse in the interaction
+    picture.  A tilde partner solves the conjugated equations on its own:
+    conj(V), sigma flipped and the transposed placement.
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
     e = variant_scale(variant, basis.ctx) * basis.energies
+    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
     diagnostics: dict = {}
-    if tilde:
-        t_mat = _ls_columns(np.conj(v.matrix(basis)), v.is_hermitian, basis, e, -eps,
-                            variant, diagnostics)
-    else:
-        t_mat = lippmann_schwinger_solve(v, basis, e, eps, variant, diagnostics)
+    t_mat = _ls_columns(vm, v.is_hermitian, basis, e, sigma * eps, variant, diagnostics)
     # beyond eps ~ 1e154 eps**2 overflows to inf and delta_eps to its limit 0
     with np.errstate(over="ignore"):
         lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))
-    step = 2j * np.pi * lor * t_mat
-    s = np.eye(basis.size) + step.T if tilde else np.eye(basis.size) - step
+    step = sigma * 2j * np.pi * lor * t_mat
+    s = np.eye(basis.size) - (step.T if tilde else step)
     return SMatrix(ctx=basis.ctx, basis=basis, matrix=s, family=family,
                    epsilon=eps, tilde=tilde, diagnostics=diagnostics)
 

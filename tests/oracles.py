@@ -4,7 +4,8 @@ The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel and the weighted kernel
 product over both branches, the matrix-exponential interacting Green's
 function and the per-(evaluation, source) kernel loop of the inhomogeneous
-solve.  The scalar ones evaluate one entry at a time: the q-exponential
+solve, and the per-column dense Lippmann-Schwinger solve of the on-shell
+S-matrix.  The scalar ones evaluate one entry at a time: the q-exponential
 series in Python complex arithmetic, and the CSV writers, which hand
 ``csv.writer`` each value formatted by hand as repr(float(x)).
 """
@@ -43,6 +44,26 @@ def expm_green(v, basis, variant, dt):
     theta(dt) expm(-i (scale*H0 + V) dt)."""
     h = np.diag(variant_scale(variant, basis.ctx) * basis.energies) + v.matrix(basis)
     return expm(-1j * h * dt) if dt >= 0 else np.zeros_like(h)
+
+
+def dense_smatrix(v, basis, eps, variant, time_sign, tilde):
+    """The on-shell S-matrix from one dense solve of (I - V R0(E_k + i sigma eps)) t
+    = V e_k per column k.  sigma is the family's time sign, flipped for a tilde
+    partner, which also takes conj(V); column k is placed as
+    S[:, k] = e_k - sigma 2 pi i delta_eps(E - E_k) t, as row k for a tilde partner."""
+    sigma = -time_sign if tilde else time_sign
+    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
+    e = variant_scale(variant, basis.ctx) * basis.energies
+    s = np.eye(basis.size, dtype=complex)
+    for k in range(basis.size):
+        r0 = 1.0 / (e[k] - e + 1j * sigma * eps)
+        t = np.linalg.solve(np.eye(basis.size) - vm * r0[None, :], vm[:, k])
+        lor = (eps / np.pi) / ((e - e[k]) ** 2 + eps ** 2)
+        if tilde:
+            s[k, :] -= sigma * 2j * np.pi * lor * t
+        else:
+            s[:, k] -= sigma * 2j * np.pi * lor * t
+    return s
 
 
 def pairwise_inhomogeneous(sources, basis, variant, times, t_eval, advanced=False):

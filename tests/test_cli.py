@@ -240,6 +240,10 @@ _FUZZ_CONFIGS = _config_objects(DEFAULT_CONFIG, lambda default: _typed(default) 
 
 @settings(max_examples=300, deadline=None)
 @example(command="scatter", user={"eps_sweep": [1.3407807929942597e154]})  # eps**2 overflowed
+# width**2 overflowed or underflowed, (x - center)**2 overflowed
+@example(command="scatter", user={"potential": {"width": 1.3407807929942597e154}})
+@example(command="scatter", user={"potential": {"width": 4.5e-303}})
+@example(command="scatter", user={"potential": {"center": 1e200}})
 @given(command=st.sampled_from(["basis", "scatter"]), user=_FUZZ_CONFIGS)
 def test_main_fuzz(fuzz_dir, command, user):
     _main_contract(fuzz_dir, command, user)
@@ -250,6 +254,10 @@ def test_main_fuzz(fuzz_dir, command, user):
 @settings(max_examples=30, deadline=None)
 @example(command="dyson", user={"dyson": {"epsilon": 1.12}})  # exp(-eps*T) rounded above 1e-8
 @example(command="propagate", user={"time_target": -1e308})  # E*t overflowed
+@example(command="dyson", user={"potential": {"width": 1.3407807929942597e154}})
+@example(command="verify", user={"potential": {"width": 4.5e-303}})
+@example(command="verify", user={"potential": {"center": 1e200}})
+@example(command="dyson", user={"potential": {"center": 1e200}})
 @given(command=st.sampled_from(["dyson", "verify", "propagate"]), user=_FUZZ_CONFIGS)
 def test_main_fuzz_dyson_verify(fuzz_dir, command, user):
     _main_contract(fuzz_dir, command, user)

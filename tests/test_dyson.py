@@ -19,8 +19,8 @@ from braidline import (
     unitarity_defect,
 )
 from braidline.basis import CoefficientVector
-from braidline.dyson import evolve
-from braidline.scattering import smatrix_momentum
+from braidline.dyson import evolve, smatrix_from_evolution
+from braidline.scattering import S_FAMILIES, smatrix_momentum
 
 Q = 0.9
 MASS = 1.0
@@ -313,12 +313,20 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     assert s_dyn.diagnostics["coupled_modes"] == 10
     assert s_dyn.diagnostics["order"] >= 1 and s_dyn.diagnostics["steps"] == 2
     assert s_dyn.diagnostics["tail"] <= 1e-10
-    # a time sign -1 family takes the reversed window, U(T, -T)^-1; the
-    # momentum route ignores the time sign, so there it is the adjoint
+    # a time sign -1 family takes the reversed window, U(T, -T)^-1, and the
+    # momentum route the advanced resolvent: the routes agree for every family
     s_minus = smatrix_interaction(vi10, "S2minus", horizon, eps, tol=1e-10)
     assert np.max(np.abs(s_minus.matrix @ s_dyn.matrix - np.eye(basis.size))) <= 1e-12
-    s_mom_minus = smatrix_momentum(v, basis, "S2minus", eps=eps)
-    assert np.max(np.abs(s_minus.matrix - s_mom_minus.matrix.conj().T)) < 1e-6
+    # U^-1 rather than the adjoint, so a non-Hermitian coupling agrees too
+    gain = vm.astype(complex)
+    gain[:10, :10] += 2e-5j * rng.normal(size=(10, 10))
+    for pot in (v, ModePotential(gain, epsilon=eps)):
+        vi = interaction_potential(pot, basis, "H")
+        u = ode_evolution(vi, -horizon, horizon, 1e-10)
+        for family in S_FAMILIES:
+            s_route = smatrix_from_evolution(vi, u, family).matrix
+            s_route_mom = smatrix_momentum(pot, basis, family, eps=eps).matrix
+            assert np.max(np.abs(s_route - s_route_mom)) < 1e-6, (pot.is_hermitian, family)
 
 
 def test_smatrix_interaction_free_past_overlap(basis):

@@ -22,7 +22,7 @@ from braidline import (
 from braidline import scattering
 from braidline.basis import CoefficientVector
 from braidline.checks import cross_formalism_potential
-from oracles import expm_green
+from oracles import dense_smatrix, expm_green
 from braidline.propagator import conjugation_partner
 from braidline.scattering import (
     S_FAMILIES,
@@ -119,13 +119,16 @@ def test_ls_reports_singular_system(basis):
 
 
 def test_tilde_route_reports_near_singular_system(basis):
-    # the conjugated system I - conj(V) R0(E - i eps) of the tilde partner,
-    # made near-singular by the resonant potential detuned by 1e-14
+    # the advanced system I - conj(V) R0(E - i eps) of a +1 family's tilde
+    # partner, made near-singular by the resonant potential detuned by 1e-14;
+    # a plain -1 family solves the same system with conj(V) in place of V
     vm = np.zeros((basis.size, basis.size), dtype=complex)
     vm[8, 8] = 1j * EPS * (1.0 + 1e-14)
-    v = ModePotential(vm, epsilon=EPS)
     with pytest.raises(np.linalg.LinAlgError):
-        smatrix_momentum(v, basis, "S2minusPrime", eps=EPS, tilde=True)
+        smatrix_momentum(ModePotential(vm, epsilon=EPS), basis, "S1plusPrime", eps=EPS,
+                         tilde=True)
+    with pytest.raises(np.linalg.LinAlgError):
+        smatrix_momentum(ModePotential(np.conj(vm), epsilon=EPS), basis, "S2minus", eps=EPS)
 
 
 def test_born_geometric_convergence(basis, weak_v):
@@ -350,23 +353,8 @@ POTENTIALS = {
                                          epsilon=EPS),
     "cross_formalism": cross_formalism_potential,
 }
-
-
-def dense_smatrix(v, basis, eps, variant, tilde):
-    """Reference: one dense solve of (I - V R0(E_k +- i eps)) t = V e_k per
-    on-shell column k, placed as smatrix_momentum places it."""
-    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
-    e = variant_scale(variant, basis.ctx) * basis.energies
-    s = np.eye(basis.size, dtype=complex)
-    for k in range(basis.size):
-        r0 = 1.0 / (e[k] - e + (-1j if tilde else 1j) * eps)
-        t = np.linalg.solve(np.eye(basis.size) - vm * r0[None, :], vm[:, k])
-        lor = (eps / np.pi) / ((e - e[k]) ** 2 + eps ** 2)
-        if tilde:
-            s[k, :] += 2j * np.pi * lor * t
-        else:
-            s[:, k] -= 2j * np.pi * lor * t
-    return s
+# a time sign +1 and a time sign -1 family: the retarded and advanced solves
+ONE_FAMILY_PER_SIGN = ("S1plusPrime", "S2minus")
 
 
 def on_shell_residuals(v, basis, eps, variant="H"):
@@ -395,11 +383,11 @@ def test_smatrix_matches_dense_per_column_solve(request, lattice_basis, shape):
         res, bound, diagnostics = on_shell_residuals(v, b, eps, variant)
         assert diagnostics["direct_columns"] == 0
         assert np.all(res <= bound)
-        for tilde in (False, True):
-            s = smatrix_momentum(v, b, "S2minus", eps=eps, variant=variant, tilde=tilde)
+        for family, tilde in itertools.product(ONE_FAMILY_PER_SIGN, (False, True)):
+            s = smatrix_momentum(v, b, family, eps=eps, variant=variant, tilde=tilde)
             assert s.diagnostics["max_residual"] <= bound
-            ref = dense_smatrix(v, b, eps, variant, tilde)
-            assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, variant, tilde)
+            ref = dense_smatrix(v, b, eps, variant, S_FAMILIES[family][1], tilde)
+            assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, variant, family, tilde)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "non_hermitian"])
@@ -416,10 +404,11 @@ def test_every_column_converges_at_n402(ctx, shape):
 def test_unconverged_columns_fall_back_to_the_direct_solve(basis, weak_v, monkeypatch):
     # an unreachable refinement target sends the columns to the guarded solve
     monkeypatch.setattr(scattering, "RESIDUAL_ULPS", 0.0)
-    s = smatrix_momentum(weak_v, basis, "S2minus", eps=EPS)
-    assert s.diagnostics["direct_columns"] > 0
-    ref = dense_smatrix(weak_v, basis, EPS, "H", False)
-    assert np.max(np.abs(s.matrix - ref)) <= 1e-12
+    for family, tilde in itertools.product(ONE_FAMILY_PER_SIGN, (False, True)):
+        s = smatrix_momentum(weak_v, basis, family, eps=EPS, tilde=tilde)
+        assert s.diagnostics["direct_columns"] > 0
+        ref = dense_smatrix(weak_v, basis, EPS, "H", S_FAMILIES[family][1], tilde)
+        assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (family, tilde)
 
 
 def test_smatrix_diagnostics(basis, weak_v):
