@@ -11,6 +11,7 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
@@ -90,7 +91,7 @@ class ModePotential:
 def gaussian_potential(lattice, strength: float, width: float = 1.0,
                        center: float = 0.0, epsilon: float = 0.0) -> Potential:
     # cli.validate_config keeps 2 * width**2 a normal float, so no value is NaN
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore"):
         vals = np.exp(-np.square(lattice.points - center) / (2.0 * np.square(width)))
     return Potential(values=vals, epsilon=epsilon, strength=strength)
 
@@ -112,12 +113,12 @@ def lippmann_schwinger_solve(
 
     ``energy`` holds one energy per column and a scalar broadcasts, so a
     scalar gives the full T(E) while the on-shell energies give column k of
-    T(E_k) in column k.  R0 is diagonal with entries
-    1/(E - scale*E_p + i eps).  ``diagnostics``, if given, receives the
-    health of the solve (see ``_ls_columns``).
+    T(E_k) in column k.  R0 is diagonal with entries 1/(E - scale*E_p + i eps):
+    retarded for eps > 0, advanced for eps < 0.  ``diagnostics``, if given,
+    receives the health of the solve (see ``_ls_columns``).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if eps == 0:
+        raise ValueError("eps must be nonzero")
     return _ls_columns(v.matrix(basis), v.is_hermitian, basis, energy, eps, variant,
                        diagnostics)
 
@@ -390,9 +391,11 @@ def smatrix_momentum(
         raise ValueError("eps must be positive")
     sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
     e = variant_scale(variant, basis.ctx) * basis.energies
-    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
+    # the tilde route's conj(V) keeps the Hermitian flag of V, so both solve alike
+    conj_v = SimpleNamespace(matrix=lambda b: np.conj(v.matrix(b)), is_hermitian=v.is_hermitian)
     diagnostics: dict = {}
-    t_mat = _ls_columns(vm, v.is_hermitian, basis, e, sigma * eps, variant, diagnostics)
+    t_mat = lippmann_schwinger_solve(conj_v if tilde else v, basis, e, sigma * eps, variant,
+                                     diagnostics)
     # beyond eps ~ 1e154 eps**2 overflows to inf and delta_eps to its limit 0
     with np.errstate(over="ignore"):
         lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))

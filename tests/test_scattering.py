@@ -89,6 +89,15 @@ def test_ls_identity(basis, weak_v):
     assert 0.0 < rho < 0.5
 
 
+def test_ls_negative_eps_takes_the_advanced_resolvent(basis, weak_v):
+    # T = V + V R0(E - i eps) T, the equation of a -1 family's S-matrix
+    energy = 1.0
+    t = lippmann_schwinger_solve(weak_v, basis, energy, -EPS)
+    vm = weak_v.matrix(basis)
+    r0 = np.diag(1.0 / (energy - basis.energies - 1j * EPS))
+    assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
+
+
 def test_ls_zero_potential(basis):
     v0 = Potential(np.zeros(basis.lattice.size), epsilon=EPS)
     t = lippmann_schwinger_solve(v0, basis, 1.0, EPS)
