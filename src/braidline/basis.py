@@ -189,16 +189,16 @@ def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
     The free modes are real and H0 never couples the mirrored half-lines, so the
     kernel is one positive-branch block, mirrored onto the negative branch, with
     exact zeros across the branches (each +-p pair shares f_p).  The block takes
-    one real GEMM for a real f and two for a complex f.  A complex basis, such as
-    the q-exponential one, is refused."""
+    one real GEMM, and a second one for a nonzero imaginary part of f; the kernel
+    has the type of f.  A complex basis, such as the q-exponential one, is refused."""
     if np.iscomplexobj(basis.vectors):
         raise ValueError("spectral kernels need the real free basis")
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
     block = (pos * f.real) @ pos.T
-    if np.iscomplexobj(f):
+    if f.imag.any():
         block = block + 1j * ((pos * f.imag) @ pos.T)
-    out = np.zeros((2 * half, 2 * half), dtype=block.dtype)
+    out = np.zeros((2 * half, 2 * half), dtype=np.result_type(block, f))
     out[half:, half:], out[:half, :half] = block, block[::-1, ::-1]
     return out
 
@@ -212,12 +212,16 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
 def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ (w[:, None] * b), one block product at a time over the 2x2 partition of
     rows and columns into the mirrored half-lines.  A block product with an all-zero
-    factor is skipped, so free kernels cost two half-size products; a real block of
-    ``a`` times a complex one of ``b`` runs as two real GEMMs, not promoted."""
+    factor is skipped; a real block of ``a`` times a complex one of ``b`` runs as two
+    real GEMMs, not promoted.  If square a, b and w are exactly even under the point
+    reversal J, as free kernels and H0 are, J(a w b)J = (JaJ)(JwJ)(JbJ) = a w b, so
+    only the positive-branch rows are multiplied and mirrored onto the negative ones."""
     half = a.shape[0] // 2
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
     parts = (slice(None, half), slice(half, None))
-    for r, c, k in product(parts, repeat=3):
+    even = (a.shape == b.shape == (2 * half, 2 * half) and np.array_equal(w, w[::-1])
+            and all(np.array_equal(m, m[::-1, ::-1]) for m in (a, b)))
+    for r, c, k in product(parts[even:], parts, parts):
         x, y = a[r, k], b[k, c]
         if not (x.any() and y.any()):
             continue
@@ -227,4 +231,6 @@ def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             out[r, c].real += x @ y.real
             out[r, c].imag += x @ y.imag
+    if even:
+        out[:half] = out[half:][::-1, ::-1]
     return out

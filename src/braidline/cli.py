@@ -35,6 +35,7 @@ from .scattering import (
     Potential,
     S_FAMILIES,
     gaussian_potential,
+    gaussian_width_ok,
     smatrix_momentum,
     transition_probability_table,
     unitarity_defect,
@@ -144,8 +145,7 @@ def validate_config(cfg: dict) -> None:
         ("mass", cfg["mass"] > 0, "must be positive"),
         ("potential.shape", pot["shape"] in POTENTIAL_SHAPES,
          f"must be one of {POTENTIAL_SHAPES}"),
-        ("potential.width", pot["shape"] != "gaussian" or pot["width"] > 0
-         and np.finfo(float).tiny <= 2.0 * pot["width"] * pot["width"] < math.inf,
+        ("potential.width", pot["shape"] != "gaussian" or gaussian_width_ok(pot["width"]),
          "must be positive with 2 * width**2 a normal float"),
         ("potential.epsilon", pot["epsilon"] > 0, "must be positive"),
         ("eps_sweep", min(cfg["eps_sweep"], default=0) > 0,

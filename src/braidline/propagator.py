@@ -110,16 +110,14 @@ def make_retarded(kernel: PropagatorKernel) -> PropagatorKernel:
 
 
 def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
-    """Time-reflected counterpart: K_-(t_y, t_x) = K_+(-t_y, -t_x), gated by theta
-    as in make_retarded: it shares the reflected matrix, or holds exact zeros."""
+    """Time-reflected counterpart K_-(t_y, t_x) = K_+(-t_y, -t_x), gated by theta as in
+    make_retarded: the bare kernel's conjugate (the free modes are real), or exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
     if not heaviside(kernel.t_source - kernel.t_target):
         return replace(kernel, matrix=np.zeros(kernel.matrix.shape, dtype=complex),
                        causality=ADVANCED)
-    reflected = free_propagator(kernel.basis, kernel.variant, -kernel.t_source,
-                                -kernel.t_target, tilde=kernel.tilde)
-    return replace(kernel, matrix=reflected.matrix, causality=ADVANCED)
+    return replace(kernel, matrix=np.conj(kernel.matrix), causality=ADVANCED)
 
 
 def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
@@ -157,10 +155,10 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
     s = _phase_sign(kernel.tilde) * (-1.0 if kernel.causality == ADVANCED else 1.0)
     b, e = kernel.basis, kernel.basis.energies
-    # i d_t acting on exp(s i E dt) brings down -s E per mode
-    dmat = theta * spectral_kernel(b, -s * e * np.exp(s * 1j * e * dt))
-    hk = branch_product(spectral_kernel(b, e), b.weights, kernel.matrix)
-    return float(np.linalg.norm(dmat + s * hk))
+    out = branch_product(spectral_kernel(b, s * e), b.weights, kernel.matrix)  # s H0 K
+    # plus i d_t K: i d_t acting on exp(s i E dt) brings down -s E per mode
+    out += spectral_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    return float(np.linalg.norm(out))
 
 
 def source_term(kernel: PropagatorKernel) -> np.ndarray:

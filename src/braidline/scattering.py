@@ -88,9 +88,15 @@ class ModePotential:
         return self._matrix
 
 
+def gaussian_width_ok(width: float) -> bool:
+    """Whether 2 * width**2 is a positive normal float, so no Gaussian value is NaN."""
+    return width > 0 and np.finfo(float).tiny <= 2.0 * width * width < np.inf
+
+
 def gaussian_potential(lattice, strength: float, width: float = 1.0,
                        center: float = 0.0, epsilon: float = 0.0) -> Potential:
-    # cli.validate_config keeps 2 * width**2 a normal float, so no value is NaN
+    if not gaussian_width_ok(width):
+        raise ValueError(f"width must be positive with 2 * width**2 a normal float: {width!r}")
     with np.errstate(over="ignore"):
         vals = np.exp(-np.square(lattice.points - center) / (2.0 * np.square(width)))
     return Potential(values=vals, epsilon=epsilon, strength=strength)

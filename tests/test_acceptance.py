@@ -20,12 +20,14 @@ from braidline import (
     braided_line,
     conjugate_smatrix,
     crossing_transform,
+    free_propagator,
     interaction_potential,
     make_lattice,
     smatrix_interaction,
     smatrix_momentum,
     unitarity_defect,
 )
+from braidline import checks
 from braidline.basis import half_line_hamiltonian
 from braidline.checks import born_errors, cross_formalism_potential, crossed_basis, run_check
 from braidline.cli import build_potential, build_scene, load_config
@@ -103,6 +105,33 @@ def test_c04_and_source_jump_detect_a_missing_mode(scene):
         holed.append(dataclasses.replace(b, vectors=vectors))
     assert run_check("boundary", cfg, *holed, v)["value"] > 1e-12
     assert run_check("residual", cfg, *holed, v)["value"] > 1e-10
+
+
+@pytest.mark.parametrize("j_max", [12, 50], ids=["n50", "n202"])
+def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkeypatch):
+    # a 1e-6 relative error in only the negative-branch block of the first kernel
+    # a check builds breaks the kernel's mirror symmetry, so the products take the
+    # full loop and see it: far above the clean value, which at N=202 already
+    # exceeds the absolute bound
+    cfg = load_config(None)
+    cfg["lattice"].update(j_min=-j_max, j_max=j_max)
+    _, lat, basis = build_scene(cfg)
+    scene = (cfg, basis, crossed_basis(basis), build_potential(cfg, lat))
+    clean = {name: run_check(name, *scene)["value"] for name in ("composition", "residual")}
+    built = []
+
+    def corrupt_first(b, *args, **kwargs):
+        kern = free_propagator(b, *args, **kwargs)
+        if not built:
+            kern.matrix[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
+        built.append(kern)
+        return kern
+
+    monkeypatch.setattr(checks, "free_propagator", corrupt_first)
+    for name, value in clean.items():
+        built.clear()
+        r = run_check(name, *scene)
+        assert not r["pass"] and r["value"] > 1e3 * value, (name, r["value"], value)
 
 
 def test_c05_conjugation_partners(scene):

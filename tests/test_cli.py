@@ -112,6 +112,9 @@ TYPE_PROBES = [
     # E*t overflowed the phases: NaN kernels and a numpy warning on stderr
     ({"time_target": -1e308}, "time_target"),
     ({"lattice": {"x0": 1e-45}, "time_target": 1e220}, "time_target"),
+    # 2 * width**2 left the normal floats: a NaN potential, or an overflow
+    ({"potential": {"width": 1e-170}}, "potential.width"),
+    ({"potential": {"width": 1.3407807929942597e154}}, "potential.width"),
 ]
 
 # the smallest lattice validate_config admits: N = 2 * (2 + 2 + 1) = 10 modes

@@ -164,6 +164,38 @@ def test_branch_product_dense_and_partial_operands(basis, weak_v):
         assert not check_product(a, w, b).any()
 
 
+def test_branch_product_mirrors_parity_even_operands(basis):
+    # exactly J-even operands (J the point reversal) give an exactly even product;
+    # one changed negative-branch entry takes the full loop, and both match the oracle
+    w, half = basis.weights, basis.size // 2
+    r = np.random.default_rng(12).normal(size=(basis.size, basis.size))
+    even = r + r[::-1, ::-1]
+    kern = free_propagator(basis, "K1", -0.2, 0.5).matrix
+    for a, b in ((even, kern), (kern, even), (even, even), (kern, kern)):
+        got = check_product(a, w, b)
+        assert np.array_equal(got, got[::-1, ::-1])
+        for i in range(2):
+            pair = [a.copy(), b.copy()]
+            pair[i][half - 4, half - 9] += 0.5
+            got = check_product(pair[0], w, pair[1])
+            assert not np.array_equal(got, got[::-1, ::-1])
+    w_odd = w.copy()
+    w_odd[2] *= 1.5
+    got = check_product(kern, w_odd, kern)
+    assert not np.array_equal(got, got[::-1, ::-1])
+
+
+def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2):
+    # a complex f with an all-zero imaginary part takes one GEMM, as a real f
+    # does, and keeps the complex type
+    for b in (basis, basis_g2):
+        for f in (b.energies, np.ones(b.size)):
+            got = spectral_kernel(b, f.astype(complex))
+            assert got.dtype == complex
+            assert np.array_equal(got, spectral_kernel(b, f))
+        assert free_propagator(b, "K1" if b is basis else "K2", 0.4, 0.4).matrix.dtype == complex
+
+
 def test_spectral_kernel_refuses_complex_basis(basis):
     qb, _ = build_qexp_basis(basis.lattice, MASS, basis.ctx, np.linspace(0.3, 2.0, 8), 60)
     with pytest.raises(ValueError):
@@ -254,7 +286,7 @@ def test_advanced_vanishes_for_forward_times(basis):
 
 
 def test_advanced_gate_closed_builds_no_kernel(basis, monkeypatch):
-    # theta = 0 is read before the reflected kernel would be built
+    # theta = 0 gives exact zeros without building any kernel
     bare = free_propagator(basis, "K1prime", 0.2, 1.0, tilde=True)
 
     def refuse(*args, **kwargs):
@@ -265,6 +297,18 @@ def test_advanced_gate_closed_builds_no_kernel(basis, monkeypatch):
     assert k.causality == "advanced" and k.tilde and k.variant == "K1prime"
     assert k.matrix.shape == bare.matrix.shape and k.matrix.dtype == complex
     assert not k.matrix.any()
+
+
+@SIZES
+@GEOMETRIES
+@pytest.mark.parametrize("tilde", [False, True], ids=["plain", "tilde"])
+def test_advanced_is_conjugate_of_bare_kernel(q, j_max, geometry, tilde):
+    # the real free modes make the time-reflected kernel the bare one's conjugate
+    b = free_basis(q, j_max, geometry)
+    variant = "K1prime" if geometry == 1 else "K2"
+    for t_s, t_t in ((0.9, 0.1), (0.3, -1.7), (0.4, 0.4)):
+        got = make_advanced(free_propagator(b, variant, t_s, t_t, tilde=tilde)).matrix
+        assert np.array_equal(got, free_propagator(b, variant, -t_s, -t_t, tilde=tilde).matrix)
 
 
 def test_advanced_is_time_reflection(basis):

@@ -75,6 +75,20 @@ def test_mode_potential_passthrough(basis):
     assert np.max(np.abs(mp.matrix(basis) - m)) == 0.0
 
 
+@pytest.mark.parametrize("width", [1e-170, 4.5e-303, 0.0, -1.0, 1.3407807929942597e154,
+                                   np.inf, np.nan])
+def test_gaussian_potential_refuses_a_bad_width(width):
+    # 2 * width**2 outside the positive normal floats: a NaN (and a divide-by-zero
+    # warning) at the lattice point on the center, or a negative width
+    with pytest.raises(ValueError, match="width"):
+        gaussian_potential(make_lattice(0.9), 1.0, width=width, center=1.0)
+
+
+def test_gaussian_potential_admits_the_narrowest_normal_width():
+    vals = gaussian_potential(make_lattice(0.9), 1.0, width=1.1e-154, center=1.0).values
+    assert np.all(np.isfinite(vals)) and vals.max() == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Lippmann-Schwinger and Born
 
