@@ -22,6 +22,7 @@ import shutil
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
@@ -63,7 +64,7 @@ DEFAULT_CONFIG = {
 POTENTIAL_SHAPES = ("gaussian", "point", "none")
 MIN_MODES = 10
 MAX_MODES = 802  # the largest lattice the benchmark builds
-CHUNK = 1024  # array entries per CSV repr call and write, in whole rows
+CHUNK = 1024  # array entries per CSV formatter (orjson) call and write, in whole rows
 # the eigensolver (stemr) fails on some H0 diagonals spanning ~240 decades
 H0_RANGE = 1e100
 
@@ -206,17 +207,32 @@ def build_potential(cfg: dict, lattice) -> Potential:
 # deterministic writers
 
 def _reprs(values) -> tuple:
-    """repr(float(x)) of each value, complex as re, im, from one C-level call."""
+    """repr(float(x)) of each value, complex as re, im: Ryu's shortest digits
+    from one orjson call, respelled to repr's bytes."""
     flat = np.ravel(values)
     flat = flat.astype(complex).view(float) if np.iscomplexobj(flat) else flat.astype(float)
-    # a float list's repr is "[a, b, ...]", and no float repr contains ", "
-    return tuple(repr(flat.tolist())[1:-1].split(", ")) if flat.size else ()
+    if not flat.size:
+        return ()
+    # orjson's "[a,b,...]" as "a,b,...,", so a "," ends every entry
+    raw = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = np.frombuffer(raw[1:-1] + b",", np.uint8)
+    e = np.flatnonzero(text == ord("e"))
+    neg = text[e + 1] == ord("-")
+    # Ryu's e16 is repr's e+16, and its e-5 is repr's e-05
+    plus, zero = e[~neg] + 1, e[neg & (text[e + 3] == ord(","))] + 2
+    fill = np.frombuffer(b"+" * plus.size + b"0" * zero.size, np.uint8)
+    out = np.insert(text, np.r_[plus, zero], fill).tobytes().decode().split(",")[:-1]
+    # Ryu writes 1e-05 <= |x| < 1e-04 positionally and nan, inf as null
+    mag = np.abs(flat)
+    for i in np.flatnonzero(~np.isfinite(mag) | ((1e-5 <= mag) & (mag < 1e-4))).tolist():
+        out[i] = repr(float(flat[i]))
+    return tuple(out)
 
 
 def _write_table(path: str, header: list, values: np.ndarray, row_template, preamble=()):
     """The one CSV writer: the ``preamble`` (template, floats) lines, the header,
     then row k of the 2-D ``values`` as ``row_template(k)`` with a "%s" per float,
-    one repr call and one write per chunk of whole rows (about CHUNK entries).
+    one orjson call and one write per chunk of whole rows (about CHUNK entries).
     The bytes are ``csv.writer``'s: CRLF line ends, ints as str, floats as repr."""
     with open(path, "w", newline="") as fh:
         for template, floats in [*preamble, (",".join(header) + "\r\n", ())]:

@@ -472,7 +472,7 @@ def test_write_matrix_csv_matches_per_entry_oracle(tmp_path, mat):
 
 def _special_chunk_edges(mat, chunk, offset=0):
     """Put SPECIAL_FLOATS on the first and last entry of each chunk the writer
-    formats in one repr call (whole rows, about ``chunk`` entries)."""
+    formats in one orjson call (whole rows, about ``chunk`` entries)."""
     n, m = mat.shape
     step = max(1, chunk // max(m, 1))
     edges = [pos for r in range(0, n if m else 0, step)
@@ -481,6 +481,46 @@ def _special_chunk_edges(mat, chunk, offset=0):
     for k, pos in enumerate(edges):
         re, im = vals[k % vals.size], vals[-1 - k % vals.size]
         mat[pos] = complex(re, im) if np.iscomplexobj(mat) else re
+
+
+def _format_cases():
+    """Every decade from 5e-324 to 1e308, the steps around repr's and Ryu's
+    notation switches, signed zeros, subnormals, nan, inf and random bits."""
+    rng = np.random.default_rng(20181)
+    decades = np.array([float(f"{m}e{k}") for k in range(-324, 309)
+                        for m in (1, 3, 7.25, 9.87654321)])
+    edges = [9999999999999998.0]
+    for x in (1e-5, 1e-4, 1e15, 1e16):
+        for toward in (0.0, np.inf):
+            y = x
+            for _ in range(4):
+                y = np.nextafter(y, toward)
+                edges.append(y)
+    special = [0.0, 5e-324, 2.5e-310, 2.225073858507201e-308, *SPECIAL_FLOATS]
+    return {"decades": np.r_[decades, -decades], "edges": np.r_[edges, np.negative(edges)],
+            "special": np.r_[special, np.negative(special)],
+            "random_bits": rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(float)}
+
+
+_FORMAT_CASES = _format_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+def test_reprs_match_float_repr(case):
+    # orjson's Ryu text respelled (e+16, e-05, the 1e-05 window, nan and inf)
+    # against Python's own repr, value by value
+    values = _FORMAT_CASES[case]
+    got, want = cli._reprs(values), tuple(map(repr, values.tolist()))
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_reprs_interleave_complex():
+    values = _FORMAT_CASES["decades"][::7]
+    z = np.empty(values.size // 2, complex)
+    z.real, z.imag = values[:z.size], values[z.size:2 * z.size]
+    want = tuple(repr(part) for v in z.tolist() for part in (v.real, v.imag))
+    assert cli._reprs(z) == want
 
 
 # every dtype the writer widens to float64, with values of any repr
@@ -511,16 +551,34 @@ def test_write_matrix_csv_property(fuzz_dir, kind, shape, chunk, data):
     assert (fuzz_dir / "new.csv").read_bytes() == (fuzz_dir / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("shape", [(3, cli.CHUNK + 1), (2 * cli.CHUNK + 3, 1), (7, cli.CHUNK // 3)])
+_SPAN_SHAPES = [(3, cli.CHUNK + 1), (2 * cli.CHUNK + 3, 1), (7, cli.CHUNK // 3)]
+
+
+@pytest.mark.parametrize("shape, fill", [
+    pytest.param(shape, fill, id=f"shape{k}" + ("" if fill == "ldexp" else f"-{fill}"))
+    for fill in ("ldexp", "window", "nonfinite") for k, shape in enumerate(_SPAN_SHAPES)])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_write_matrix_csv_spans_chunks(tmp_path, shape, dtype):
+def test_write_matrix_csv_spans_chunks(tmp_path, shape, dtype, fill):
     # several chunks at the real chunk size, one row wider than a chunk or many
-    # rows per chunk, with subnormal to ~1e301 magnitudes
+    # rows per chunk, with subnormal to ~1e301 magnitudes; "window" and
+    # "nonfinite" then fill the first half, at least one whole chunk, with
+    # values that all take the per-index repr patch
     rng = np.random.default_rng(7)
     mat = np.ldexp(rng.standard_normal(shape), rng.integers(-1070, 1000, size=shape))
     if dtype is complex:
         mat = mat + 1j * np.ldexp(rng.standard_normal(shape), rng.integers(-1070, 1000, size=shape))
     _special_chunk_edges(mat, cli.CHUNK)
+    half = mat.size // 2
+    if fill == "window":
+        head = rng.uniform(1e-5, 1e-4, (2, half)) * rng.choice([-1.0, 1.0], (2, half))
+    elif fill == "nonfinite":
+        head = rng.choice([np.nan, np.inf, -np.inf], (2, half))
+    if fill != "ldexp":
+        flat = mat.reshape(-1)
+        if dtype is complex:
+            flat.real[:half], flat.imag[:half] = head
+        else:
+            flat[:half] = head[0]
     cli.write_matrix_csv(str(tmp_path / "new.csv"), mat)
     oracles.write_matrix_csv(str(tmp_path / "ref.csv"), mat)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
