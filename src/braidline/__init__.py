@@ -51,6 +51,7 @@ from .scattering import (
     smatrix_momentum,
     transition_probability,
     unitarity_defect,
+    variant_basis,
 )
 from .dyson import (
     EvolutionOperator,

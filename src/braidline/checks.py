@@ -140,7 +140,7 @@ def _check_unitarity(cfg, basis, basis2, v):
 
 def _check_cross_formalism(cfg, basis, basis2, v):
     mp = cross_formalism_potential(basis)
-    vi = interaction_potential(mp, basis, "H")
+    vi = interaction_potential(mp, basis)
     horizon = float(np.log(1e8) / mp.epsilon)
     u = ode_evolution(vi, -horizon, horizon, 1e-10)  # one window gives both time signs
     return max(float(np.max(np.abs(smatrix_from_evolution(vi, u, family).matrix

@@ -376,7 +376,7 @@ def cmd_dyson(cfg: dict, out: str) -> int:
     vm = build_potential(cfg, lat).matrix(basis)
     block = np.zeros_like(vm)
     block[:n_modes, :n_modes] = vm[:n_modes, :n_modes]
-    vi = interaction_potential(ModePotential(block, epsilon=eps), basis, "H")
+    vi = interaction_potential(ModePotential(block, epsilon=eps), basis)
     horizon = float(np.log(1e8) / eps)
     os.makedirs(out, exist_ok=True)
     # one evolution per run: the S-matrix of either time sign follows from it

@@ -19,29 +19,24 @@ import numpy as np
 
 from .basis import CoefficientVector, WaveBasis
 from .qcalc import G1
-from .scattering import Potential, SMatrix, S_FAMILIES, _dyson_blocks, variant_scale
+from .scattering import Potential, SMatrix, S_FAMILIES, _dyson_blocks
 
 
 @dataclass
 class InteractionPotential:
-    """V_I(t)_{pp'} = exp(i (E_p - E_p') s t) V_{pp'} exp(-eps |t|)."""
+    """V_I(t)_{pp'} = exp(i (E_p - E_p') t) V_{pp'} exp(-eps |t|)."""
 
     basis: WaveBasis
     matrix: np.ndarray  # V in the energy basis
-    variant: str
     epsilon: float
 
-    @property
-    def scale(self) -> float:
-        return variant_scale(self.variant, self.basis.ctx)
-
     def at(self, t: float) -> np.ndarray:
-        phase = np.exp(1j * self.scale * self.basis.energies * t)
+        phase = np.exp(1j * self.basis.energies * t)
         return np.outer(phase, phase.conj()) * self.matrix * np.exp(-self.epsilon * abs(t))
 
 
-def interaction_potential(v: Potential, basis: WaveBasis, variant: str) -> InteractionPotential:
-    return InteractionPotential(basis, v.matrix(basis), variant, v.epsilon)
+def interaction_potential(v: Potential, basis: WaveBasis) -> InteractionPotential:
+    return InteractionPotential(basis, v.matrix(basis), v.epsilon)
 
 
 @dataclass
@@ -49,7 +44,6 @@ class EvolutionOperator:
     matrix: np.ndarray
     t_from: float
     t_to: float
-    construction: str  # "dyson(N)" or "ode(tol)"
     geometry: str = G1
     # order (K), steps, tail and coupled_modes; see _integrate
     diagnostics: dict = field(default_factory=dict)
@@ -59,16 +53,14 @@ class EvolutionOperator:
         return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
-def to_interaction_picture(psi: CoefficientVector, variant: str) -> CoefficientVector:
-    """Remove the free phase: multiply coefficient p by exp(+i E_p s t)."""
-    scale = variant_scale(variant, psi.basis.ctx)
-    phase = np.exp(1j * psi.basis.energies * scale * psi.time)
+def to_interaction_picture(psi: CoefficientVector) -> CoefficientVector:
+    """Remove the free phase: multiply coefficient p by exp(+i E_p t)."""
+    phase = np.exp(1j * psi.basis.energies * psi.time)
     return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
 
 
-def from_interaction_picture(psi: CoefficientVector, variant: str) -> CoefficientVector:
-    scale = variant_scale(variant, psi.basis.ctx)
-    phase = np.exp(-1j * psi.basis.energies * scale * psi.time)
+def from_interaction_picture(psi: CoefficientVector) -> CoefficientVector:
+    phase = np.exp(-1j * psi.basis.energies * psi.time)
     return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
 
 
@@ -100,7 +92,7 @@ def _integrate(
         return -math.expm1(-eps * abs(t)) / eps if eps else abs(t)
 
     sigma, c = (1.0, -1j) if left else (-1.0, 1j)  # G2 is the transposed problem
-    e = sigma * vi.scale * vi.basis.energies[idx]
+    e = sigma * vi.basis.energies[idx]
     # |t| is monotone on each piece, so the envelope is one exponential there
     pieces = [(t_from, 0.0), (0.0, t_to)] if t_from * t_to < 0 else [(t_from, t_to)]
     counts, order = [1] * len(pieces), levels
@@ -146,7 +138,7 @@ def ode_evolution(
     if tol <= 0:
         raise ValueError("tol must be positive")
     u, diag = _integrate(vi, t_from, t_to, tol, None)
-    return EvolutionOperator(u, t_from, t_to, f"ode({tol:g})", vi.basis.ctx.geometry, diag)
+    return EvolutionOperator(u, t_from, t_to, vi.basis.ctx.geometry, diag)
 
 
 def dyson_evolution(
@@ -158,7 +150,7 @@ def dyson_evolution(
     if order < 0:
         raise ValueError("order must be >= 0")
     u, diag = _integrate(vi, t_from, t_to, 0.0, order)
-    return EvolutionOperator(u, t_from, t_to, f"dyson({order})", vi.basis.ctx.geometry, diag)
+    return EvolutionOperator(u, t_from, t_to, vi.basis.ctx.geometry, diag)
 
 
 def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
@@ -168,16 +160,14 @@ def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
     return CoefficientVector(psi.basis, vals, time=u.t_to)
 
 
-def interaction_coefficients(
-    states: list[CoefficientVector], variant: str,
-) -> tuple[np.ndarray, np.ndarray]:
+def interaction_coefficients(states: list[CoefficientVector]) -> tuple[np.ndarray, np.ndarray]:
     """Time series C_p(t): projection against the t = 0 plane waves.
 
     Returns (times, C) with C of shape (len(states), modes).  Free states
     produce constant rows.
     """
     times = np.array([s.time for s in states])
-    rows = [to_interaction_picture(s, variant).values for s in states]
+    rows = [to_interaction_picture(s).values for s in states]
     return times, np.stack(rows, axis=0)
 
 
@@ -186,7 +176,7 @@ def smatrix_from_evolution(vi: InteractionPotential, u: EvolutionOperator, famil
     time sign +1, the reversed window U(-T, T) = U(T, -T)^-1 for -1 (the
     inverse, not the adjoint, so a non-Hermitian V stays right)."""
     mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
-    return SMatrix(ctx=vi.basis.ctx, basis=vi.basis, matrix=mat, family=family,
+    return SMatrix(basis=vi.basis, matrix=mat, family=family,
                    epsilon=vi.epsilon, tilde=False, diagnostics=dict(u.diagnostics))
 
 

@@ -10,7 +10,7 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +35,12 @@ def variant_scale(variant: str, ctx) -> float:
     raise ValueError(f"unknown Hamiltonian variant {variant!r}")
 
 
+def variant_basis(basis: WaveBasis, variant: str) -> WaveBasis:
+    """The free basis of the variant's s*H0: the modes, weights, lattice, ctx and
+    momentum labels of ``basis``, with the energies E' = s p**2/2m."""
+    return replace(basis, energies=variant_scale(variant, basis.ctx) * basis.energies)
+
+
 @dataclass
 class Potential:
     """Position-diagonal interaction with adiabatic switching.
@@ -50,8 +56,8 @@ class Potential:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=complex)
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
     @property
     def is_hermitian(self) -> bool:
@@ -75,8 +81,8 @@ class ModePotential:
     def __init__(self, matrix: np.ndarray, epsilon: float = 0.0):
         self._matrix = np.asarray(matrix, dtype=complex)
         self.epsilon = float(epsilon)
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
     @property
     def is_hermitian(self) -> bool:
@@ -112,56 +118,35 @@ RESIDUAL_ULPS = 64
 
 
 def lippmann_schwinger_solve(
-    v: Potential, basis: WaveBasis, energy, eps: float,
-    variant: str = H_PLAIN, diagnostics: dict | None = None,
+    v: Potential, basis: WaveBasis, energy, eps: float, diagnostics: dict | None = None,
 ) -> np.ndarray:
     """Solve T = V + V R0(E + i eps) T for every column in one decomposition.
 
     ``energy`` holds one energy per column and a scalar broadcasts, so a
     scalar gives the full T(E) while the on-shell energies give column k of
-    T(E_k) in column k.  R0 is diagonal with entries 1/(E - scale*E_p + i eps):
-    retarded for eps > 0, advanced for eps < 0.  ``diagnostics``, if given,
-    receives the health of the solve (see ``_ls_columns``).
-    """
-    if eps == 0:
-        raise ValueError("eps must be nonzero")
-    return _ls_columns(v.matrix(basis), v.is_hermitian, basis, energy, eps, variant,
-                       diagnostics)
+    T(E_k) in column k.  R0 is diagonal with entries 1/(E - E_p + i eps) for
+    the energies E_p of ``basis``: retarded for eps > 0, advanced for eps < 0.
 
-
-def born_radius(v: Potential, basis: WaveBasis, energy: float, eps: float,
-                variant: str = H_PLAIN) -> float:
-    """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    r0 = 1.0 / (energy - variant_scale(variant, basis.ctx) * basis.energies + 1j * eps)
-    return float(np.max(np.abs(np.linalg.eigvals(v.matrix(basis) * r0[None, :]))))
-
-
-def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: float,
-                variant: str, diagnostics: dict | None) -> np.ndarray:
-    """Columns k of T = (I - V R0(z_k))^-1 V, z_k = energy[k] + i eps.
-
-    With H = scale*H0 + V = W diag(lam) W^-1 (``_eigen``), the resolvent identity gives
+    With H = H0 + V = W diag(lam) W^-1 (``_eigen``), the resolvent identity gives
     (I - V R0(z))^-1 = I + V W g W^-1 with g = 1/(z - lam), so every column
     is T = V + (V W)(g o W^-1 V).  Rounding in W grows with the top of the
     spectrum, so T is refined against the exact residual
     R = V - T + V (R0 o T) until every column meets 64 eps_mach max|V| or a
     step fails to halve the worst residual; the columns still above it are
-    solved directly.  ``eps`` carries the sign of the resolvent: negative
-    for the advanced z = E - i|eps|.
+    solved directly.
 
-    Before refining, the bound (1 + |V|_F / min_p|z - scale*E_p|) *
+    Before refining, the bound (1 + |V|_F / min_p|z - E_p|) *
     (1 + |V|_F kappa(W) / min|z - lam|) on cond(I - V R0) is checked
     against COND_LIMIT: ill-conditioned systems raise LinAlgError, never
-    silently regularised.  ``diagnostics`` receives the worst bound, the
-    refinement steps, the worst column residual and the direct solves.
+    silently regularised.  ``diagnostics``, if given, receives the worst
+    bound, the refinement steps, the worst column residual and the direct solves.
     """
-    m = basis.size
-    ep = variant_scale(variant, basis.ctx) * basis.energies
+    if not 0 < abs(eps) < np.inf:
+        raise ValueError(f"eps must be finite and nonzero: {eps!r}")
+    vm, m, ep = v.matrix(basis), basis.size, basis.energies
     z = np.broadcast_to(np.asarray(energy, dtype=float), (m,)) + 1j * eps
     r0 = 1.0 / (z[None, :] - ep[:, None])  # R0[p, k] at the energy of column k
-    lam, w, w_inv, kappa = _eigen(np.diag(ep) + vm, hermitian)
+    lam, w, w_inv, kappa = _eigen(np.diag(ep) + vm, v.is_hermitian)
     # an overflowing or infinite bound is refused below, not warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
@@ -202,8 +187,16 @@ def _ls_columns(vm: np.ndarray, hermitian: bool, basis: WaveBasis, energy, eps: 
     return t
 
 
+def born_radius(v: Potential, basis: WaveBasis, energy: float, eps: float) -> float:
+    """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite: {eps!r}")
+    r0 = 1.0 / (energy - basis.energies + 1j * eps)
+    return float(np.max(np.abs(np.linalg.eigvals(v.matrix(basis) * r0[None, :]))))
+
+
 def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(lam, W, W^-1, kappa(W)) of h = scale*H0 + V = W diag(lam) W^-1: ``eigh``
+    """(lam, W, W^-1, kappa(W)) of h = H0 + V = W diag(lam) W^-1: ``eigh``
     when V is Hermitian by construction, else ``eig``, refused (LinAlgError)
     when kappa(W) exceeds COND_LIMIT."""
     if hermitian:
@@ -212,7 +205,7 @@ def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.n
     lam, w = np.linalg.eig(h)
     kappa = np.linalg.cond(w)
     if not kappa <= COND_LIMIT:  # NaN included
-        raise np.linalg.LinAlgError(f"eigenbasis of scale*H0 + V has cond={kappa:.3e}")
+        raise np.linalg.LinAlgError(f"eigenbasis of H0 + V has cond={kappa:.3e}")
     return lam, w, np.linalg.inv(w), kappa
 
 
@@ -227,26 +220,24 @@ def _guarded_ls_column(vm: np.ndarray, r0: np.ndarray, rhs: np.ndarray) -> np.nd
 
 
 def born_wavefunction(
-    phi: CoefficientVector, v: Potential, order: int,
-    variant: str = H_PLAIN, times: np.ndarray | None = None,
+    phi: CoefficientVector, v: Potential, order: int, times: np.ndarray | None = None,
 ) -> list[CoefficientVector]:
     """Order-N Born series in the energy basis, closed-form time integrals.
 
     Each incoming mode q contributes the iteration (R0(E_q) V)^n with
-    uniform denominators 1/(scale*(E_q - E_p) + i eps).  Order 0 is the
-    free solution with the variant's scaled phase attached.
+    uniform denominators 1/(E_q - E_p + i eps).  Order 0 is the free
+    solution with its phase attached.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if v.epsilon <= 0 and order > 0:
         raise ValueError("adiabatic epsilon must be positive for the Born series")
     basis = phi.basis
-    scale = variant_scale(variant, basis.ctx)
     vm = v.matrix(basis)
     e = basis.energies
     c_total = phi.values.astype(complex).copy()
     for jq in np.nonzero(np.abs(phi.values) > 0)[0]:
-        r0 = 1.0 / (scale * (e[jq] - e) + 1j * v.epsilon)
+        r0 = 1.0 / (e[jq] - e + 1j * v.epsilon)
         m = r0[:, None] * vm
         term = np.zeros(basis.size, dtype=complex)
         term[jq] = phi.values[jq]
@@ -258,7 +249,7 @@ def born_wavefunction(
     e_in = _incoming_energy(phi)
     out = []
     for t in np.asarray(times, dtype=float):
-        phase = np.exp(-1j * scale * e_in * t)
+        phase = np.exp(-1j * e_in * t)
         out.append(CoefficientVector(basis, phase * c_total, time=float(t)))
     return out
 
@@ -278,12 +269,11 @@ def _incoming_energy(phi: CoefficientVector) -> float:
 class FullGreen:
     kernel: PropagatorKernel
     potential: Potential
-    variant: str
     order: int | None  # None means exact
 
 
 def full_green(
-    v: Potential, basis: WaveBasis, variant: str, order: int | None,
+    v: Potential, basis: WaveBasis, order: int | None,
     t_source: float, t_target: float, prop_variant: str = "K1prime",
 ) -> FullGreen:
     """Retarded interacting kernel G = K + (-i) int K V G dt.
@@ -292,10 +282,9 @@ def full_green(
     expansion in powers of V (each iterated time integral is evaluated
     exactly through a block matrix exponential), while ``order=None``
     gives the full evolution W exp(-i lam dt) W^-1 from the eigenbasis of
-    scale*H0 + V.
+    H0 + V.
     """
-    vm = v.matrix(basis)
-    e = variant_scale(variant, basis.ctx) * basis.energies
+    vm, e = v.matrix(basis), basis.energies
     dt = t_target - t_source
     if dt < 0:
         mat_modes = np.zeros_like(vm)
@@ -310,7 +299,7 @@ def full_green(
         basis=basis, variant=prop_variant, t_source=t_source,
         t_target=t_target, matrix=mat, tilde=False, causality="retarded",
     )
-    return FullGreen(kernel=kern, potential=v, variant=variant, order=order)
+    return FullGreen(kernel=kern, potential=v, order=order)
 
 
 def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: float,
@@ -330,16 +319,16 @@ def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: floa
 
 
 def green_residual(g: FullGreen) -> float:
-    """|| i d_t G - (scale*H0 + V) G ||_F of an exact-order kernel off the source
+    """|| i d_t G - (H0 + V) G ||_F of an exact-order kernel off the source
     slice, with i d_t G = theta(dt) W lam exp(-i lam dt) W^-1 analytic through
     the eigenbasis of the full Hamiltonian."""
     dt = g.kernel.t_target - g.kernel.t_source
     if g.order is not None or dt == 0:
         raise ValueError("residual check requires the exact kernel off the source slice")
     basis = g.kernel.basis
-    h = np.diag(variant_scale(g.variant, basis.ctx) * basis.energies) + g.potential.matrix(basis)
+    h = np.diag(basis.energies) + g.potential.matrix(basis)
     u = basis.vectors
-    lhs = u @ (h @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # (scale*H0 + V) G
+    lhs = u @ (h @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # (H0 + V) G
     rhs = 0.0  # on the causal zero side
     if dt > 0:
         lam, w, w_inv, _ = _eigen(h, g.potential.is_hermitian)
@@ -368,10 +357,9 @@ S_FAMILIES = {
 @dataclass
 class SMatrix:
     """An S-matrix with its labels.  ``diagnostics`` holds the health of the
-    solve that built it (see ``_ls_columns``) and is never written to a
-    report, so reports stay byte-identical from run to run."""
+    solve that built it (see ``lippmann_schwinger_solve``) and is never written
+    to a report, so reports stay byte-identical from run to run."""
 
-    ctx: object
     basis: WaveBasis
     matrix: np.ndarray
     family: str
@@ -381,8 +369,7 @@ class SMatrix:
 
 
 def smatrix_momentum(
-    v: Potential, basis: WaveBasis, family: str, eps: float,
-    variant: str = H_PLAIN, tilde: bool = False,
+    v: Potential, basis: WaveBasis, family: str, eps: float, tilde: bool = False,
 ) -> SMatrix:
     """S_{pp'} = delta - sigma 2 pi i delta_eps(E_p - E_p') T_{pp'}(E_p' + i sigma eps).
 
@@ -393,27 +380,26 @@ def smatrix_momentum(
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite: {eps!r}")
     sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
-    e = variant_scale(variant, basis.ctx) * basis.energies
+    e = basis.energies
     # the tilde route's conj(V) keeps the Hermitian flag of V, so both solve alike
     conj_v = SimpleNamespace(matrix=lambda b: np.conj(v.matrix(b)), is_hermitian=v.is_hermitian)
     diagnostics: dict = {}
-    t_mat = lippmann_schwinger_solve(conj_v if tilde else v, basis, e, sigma * eps, variant,
-                                     diagnostics)
+    t_mat = lippmann_schwinger_solve(conj_v if tilde else v, basis, e, sigma * eps, diagnostics)
     # beyond eps ~ 1e154 eps**2 overflows to inf and delta_eps to its limit 0
     with np.errstate(over="ignore"):
         lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))
     step = sigma * 2j * np.pi * lor * t_mat
     s = np.eye(basis.size) - (step.T if tilde else step)
-    return SMatrix(ctx=basis.ctx, basis=basis, matrix=s, family=family,
-                   epsilon=eps, tilde=tilde, diagnostics=diagnostics)
+    return SMatrix(basis=basis, matrix=s, family=family, epsilon=eps, tilde=tilde,
+                   diagnostics=diagnostics)
 
 
 def conjugate_smatrix(s: SMatrix) -> SMatrix:
     """Entrywise conjugate with transposed labels; toggles tilde and prime."""
-    return SMatrix(ctx=s.ctx, basis=s.basis, matrix=np.conj(s.matrix).T,
+    return SMatrix(basis=s.basis, matrix=np.conj(s.matrix).T,
                    family=conjugation_partner(S_FAMILIES, s.family), epsilon=s.epsilon,
                    tilde=not s.tilde, diagnostics=dict(s.diagnostics))
 

@@ -161,7 +161,7 @@ def test_c07_unitarity_trend_and_controls(scene):
     block = rng.normal(size=(8, 8))
     vm = np.zeros((basis.size, basis.size))
     vm[:8, :8] = 0.01 * (block + block.T)
-    vi = interaction_potential(ModePotential(vm, epsilon=eps), basis, "H")
+    vi = interaction_potential(ModePotential(vm, epsilon=eps), basis)
     s = smatrix_interaction(vi, "S1starPlus", np.log(1e8) / eps, eps, tol=1e-8)
     registered("unitarity_trend", scene,
                "C07 unitarity improves with adiabatic switching",

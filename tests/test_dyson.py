@@ -20,7 +20,7 @@ from braidline import (
 )
 from braidline.basis import CoefficientVector
 from braidline.dyson import evolve, smatrix_from_evolution
-from braidline.scattering import S_FAMILIES, smatrix_momentum
+from braidline.scattering import S_FAMILIES, smatrix_momentum, variant_basis, variant_scale
 
 Q = 0.9
 MASS = 1.0
@@ -40,7 +40,7 @@ def basis(ctx):
 @pytest.fixture(scope="module")
 def vi(basis):
     v = gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=SWITCH)
-    return interaction_potential(v, basis, "H")
+    return interaction_potential(v, basis)
 
 
 def test_interaction_potential_at_zero_is_bare(basis, vi):
@@ -49,13 +49,16 @@ def test_interaction_potential_at_zero_is_bare(basis, vi):
 
 
 def test_interaction_potential_phases_and_envelope(basis, vi):
+    # on H and on H'', whose phases carry the scaled energies q**zeta E_p
     t = 0.8
-    vt = vi.at(t)
-    e = basis.energies
-    phase = np.exp(1j * e * t)
     bare = vi.matrix
-    expect = (phase[:, None] * bare * np.conj(phase)[None, :]) * np.exp(-SWITCH * t)
-    assert np.max(np.abs(vt - expect)) < 1e-13
+    for variant in ("H", "Hdoubleprime"):
+        vt = interaction_potential(ModePotential(bare, epsilon=SWITCH),
+                                   variant_basis(basis, variant)).at(t)
+        e = variant_scale(variant, basis.ctx) * basis.energies
+        phase = np.exp(1j * e * t)
+        expect = (phase[:, None] * bare * np.conj(phase)[None, :]) * np.exp(-SWITCH * t)
+        assert np.max(np.abs(vt - expect)) < 1e-13, variant
 
 
 def test_evolution_identity_cases(vi):
@@ -85,7 +88,7 @@ def test_diagonal_potential_closed_form(basis):
     dvals = np.zeros(basis.size)
     dvals[:6] = [0.3, -0.2, 0.1, 0.05, -0.4, 0.25]
     vd = ModePotential(np.diag(dvals), epsilon=SWITCH)
-    vid = interaction_potential(vd, basis, "H")
+    vid = interaction_potential(vd, basis)
     u = ode_evolution(vid, -1.0, 1.0, 1e-10)
     integral = 2.0 * (1.0 - np.exp(-SWITCH)) / SWITCH
     exact = np.diag(np.exp(-1j * dvals * integral))
@@ -101,8 +104,7 @@ def test_dyson_order_truncation_scaling(basis):
     block[:12, :12] = bare[:12, :12]
     errs = []
     for lam in (1.0, 0.5, 0.25):
-        vl = interaction_potential(ModePotential(lam * block, epsilon=SWITCH),
-                                   basis, "H")
+        vl = interaction_potential(ModePotential(lam * block, epsilon=SWITCH), basis)
         u2 = dyson_evolution(vl, -1.0, 1.0, 2)
         ue = ode_evolution(vl, -1.0, 1.0, 1e-10)
         errs.append(np.linalg.norm(u2.matrix - ue.matrix))
@@ -157,7 +159,7 @@ def test_coupled_modes_match_full_space_oracle(ctx, crossed):
     vm[3, 17] = 0.3 - 0.1j
     vm[np.ix_([1, 4, 9], [1, 4, 9])] = 0.2 * (rng.normal(size=(3, 3))
                                               + 1j * rng.normal(size=(3, 3)))
-    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b, "H")
+    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b)
     outside = np.ones(b.size, dtype=bool)
     outside[[1, 3, 4, 9, 17]] = False
     outside = outside[:, None] | outside[None, :]
@@ -181,7 +183,7 @@ def test_substeps_match_full_space_oracle(ctx, crossed):
     herm = a + a.conj().T
     vm = np.zeros((b.size, b.size), dtype=complex)
     vm[np.ix_([0, 2, 5], [0, 2, 5])] = 5.0 * herm / np.linalg.norm(herm, 2)
-    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b, "H")
+    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b)
     for t_from, t_to in ((-1.0, 1.0), (1.0, -1.0)):
         fast = ode_evolution(vic, t_from, t_to, 1e-10)
         ref = _packed_full_space(vic, t_from, t_to, 1e-11)  # 4.5e-10 off at 1e-10
@@ -190,27 +192,37 @@ def test_substeps_match_full_space_oracle(ctx, crossed):
 
 
 def test_dyson_first_order_oracle(basis, vi):
-    # order 1 is the identity minus i times the plain time integral of V_I
-    u1 = dyson_evolution(vi, -1.0, 1.0, 1)
+    # order 1 is the identity minus i times the plain time integral of V_I,
+    # on H and on H'', whose phases carry the scaled energies
     ts = np.linspace(-1.0, 1.0, 4001)
-    acc = np.zeros_like(vi.matrix, dtype=complex)
-    for t in ts:
-        acc += vi.at(t)
-    acc *= (ts[1] - ts[0])
-    acc -= 0.5 * (ts[1] - ts[0]) * (vi.at(ts[0]) + vi.at(ts[-1]))
-    expect = np.eye(basis.size) - 1j * acc
-    assert np.max(np.abs(u1.matrix - expect)) < 1e-6
+    for variant in ("H", "Hdoubleprime"):
+        e = variant_scale(variant, basis.ctx) * basis.energies
+
+        def v_i(t):
+            phase = np.exp(1j * e * t)
+            return np.outer(phase, phase.conj()) * vi.matrix * np.exp(-SWITCH * abs(t))
+
+        vb = interaction_potential(ModePotential(vi.matrix, epsilon=SWITCH),
+                                   variant_basis(basis, variant))
+        u1 = dyson_evolution(vb, -1.0, 1.0, 1)
+        acc = sum(v_i(t) for t in ts) - 0.5 * (v_i(ts[0]) + v_i(ts[-1]))
+        expect = np.eye(basis.size) - 1j * (ts[1] - ts[0]) * acc
+        assert np.max(np.abs(u1.matrix - expect)) < 1e-6, variant
 
 
 def test_picture_change_roundtrip(basis):
     rng = np.random.default_rng(21)
     vals = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    psi = CoefficientVector(basis, vals, time=0.7)
-    there = to_interaction_picture(psi, "H")
-    back = from_interaction_picture(there, "H")
-    assert np.max(np.abs(back.values - vals)) < 1e-13
-    # isometry
-    assert np.linalg.norm(there.values) == pytest.approx(np.linalg.norm(vals))
+    for variant in ("H", "Hprime"):
+        psi = CoefficientVector(variant_basis(basis, variant), vals, time=0.7)
+        there = to_interaction_picture(psi)
+        back = from_interaction_picture(there)
+        assert np.max(np.abs(back.values - vals)) < 1e-13
+        # the free phase of the variant's scaled energies is the one removed
+        e = variant_scale(variant, basis.ctx) * basis.energies
+        assert np.max(np.abs(there.values - np.exp(1j * e * 0.7) * vals)) < 1e-13
+        # isometry
+        assert np.linalg.norm(there.values) == pytest.approx(np.linalg.norm(vals))
 
 
 def test_free_state_coefficients_constant(basis):
@@ -224,7 +236,7 @@ def test_free_state_coefficients_constant(basis):
     for t in (0.0, 0.4, 1.1):
         f = expand(base, t)
         states.append(project(f, basis))
-    times, rows = interaction_coefficients(states, "H")
+    times, rows = interaction_coefficients(states)
     assert np.allclose(times, [0.0, 0.4, 1.1])
     assert np.max(np.abs(rows - rows[0])) < 1e-12
 
@@ -244,7 +256,7 @@ def test_crossed_geometry_right_action(ctx):
     lat2 = make_lattice(c2.q)
     b2 = build_hamiltonian_basis(lat2, MASS, c2)
     v = gaussian_potential(lat2, strength=0.05, width=1.0, epsilon=SWITCH)
-    vi2 = interaction_potential(v, b2, "H")
+    vi2 = interaction_potential(v, b2)
     u = ode_evolution(vi2, -1.0, 1.0, 1e-8)
     assert u.geometry == "G2"
     assert u.unitarity_drift() <= 1e-8
@@ -259,7 +271,7 @@ def test_long_window_stays_unitary(basis):
     block = np.arange(16.0).reshape(4, 4)
     vm = np.zeros((basis.size, basis.size))
     vm[:4, :4] = 0.01 * (block + block.T)
-    vil = interaction_potential(ModePotential(vm, epsilon=0.5), basis, "H")
+    vil = interaction_potential(ModePotential(vm, epsilon=0.5), basis)
     for t_from, t_to in ((-400.0, 400.0), (400.0, -400.0)):
         assert ode_evolution(vil, t_from, t_to, 1e-10).unitarity_drift() <= 1e-10
 
@@ -275,7 +287,7 @@ def test_smatrix_interaction_horizon_checks(basis, vi):
 
 def test_smatrix_interaction_zero_potential(basis):
     v0 = ModePotential(np.zeros((basis.size, basis.size)), epsilon=SWITCH)
-    vi0 = interaction_potential(v0, basis, "H")
+    vi0 = interaction_potential(v0, basis)
     horizon = np.log(1e8) / SWITCH
     s = smatrix_interaction(vi0, "S1starPlus", horizon, SWITCH)
     assert np.max(np.abs(s.matrix - np.eye(basis.size))) == 0.0
@@ -288,7 +300,7 @@ def test_smatrix_interaction_unitary_for_hermitian(basis):
     vm = np.zeros((basis.size, basis.size))
     vm[:8, :8] = 0.01 * (block + block.T)
     v = ModePotential(vm, epsilon=eps)
-    vi8 = interaction_potential(v, basis, "H")
+    vi8 = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     s = smatrix_interaction(vi8, "S1starPlus", horizon, eps, tol=1e-8)
     assert unitarity_defect(s) <= 1e-6
@@ -305,7 +317,7 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     vm = np.zeros((basis.size, basis.size))
     vm[:10, :10] = block
     v = ModePotential(vm, epsilon=eps)
-    vi10 = interaction_potential(v, basis, "H")
+    vi10 = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     s_dyn = smatrix_interaction(vi10, "S1starPlus", horizon, eps, tol=1e-10)
     s_mom = smatrix_momentum(v, basis, "S1starPlus", eps=eps)
@@ -321,7 +333,7 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     gain = vm.astype(complex)
     gain[:10, :10] += 2e-5j * rng.normal(size=(10, 10))
     for pot in (v, ModePotential(gain, epsilon=eps)):
-        vi = interaction_potential(pot, basis, "H")
+        vi = interaction_potential(pot, basis)
         u = ode_evolution(vi, -horizon, horizon, 1e-10)
         for family in S_FAMILIES:
             s_route = smatrix_from_evolution(vi, u, family).matrix
@@ -336,7 +348,7 @@ def test_smatrix_interaction_free_past_overlap(basis):
     vm = np.zeros((basis.size, basis.size))
     vm[2, 2] = 0.05
     v = ModePotential(vm, epsilon=eps)
-    vif = interaction_potential(v, basis, "H")
+    vif = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     u = ode_evolution(vif, -horizon, -horizon, 1e-8)
     psi = CoefficientVector(basis, np.eye(basis.size)[2], time=-horizon)

@@ -146,7 +146,7 @@ def test_branch_product_dense_and_partial_operands(basis, weak_v):
     # dense operands take every block product; a cross-branch-only operand and
     # an all-zero one are exact too
     w, half = basis.weights, basis.size // 2
-    green = full_green(weak_v, basis, "H", None, 0.0, 0.4).kernel.matrix
+    green = full_green(weak_v, basis, None, 0.0, 0.4).kernel.matrix
     assert green[:half, half:].any()
     check_product(green, w, green)
     rng = np.random.default_rng(11)

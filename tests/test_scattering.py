@@ -18,6 +18,7 @@ from braidline import (
     smatrix_momentum,
     transition_probability,
     unitarity_defect,
+    variant_basis,
 )
 from braidline import scattering
 from braidline.basis import CoefficientVector
@@ -34,6 +35,7 @@ from braidline.scattering import (
 Q = 0.9
 MASS = 1.0
 EPS = 0.05
+HAMILTONIANS = ("H", "Hprime", "Hdoubleprime")
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +53,22 @@ def weak_v(basis):
     return gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=EPS)
 
 
-def test_variant_scales(ctx):
+def test_variant_scales(ctx, basis):
     assert variant_scale("H", ctx) == 1.0
     # zeta = -1 on the braided line: q**-zeta = q, q**zeta = 1/q
     assert variant_scale("Hprime", ctx) == pytest.approx(Q)
     assert variant_scale("Hdoubleprime", ctx) == pytest.approx(Q ** -1)
     with pytest.raises(ValueError):
         variant_scale("Htriple", ctx)
+    # a variant's basis shares everything but the energies, scaled bit for bit
+    for variant in HAMILTONIANS:
+        vb = variant_basis(basis, variant)
+        for name in ("vectors", "momenta", "parity", "lattice", "ctx"):
+            assert getattr(vb, name) is getattr(basis, name)
+        assert vb.mass == basis.mass
+        assert np.array_equal(vb.energies, variant_scale(variant, ctx) * basis.energies)
+    with pytest.raises(ValueError):
+        variant_basis(basis, "Htriple")
 
 
 def test_potential_matrix_is_hermitian(basis, weak_v):
@@ -93,14 +104,18 @@ def test_gaussian_potential_admits_the_narrowest_normal_width():
 # Lippmann-Schwinger and Born
 
 def test_ls_identity(basis, weak_v):
-    # T = V + V R0 T with the uniform resolvent denominators
+    # T = V + V R0 T with the uniform resolvent denominators, on H and H''
     energy = 1.0
-    t = lippmann_schwinger_solve(weak_v, basis, energy, EPS)
-    rho = born_radius(weak_v, basis, energy, EPS)
     vm = weak_v.matrix(basis)
-    r0 = np.diag(1.0 / (energy - basis.energies + 1j * EPS))
-    assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
-    assert 0.0 < rho < 0.5
+    for variant in ("H", "Hdoubleprime"):
+        vb = variant_basis(basis, variant)
+        t = lippmann_schwinger_solve(weak_v, vb, energy, EPS)
+        rho = born_radius(weak_v, vb, energy, EPS)
+        r0 = np.diag(1.0 / (energy - variant_scale(variant, basis.ctx) * basis.energies
+                            + 1j * EPS))
+        assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
+        assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(vm @ r0))), rel=1e-12)
+        assert 0.0 < rho < 0.5
 
 
 def test_ls_negative_eps_takes_the_advanced_resolvent(basis, weak_v):
@@ -129,6 +144,23 @@ def test_ls_rejects_nonpositive_eps(basis, weak_v):
         for eps in (0.0, -EPS):
             with pytest.raises(ValueError):
                 smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_eps_is_refused(basis, weak_v, eps):
+    # each refusal names the value: no NaN coefficients, no misleading LinAlgError
+    named = f": {eps!r}$"
+    with pytest.raises(ValueError, match=named):
+        Potential(weak_v.values, epsilon=eps)
+    with pytest.raises(ValueError, match=named):
+        ModePotential(weak_v.matrix(basis), epsilon=eps)
+    with pytest.raises(ValueError, match=named):
+        lippmann_schwinger_solve(weak_v, basis, 1.0, eps)
+    with pytest.raises(ValueError, match=named):
+        born_radius(weak_v, basis, 1.0, eps)
+    for tilde in (False, True):
+        with pytest.raises(ValueError, match=named):
+            smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
 
 
 def test_ls_reports_singular_system(basis):
@@ -170,25 +202,28 @@ def test_born_geometric_convergence(basis, weak_v):
 
 
 def test_born_first_order_closed_form(basis, weak_v):
-    # order 1: c_p = V_{pq} / (E_q - E_p + i eps) for incoming mode q
+    # order 1: c_p = V_{pq} / (E_q - E_p + i eps) for incoming mode q, on H and H''
     jq = 6
     phi = np.zeros(basis.size, dtype=complex)
     phi[jq] = 1.0
-    inc = CoefficientVector(basis, phi)
-    got = born_wavefunction(inc, weak_v, 1)[0].values
     vm = weak_v.matrix(basis)
-    expect = phi + vm[:, jq] / (basis.energies[jq] - basis.energies + 1j * EPS)
-    assert np.max(np.abs(got - expect)) < 1e-13
+    for variant in ("H", "Hdoubleprime"):
+        got = born_wavefunction(CoefficientVector(variant_basis(basis, variant), phi),
+                                weak_v, 1)[0].values
+        e = variant_scale(variant, basis.ctx) * basis.energies
+        expect = phi + vm[:, jq] / (e[jq] - e + 1j * EPS)
+        assert np.max(np.abs(got - expect)) < 1e-13, variant
 
 
 def test_born_order_zero_free_phase(basis, weak_v):
     phi = np.zeros(basis.size, dtype=complex)
     phi[4] = 1.0
-    inc = CoefficientVector(basis, phi)
-    out = born_wavefunction(inc, weak_v, 0, times=np.array([0.0, 0.7]))
-    assert np.max(np.abs(out[0].values - phi)) == 0.0
-    expect = phi * np.exp(-1j * basis.energies[4] * 0.7)
-    assert np.max(np.abs(out[1].values - expect)) < 1e-13
+    for variant in ("H", "Hdoubleprime"):
+        inc = CoefficientVector(variant_basis(basis, variant), phi)
+        out = born_wavefunction(inc, weak_v, 0, times=np.array([0.0, 0.7]))
+        assert np.max(np.abs(out[0].values - phi)) == 0.0
+        e4 = variant_scale(variant, basis.ctx) * basis.energies[4]
+        assert np.max(np.abs(out[1].values - phi * np.exp(-1j * e4 * 0.7))) < 1e-13
 
 
 def test_born_requires_eps_for_positive_order(basis):
@@ -203,7 +238,7 @@ def test_born_requires_eps_for_positive_order(basis):
 
 def test_full_green_zero_potential_is_free(basis):
     v0 = Potential(np.zeros(basis.lattice.size), epsilon=EPS)
-    g = full_green(v0, basis, "H", None, 0.0, 0.6)
+    g = full_green(v0, basis, None, 0.0, 0.6)
     from braidline import free_propagator
 
     k = free_propagator(basis, "K1prime", 0.0, 0.6)
@@ -211,12 +246,12 @@ def test_full_green_zero_potential_is_free(basis):
 
 
 def test_full_green_residual(basis, weak_v):
-    g = full_green(weak_v, basis, "H", None, 0.0, 0.7)
-    assert green_residual(g) < 1e-9
+    for b in (basis, variant_basis(basis, "Hdoubleprime")):
+        assert green_residual(full_green(weak_v, b, None, 0.0, 0.7)) < 1e-9
 
 
 def test_full_green_retarded(basis, weak_v):
-    g = full_green(weak_v, basis, "H", None, 0.7, 0.0)
+    g = full_green(weak_v, basis, None, 0.7, 0.0)
     assert np.max(np.abs(g.kernel.matrix)) == 0.0
     # the causal zero side solves the equation, since i d_t G carries theta too
     assert green_residual(g) == 0.0
@@ -225,13 +260,14 @@ def test_full_green_retarded(basis, weak_v):
 @pytest.mark.parametrize("dt", [0.4, 0.7, 3.0])
 @pytest.mark.parametrize("hermitian", [True, False], ids=["weak_v", "gain"])
 def test_full_green_matches_expm(basis, weak_v, hermitian, dt):
-    # the eigenbasis of scale*H0 + V against the matrix exponential it replaced
+    # the eigenbasis of s*H0 + V against the matrix exponential it replaced
     v = weak_v if hermitian else Potential(0.05j * np.exp(-basis.lattice.points ** 2),
                                            epsilon=EPS)
-    g = full_green(v, basis, "H", None, 0.0, dt)
     u, w = basis.vectors, basis.weights
-    modes = u.conj().T @ (w[:, None] * g.kernel.matrix * w[None, :]) @ u
-    assert np.max(np.abs(modes - expm_green(v, basis, "H", dt))) < 1e-10
+    for variant in HAMILTONIANS:
+        g = full_green(v, variant_basis(basis, variant), None, 0.0, dt)
+        modes = u.conj().T @ (w[:, None] * g.kernel.matrix * w[None, :]) @ u
+        assert np.max(np.abs(modes - expm_green(v, basis, variant, dt))) < 1e-10, variant
 
 
 def test_full_green_refuses_defective_hamiltonian(basis):
@@ -239,14 +275,14 @@ def test_full_green_refuses_defective_hamiltonian(basis):
     vm = np.zeros((basis.size, basis.size), dtype=complex)
     vm[0, 1] = 1e-3
     with pytest.raises(np.linalg.LinAlgError):
-        full_green(ModePotential(vm, epsilon=EPS), basis, "H", None, 0.0, 0.7)
+        full_green(ModePotential(vm, epsilon=EPS), basis, None, 0.0, 0.7)
 
 
 def test_full_green_born_orders_converge(basis, weak_v):
-    exact = full_green(weak_v, basis, "H", None, 0.0, 0.7)
+    exact = full_green(weak_v, basis, None, 0.0, 0.7)
     errs = []
     for order in (1, 2, 4):
-        trunc = full_green(weak_v, basis, "H", order, 0.0, 0.7)
+        trunc = full_green(weak_v, basis, order, 0.0, 0.7)
         errs.append(np.max(np.abs(trunc.kernel.matrix - exact.kernel.matrix)))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-8
@@ -254,9 +290,9 @@ def test_full_green_born_orders_converge(basis, weak_v):
 
 def test_full_green_composition(basis, weak_v):
     # the exact interacting kernel composes like the free one
-    g01 = full_green(weak_v, basis, "H", None, 0.0, 0.4)
-    g12 = full_green(weak_v, basis, "H", None, 0.4, 0.9)
-    direct = full_green(weak_v, basis, "H", None, 0.0, 0.9)
+    g01 = full_green(weak_v, basis, None, 0.0, 0.4)
+    g12 = full_green(weak_v, basis, None, 0.4, 0.9)
+    direct = full_green(weak_v, basis, None, 0.0, 0.9)
     from braidline import compose
 
     got = compose(g01.kernel, g12.kernel)
@@ -264,11 +300,11 @@ def test_full_green_composition(basis, weak_v):
 
 
 def test_green_residual_requires_exact(basis, weak_v):
-    g = full_green(weak_v, basis, "H", 3, 0.0, 0.7)
+    g = full_green(weak_v, basis, 3, 0.0, 0.7)
     with pytest.raises(ValueError):
         green_residual(g)
     with pytest.raises(ValueError):  # undefined on the source slice
-        green_residual(full_green(weak_v, basis, "H", None, 0.7, 0.7))
+        green_residual(full_green(weak_v, basis, None, 0.7, 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +416,12 @@ POTENTIALS = {
 ONE_FAMILY_PER_SIGN = ("S1plusPrime", "S2minus")
 
 
-def on_shell_residuals(v, basis, eps, variant="H"):
+def on_shell_residuals(v, basis, eps):
     """Per-column max|R[:, k]| of R = V - T + V (R0 o T) for the on-shell
     solve, its bound 64 eps_mach max|V|, and the solve's diagnostics."""
-    vm = v.matrix(basis)
-    e = variant_scale(variant, basis.ctx) * basis.energies
+    vm, e = v.matrix(basis), basis.energies
     diagnostics = {}
-    t = lippmann_schwinger_solve(v, basis, e, eps, variant, diagnostics)
+    t = lippmann_schwinger_solve(v, basis, e, eps, diagnostics)
     r0 = 1.0 / (e[None, :] + 1j * eps - e[:, None])
     res = np.max(np.abs(vm - t + vm @ (r0 * t)), axis=0)
     return res, 64 * np.finfo(float).eps * np.max(np.abs(vm)), diagnostics
@@ -403,11 +438,12 @@ def test_smatrix_matches_dense_per_column_solve(request, lattice_basis, shape):
     b = request.getfixturevalue(lattice_basis)
     v = POTENTIALS[shape](b)
     for eps, variant in itertools.product((0.1, 0.01), ("H", "Hprime")):
-        res, bound, diagnostics = on_shell_residuals(v, b, eps, variant)
+        vb = variant_basis(b, variant)
+        res, bound, diagnostics = on_shell_residuals(v, vb, eps)
         assert diagnostics["direct_columns"] == 0
         assert np.all(res <= bound)
         for family, tilde in itertools.product(ONE_FAMILY_PER_SIGN, (False, True)):
-            s = smatrix_momentum(v, b, family, eps=eps, variant=variant, tilde=tilde)
+            s = smatrix_momentum(v, vb, family, eps=eps, tilde=tilde)
             assert s.diagnostics["max_residual"] <= bound
             ref = dense_smatrix(v, b, eps, variant, S_FAMILIES[family][1], tilde)
             assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, variant, family, tilde)
