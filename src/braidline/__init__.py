@@ -39,7 +39,7 @@ from .propagator import (
     source_term,
 )
 from .scattering import (
-    ModePotential,
+    Hamiltonian,
     Potential,
     SMatrix,
     born_radius,
@@ -49,7 +49,6 @@ from .scattering import (
     gaussian_potential,
     lippmann_schwinger_solve,
     smatrix_momentum,
-    transition_probability,
     unitarity_defect,
     variant_basis,
 )

@@ -40,12 +40,6 @@ class WaveBasis:
     def gram(self) -> np.ndarray:
         return self.vectors.conj().T @ (self.weights[:, None] * self.vectors)
 
-    def momentum_flip(self) -> np.ndarray:
-        """Index permutation realising p -> -p (swap within each pair)."""
-        out = np.arange(self.size)
-        out[0::2], out[1::2] = np.arange(1, self.size, 2), np.arange(0, self.size, 2)
-        return out
-
 
 @dataclass
 class CoefficientVector:

@@ -18,7 +18,7 @@ from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
 from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
 from .qcalc import crossing_transform, make_lattice
-from .scattering import (ModePotential, Potential, born_radius, born_wavefunction,
+from .scattering import (Hamiltonian, Potential, born_radius, born_wavefunction,
                          conjugate_smatrix, lippmann_schwinger_solve, smatrix_momentum,
                          unitarity_defect)
 
@@ -47,14 +47,14 @@ def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
 def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float], float]:
     """Born-series error of incoming mode 6 per order against the exact
     Lippmann-Schwinger state, and the spectral radius rho of the iteration."""
-    jq = 6
+    jq, h = 6, weak.on(basis)
     energy = float(basis.energies[jq])
     phi = CoefficientVector(basis, np.eye(basis.size)[jq])
-    t_mat = lippmann_schwinger_solve(weak, basis, energy, weak.epsilon)
-    r0 = 1.0 / (energy - basis.energies + 1j * weak.epsilon)
+    t_mat = lippmann_schwinger_solve(h, basis, energy, h.epsilon)
+    r0 = 1.0 / (energy - basis.energies + 1j * h.epsilon)
     exact = phi.values + r0 * t_mat[:, jq]
-    return [float(np.max(np.abs(born_wavefunction(phi, weak, n)[0].values - exact)))
-            for n in orders], born_radius(weak, basis, energy, weak.epsilon)
+    return [float(np.max(np.abs(born_wavefunction(phi, h, n)[0].values - exact)))
+            for n in orders], born_radius(h, basis, energy, h.epsilon)
 
 
 def worst_ratio(defects) -> float:
@@ -67,12 +67,12 @@ def worst_ratio(defects) -> float:
                 for earlier, later in zip(defects, defects[1:])), default=0.0)
 
 
-def cross_formalism_potential(basis: WaveBasis) -> ModePotential:
+def cross_formalism_potential(basis: WaveBasis) -> Hamiltonian:
     """Weak seeded Hermitian coupling of the ten lowest modes, eps = 0.05."""
     block = np.random.default_rng(7).normal(size=(10, 10))
     vm = np.zeros((basis.size, basis.size))
     vm[:10, :10] = 2e-5 * (block + block.T) / 2
-    return ModePotential(vm, epsilon=0.05)
+    return Hamiltonian(basis, vm, epsilon=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,9 @@ def _check_conjugation(cfg, basis, basis2, v):
         worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
     # a family selects only its time sign and its tilde partner solves with the
     # opposite one, so one plain/tilde pair covers both resolvents
-    cs = conjugate_smatrix(smatrix_momentum(v, basis, cfg["family"], eps=v.epsilon))
-    built = smatrix_momentum(v, basis, cs.family, eps=v.epsilon, tilde=True)
+    h = v.on(basis)
+    cs = conjugate_smatrix(smatrix_momentum(h, basis, cfg["family"], eps=h.epsilon))
+    built = smatrix_momentum(h, basis, cs.family, eps=h.epsilon, tilde=True)
     return max(worst, float(np.max(np.abs(cs.matrix - built.matrix)))), 1e-10
 
 
@@ -133,7 +134,8 @@ def _check_born(cfg, basis, basis2, v):
 
 
 def _check_unitarity(cfg, basis, basis2, v):
-    defects = [unitarity_defect(smatrix_momentum(v, basis, cfg["family"], eps=e))
+    h = v.on(basis)
+    defects = [unitarity_defect(smatrix_momentum(h, basis, cfg["family"], eps=e))
                for e in cfg["eps_sweep"]]
     return worst_ratio(defects), 1.2
 

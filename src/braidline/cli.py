@@ -32,7 +32,7 @@ from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
 from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
 from .qcalc import braided_line, make_lattice
 from .scattering import (
-    ModePotential,
+    Hamiltonian,
     Potential,
     S_FAMILIES,
     gaussian_potential,
@@ -343,12 +343,12 @@ def cmd_propagate(cfg: dict, out: str) -> int:
 
 def cmd_scatter(cfg: dict, out: str) -> int:
     ctx, lat, basis = build_scene(cfg)
-    v = build_potential(cfg, lat)
+    h = build_potential(cfg, lat).on(basis)  # one decomposition for the whole sweep
     os.makedirs(out, exist_ok=True)
     family = cfg["family"]
     trend = []
     for eps in cfg["eps_sweep"]:
-        s = _guarded(smatrix_momentum, v, basis, family, eps=eps)
+        s = _guarded(smatrix_momentum, h, basis, family, eps=eps)
         tag = float(eps)  # an integer sweep entry still names eps1.0
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)
@@ -376,7 +376,7 @@ def cmd_dyson(cfg: dict, out: str) -> int:
     vm = build_potential(cfg, lat).matrix(basis)
     block = np.zeros_like(vm)
     block[:n_modes, :n_modes] = vm[:n_modes, :n_modes]
-    vi = interaction_potential(ModePotential(block, epsilon=eps), basis)
+    vi = interaction_potential(Hamiltonian(basis, block, epsilon=eps), basis)
     horizon = float(np.log(1e8) / eps)
     os.makedirs(out, exist_ok=True)
     # one evolution per run: the S-matrix of either time sign follows from it

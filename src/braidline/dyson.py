@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import CoefficientVector, WaveBasis
 from .qcalc import G1
-from .scattering import Potential, SMatrix, S_FAMILIES, _dyson_blocks
+from .scattering import Hamiltonian, Potential, SMatrix, S_FAMILIES, _dyson_blocks
 
 
 @dataclass
@@ -35,8 +35,9 @@ class InteractionPotential:
         return np.outer(phase, phase.conj()) * self.matrix * np.exp(-self.epsilon * abs(t))
 
 
-def interaction_potential(v: Potential, basis: WaveBasis) -> InteractionPotential:
-    return InteractionPotential(basis, v.matrix(basis), v.epsilon)
+def interaction_potential(v: Potential | Hamiltonian, basis: WaveBasis) -> InteractionPotential:
+    h = v.on(basis)
+    return InteractionPotential(basis, h.v, h.epsilon)
 
 
 @dataclass

@@ -127,8 +127,8 @@ class QLattice:
 def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -> QLattice:
     """Build the truncated lattice for deformation parameter q.
 
-    A crossed context with q > 1 produces the same point set as its partner
-    with 1/q, so the base is normalised into (0, 1).
+    A crossed context with q > 1 gives its 1/q partner's point set only up to
+    rounding: the base is normalised to 1/q, and 1/(1/0.9) = 0.8999999999999999.
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")

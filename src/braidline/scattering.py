@@ -11,7 +11,7 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -47,7 +47,8 @@ class Potential:
 
     ``values`` holds one (possibly complex) entry per lattice point; the
     operator is Hermitian exactly when all values are real.  ``epsilon``
-    is the switching rate of the time envelope exp(-eps|t|).
+    is the switching rate of the time envelope exp(-eps|t|).  ``on(basis)``
+    is H0 + V on a free basis.
     """
 
     values: np.ndarray
@@ -59,10 +60,6 @@ class Potential:
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
-    @property
-    def is_hermitian(self) -> bool:
-        return not bool(np.any(self.values.imag))
-
     def matrix(self, basis: WaveBasis) -> np.ndarray:
         """V in the energy basis: V_{pp'} = <u_p, V u_{p'}>."""
         if self.values.shape != (basis.lattice.size,):
@@ -70,28 +67,43 @@ class Potential:
         u = basis.vectors
         return u.conj().T @ ((basis.weights * self.strength * self.values)[:, None] * u)
 
+    def on(self, basis: WaveBasis) -> Hamiltonian:
+        return Hamiltonian(basis, self.matrix(basis), self.epsilon, not np.any(self.values.imag))
 
-class ModePotential:
-    """Interaction specified directly by its energy-basis matrix.
 
-    Useful for coupling a restricted set of modes; interchangeable with
-    Potential wherever only the energy-basis matrix is consumed.
-    """
+@dataclass(frozen=True, eq=False)
+class Hamiltonian:
+    """H = H0 + V on a free basis: V in the energy basis, the switching rate and
+    whether V is Hermitian by construction (real values for ``Potential.on``,
+    else V == V^H bit for bit).  ``eigen`` decomposes H once, on first use."""
 
-    def __init__(self, matrix: np.ndarray, epsilon: float = 0.0):
-        self._matrix = np.asarray(matrix, dtype=complex)
-        self.epsilon = float(epsilon)
+    basis: WaveBasis
+    v: np.ndarray
+    epsilon: float = 0.0
+    hermitian: bool | None = None
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.v, dtype=complex)
+        if v.shape != (self.basis.size, self.basis.size):
+            raise ValueError("matrix size must match the mode count")
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
+        object.__setattr__(self, "v", v)
+        if self.hermitian is None:
+            object.__setattr__(self, "hermitian", bool(np.array_equal(v, v.conj().T)))
+
+    def on(self, basis: WaveBasis) -> Hamiltonian:
+        """Itself, or the same V on another basis of its size, decomposed afresh."""
+        return self if basis is self.basis else replace(self, basis=basis)
 
     @property
-    def is_hermitian(self) -> bool:
-        return bool(np.array_equal(self._matrix, self._matrix.conj().T))
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.basis.energies) + self.v
 
-    def matrix(self, basis: WaveBasis) -> np.ndarray:
-        if self._matrix.shape != (basis.size, basis.size):
-            raise ValueError("matrix size must match the mode count")
-        return self._matrix
+    @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``."""
+        return _eigen(self.matrix, self.hermitian)
 
 
 def gaussian_width_ok(width: float) -> bool:
@@ -118,7 +130,8 @@ RESIDUAL_ULPS = 64
 
 
 def lippmann_schwinger_solve(
-    v: Potential, basis: WaveBasis, energy, eps: float, diagnostics: dict | None = None,
+    v: Potential | Hamiltonian, basis: WaveBasis, energy, eps: float,
+    diagnostics: dict | None = None,
 ) -> np.ndarray:
     """Solve T = V + V R0(E + i eps) T for every column in one decomposition.
 
@@ -127,10 +140,10 @@ def lippmann_schwinger_solve(
     T(E_k) in column k.  R0 is diagonal with entries 1/(E - E_p + i eps) for
     the energies E_p of ``basis``: retarded for eps > 0, advanced for eps < 0.
 
-    With H = H0 + V = W diag(lam) W^-1 (``_eigen``), the resolvent identity gives
-    (I - V R0(z))^-1 = I + V W g W^-1 with g = 1/(z - lam), so every column
-    is T = V + (V W)(g o W^-1 V).  Rounding in W grows with the top of the
-    spectrum, so T is refined against the exact residual
+    With H = H0 + V = W diag(lam) W^-1 (``Hamiltonian.eigen``), the resolvent
+    identity gives (I - V R0(z))^-1 = I + V W g W^-1 with g = 1/(z - lam), so
+    every column is T = V + (V W)(g o W^-1 V).  Rounding in W grows with the
+    top of the spectrum, so T is refined against the exact residual
     R = V - T + V (R0 o T) until every column meets 64 eps_mach max|V| or a
     step fails to halve the worst residual; the columns still above it are
     solved directly.
@@ -143,10 +156,11 @@ def lippmann_schwinger_solve(
     """
     if not 0 < abs(eps) < np.inf:
         raise ValueError(f"eps must be finite and nonzero: {eps!r}")
-    vm, m, ep = v.matrix(basis), basis.size, basis.energies
+    h = v.on(basis)
+    vm, m, ep = h.v, basis.size, basis.energies
     z = np.broadcast_to(np.asarray(energy, dtype=float), (m,)) + 1j * eps
     r0 = 1.0 / (z[None, :] - ep[:, None])  # R0[p, k] at the energy of column k
-    lam, w, w_inv, kappa = _eigen(np.diag(ep) + vm, v.is_hermitian)
+    lam, w, w_inv, kappa = h.eigen
     # an overflowing or infinite bound is refused below, not warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
@@ -187,12 +201,12 @@ def lippmann_schwinger_solve(
     return t
 
 
-def born_radius(v: Potential, basis: WaveBasis, energy: float, eps: float) -> float:
+def born_radius(v: Potential | Hamiltonian, basis: WaveBasis, energy: float, eps: float) -> float:
     """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
     r0 = 1.0 / (energy - basis.energies + 1j * eps)
-    return float(np.max(np.abs(np.linalg.eigvals(v.matrix(basis) * r0[None, :]))))
+    return float(np.max(np.abs(np.linalg.eigvals(v.on(basis).v * r0[None, :]))))
 
 
 def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -220,7 +234,8 @@ def _guarded_ls_column(vm: np.ndarray, r0: np.ndarray, rhs: np.ndarray) -> np.nd
 
 
 def born_wavefunction(
-    phi: CoefficientVector, v: Potential, order: int, times: np.ndarray | None = None,
+    phi: CoefficientVector, v: Potential | Hamiltonian, order: int,
+    times: np.ndarray | None = None,
 ) -> list[CoefficientVector]:
     """Order-N Born series in the energy basis, closed-form time integrals.
 
@@ -230,28 +245,23 @@ def born_wavefunction(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if v.epsilon <= 0 and order > 0:
-        raise ValueError("adiabatic epsilon must be positive for the Born series")
     basis = phi.basis
-    vm = v.matrix(basis)
-    e = basis.energies
+    h = v.on(basis)
+    if h.epsilon <= 0 and order > 0:
+        raise ValueError("adiabatic epsilon must be positive for the Born series")
+    vm, e = h.v, basis.energies
     c_total = phi.values.astype(complex).copy()
     for jq in np.nonzero(np.abs(phi.values) > 0)[0]:
-        r0 = 1.0 / (e[jq] - e + 1j * v.epsilon)
+        r0 = 1.0 / (e[jq] - e + 1j * h.epsilon)
         m = r0[:, None] * vm
         term = np.zeros(basis.size, dtype=complex)
         term[jq] = phi.values[jq]
         for _ in range(order):
             term = m @ term
             c_total += term
-    if times is None:
-        times = np.array([0.0])
     e_in = _incoming_energy(phi)
-    out = []
-    for t in np.asarray(times, dtype=float):
-        phase = np.exp(-1j * e_in * t)
-        out.append(CoefficientVector(basis, phase * c_total, time=float(t)))
-    return out
+    return [CoefficientVector(basis, np.exp(-1j * e_in * t) * c_total, time=float(t))
+            for t in np.asarray([0.0] if times is None else times, dtype=float)]
 
 
 def _incoming_energy(phi: CoefficientVector) -> float:
@@ -268,12 +278,12 @@ def _incoming_energy(phi: CoefficientVector) -> float:
 @dataclass
 class FullGreen:
     kernel: PropagatorKernel
-    potential: Potential
+    hamiltonian: Hamiltonian
     order: int | None  # None means exact
 
 
 def full_green(
-    v: Potential, basis: WaveBasis, order: int | None,
+    v: Potential | Hamiltonian, basis: WaveBasis, order: int | None,
     t_source: float, t_target: float, prop_variant: str = "K1prime",
 ) -> FullGreen:
     """Retarded interacting kernel G = K + (-i) int K V G dt.
@@ -284,22 +294,22 @@ def full_green(
     gives the full evolution W exp(-i lam dt) W^-1 from the eigenbasis of
     H0 + V.
     """
-    vm, e = v.matrix(basis), basis.energies
+    h = v.on(basis)
     dt = t_target - t_source
     if dt < 0:
-        mat_modes = np.zeros_like(vm)
+        mat_modes = np.zeros_like(h.v)
     elif order is None:
-        lam, w, w_inv, _ = _eigen(np.diag(e) + vm, v.is_hermitian)
+        lam, w, w_inv, _ = h.eigen
         mat_modes = (w * np.exp(-1j * lam * dt)) @ w_inv
     else:
-        mat_modes = _dyson_blocks(e, vm, -1j, 0.0, dt, order).sum(axis=0)
+        mat_modes = _dyson_blocks(basis.energies, h.v, -1j, 0.0, dt, order).sum(axis=0)
     u = basis.vectors
     mat = u @ mat_modes @ u.conj().T
     kern = PropagatorKernel(
         basis=basis, variant=prop_variant, t_source=t_source,
         t_target=t_target, matrix=mat, tilde=False, causality="retarded",
     )
-    return FullGreen(kernel=kern, potential=v, order=order)
+    return FullGreen(kernel=kern, hamiltonian=h, order=order)
 
 
 def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: float,
@@ -321,17 +331,16 @@ def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: floa
 def green_residual(g: FullGreen) -> float:
     """|| i d_t G - (H0 + V) G ||_F of an exact-order kernel off the source
     slice, with i d_t G = theta(dt) W lam exp(-i lam dt) W^-1 analytic through
-    the eigenbasis of the full Hamiltonian."""
+    the decomposition ``full_green`` made."""
     dt = g.kernel.t_target - g.kernel.t_source
     if g.order is not None or dt == 0:
         raise ValueError("residual check requires the exact kernel off the source slice")
-    basis = g.kernel.basis
-    h = np.diag(basis.energies) + g.potential.matrix(basis)
+    h, basis = g.hamiltonian, g.kernel.basis
     u = basis.vectors
-    lhs = u @ (h @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # (H0 + V) G
+    lhs = u @ (h.matrix @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # H G
     rhs = 0.0  # on the causal zero side
     if dt > 0:
-        lam, w, w_inv, _ = _eigen(h, g.potential.is_hermitian)
+        lam, w, w_inv, _ = h.eigen
         rhs = u @ ((w * (lam * np.exp(-1j * lam * dt))) @ w_inv) @ u.conj().T
     return float(np.linalg.norm(lhs - rhs))
 
@@ -369,25 +378,25 @@ class SMatrix:
 
 
 def smatrix_momentum(
-    v: Potential, basis: WaveBasis, family: str, eps: float, tilde: bool = False,
+    v: Potential | Hamiltonian, basis: WaveBasis, family: str, eps: float, tilde: bool = False,
 ) -> SMatrix:
     """S_{pp'} = delta - sigma 2 pi i delta_eps(E_p - E_p') T_{pp'}(E_p' + i sigma eps).
 
     sigma is the family's time sign: S+ from the retarded T for +1, S- = (S+)^-1
     from the advanced T for -1, as U(T, -T) and its inverse in the interaction
     picture.  A tilde partner solves the conjugated equations on its own:
-    conj(V), sigma flipped and the transposed placement.
+    H0 + conj(V), decomposed afresh with the Hermitian flag of V, sigma
+    flipped and the transposed placement.
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
     sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
-    e = basis.energies
-    # the tilde route's conj(V) keeps the Hermitian flag of V, so both solve alike
-    conj_v = SimpleNamespace(matrix=lambda b: np.conj(v.matrix(b)), is_hermitian=v.is_hermitian)
+    e, h = basis.energies, v.on(basis)
     diagnostics: dict = {}
-    t_mat = lippmann_schwinger_solve(conj_v if tilde else v, basis, e, sigma * eps, diagnostics)
+    t_mat = lippmann_schwinger_solve(replace(h, v=np.conj(h.v)) if tilde else h, basis, e,
+                                     sigma * eps, diagnostics)
     # beyond eps ~ 1e154 eps**2 overflows to inf and delta_eps to its limit 0
     with np.errstate(over="ignore"):
         lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))
@@ -402,12 +411,6 @@ def conjugate_smatrix(s: SMatrix) -> SMatrix:
     return SMatrix(basis=s.basis, matrix=np.conj(s.matrix).T,
                    family=conjugation_partner(S_FAMILIES, s.family), epsilon=s.epsilon,
                    tilde=not s.tilde, diagnostics=dict(s.diagnostics))
-
-
-def transition_probability(s: SMatrix, i: int, j: int) -> float:
-    """omega = conj(S_{pp'}) S_{pp'}; real and nonnegative by construction."""
-    amp = s.matrix[i, j]
-    return float(np.real(np.conj(amp) * amp))
 
 
 def transition_probability_table(s: SMatrix) -> np.ndarray:

@@ -42,7 +42,7 @@ def derivative_matrix(lattice, ctx):
 def expm_green(v, basis, variant, dt):
     """The exact retarded interacting Green's function in the energy basis,
     theta(dt) expm(-i (scale*H0 + V) dt)."""
-    h = np.diag(variant_scale(variant, basis.ctx) * basis.energies) + v.matrix(basis)
+    h = np.diag(variant_scale(variant, basis.ctx) * basis.energies) + v.on(basis).v
     return expm(-1j * h * dt) if dt >= 0 else np.zeros_like(h)
 
 
@@ -52,7 +52,7 @@ def dense_smatrix(v, basis, eps, variant, time_sign, tilde):
     partner, which also takes conj(V); column k is placed as
     S[:, k] = e_k - sigma 2 pi i delta_eps(E - E_k) t, as row k for a tilde partner."""
     sigma = -time_sign if tilde else time_sign
-    vm = np.conj(v.matrix(basis)) if tilde else v.matrix(basis)
+    vm = np.conj(v.on(basis).v) if tilde else v.on(basis).v
     e = variant_scale(variant, basis.ctx) * basis.energies
     s = np.eye(basis.size, dtype=complex)
     for k in range(basis.size):

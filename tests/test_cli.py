@@ -22,7 +22,8 @@ from braidline.cli import (
     load_config,
     main,
 )
-from braidline.scattering import transition_probability_table
+from braidline import scattering
+from braidline.scattering import full_green, green_residual, transition_probability_table
 from oracles import SPECIAL_FLOATS
 
 
@@ -393,6 +394,35 @@ def test_cmd_verify_all_pass_and_deterministic(tmp_path, capsys):
     printed = capsys.readouterr().out
     for name in names:
         assert name in printed
+
+
+def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
+    # H0 + V is decomposed once per (basis, V): a whole scatter sweep, each
+    # check, and an exact Green's function with its residual read one decomposition
+    calls = []
+    real = scattering._eigen
+    monkeypatch.setattr(scattering, "_eigen", lambda *args: calls.append(1) or real(*args))
+    for k, override in enumerate([{}, {"lattice": {"j_min": -25, "j_max": 25}}]):
+        cfgp = tmp_path / f"cfg{k}.json"
+        cfgp.write_text(json.dumps(override))
+        calls.clear()
+        assert run(["scatter", "--config", str(cfgp), "--out", str(tmp_path / f"s{k}")]) == 0
+        assert len(calls) == 1, override
+    cfg = load_config(None)
+    _, lat, basis = build_scene(cfg)
+    scene = (cfg, basis, checks.crossed_basis(basis), cli.build_potential(cfg, lat))
+    counts = {}
+    for name in sorted(CHECKS):
+        calls.clear()
+        checks.run_check(name, *scene)
+        counts[name] = len(calls)
+    assert {name: n for name, n in counts.items() if n} == {
+        "unitarity_trend": 1, "cross_formalism": 1, "conjugation": 2, "born": 1,
+        "unitarity_negative_control": 1}
+    calls.clear()
+    g = full_green(scene[3].on(basis), basis, None, 0.0, cfg["time_target"])
+    green_residual(g)
+    assert len(calls) == 1
 
 
 def test_checks_registry_is_shared():

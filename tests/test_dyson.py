@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from braidline import (
-    ModePotential,
+    Hamiltonian,
     braided_line,
     build_hamiltonian_basis,
     crossing_transform,
@@ -53,7 +53,7 @@ def test_interaction_potential_phases_and_envelope(basis, vi):
     t = 0.8
     bare = vi.matrix
     for variant in ("H", "Hdoubleprime"):
-        vt = interaction_potential(ModePotential(bare, epsilon=SWITCH),
+        vt = interaction_potential(Hamiltonian(basis, bare, epsilon=SWITCH),
                                    variant_basis(basis, variant)).at(t)
         e = variant_scale(variant, basis.ctx) * basis.energies
         phase = np.exp(1j * e * t)
@@ -87,7 +87,7 @@ def test_diagonal_potential_closed_form(basis):
     # times, so the evolution is exp(-i V int exp(-eps|t|) dt)
     dvals = np.zeros(basis.size)
     dvals[:6] = [0.3, -0.2, 0.1, 0.05, -0.4, 0.25]
-    vd = ModePotential(np.diag(dvals), epsilon=SWITCH)
+    vd = Hamiltonian(basis, np.diag(dvals), epsilon=SWITCH)
     vid = interaction_potential(vd, basis)
     u = ode_evolution(vid, -1.0, 1.0, 1e-10)
     integral = 2.0 * (1.0 - np.exp(-SWITCH)) / SWITCH
@@ -104,7 +104,7 @@ def test_dyson_order_truncation_scaling(basis):
     block[:12, :12] = bare[:12, :12]
     errs = []
     for lam in (1.0, 0.5, 0.25):
-        vl = interaction_potential(ModePotential(lam * block, epsilon=SWITCH), basis)
+        vl = interaction_potential(Hamiltonian(basis, lam * block, epsilon=SWITCH), basis)
         u2 = dyson_evolution(vl, -1.0, 1.0, 2)
         ue = ode_evolution(vl, -1.0, 1.0, 1e-10)
         errs.append(np.linalg.norm(u2.matrix - ue.matrix))
@@ -159,7 +159,7 @@ def test_coupled_modes_match_full_space_oracle(ctx, crossed):
     vm[3, 17] = 0.3 - 0.1j
     vm[np.ix_([1, 4, 9], [1, 4, 9])] = 0.2 * (rng.normal(size=(3, 3))
                                               + 1j * rng.normal(size=(3, 3)))
-    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b)
+    vic = interaction_potential(Hamiltonian(b, vm, epsilon=SWITCH), b)
     outside = np.ones(b.size, dtype=bool)
     outside[[1, 3, 4, 9, 17]] = False
     outside = outside[:, None] | outside[None, :]
@@ -183,7 +183,7 @@ def test_substeps_match_full_space_oracle(ctx, crossed):
     herm = a + a.conj().T
     vm = np.zeros((b.size, b.size), dtype=complex)
     vm[np.ix_([0, 2, 5], [0, 2, 5])] = 5.0 * herm / np.linalg.norm(herm, 2)
-    vic = interaction_potential(ModePotential(vm, epsilon=SWITCH), b)
+    vic = interaction_potential(Hamiltonian(b, vm, epsilon=SWITCH), b)
     for t_from, t_to in ((-1.0, 1.0), (1.0, -1.0)):
         fast = ode_evolution(vic, t_from, t_to, 1e-10)
         ref = _packed_full_space(vic, t_from, t_to, 1e-11)  # 4.5e-10 off at 1e-10
@@ -202,7 +202,7 @@ def test_dyson_first_order_oracle(basis, vi):
             phase = np.exp(1j * e * t)
             return np.outer(phase, phase.conj()) * vi.matrix * np.exp(-SWITCH * abs(t))
 
-        vb = interaction_potential(ModePotential(vi.matrix, epsilon=SWITCH),
+        vb = interaction_potential(Hamiltonian(basis, vi.matrix, epsilon=SWITCH),
                                    variant_basis(basis, variant))
         u1 = dyson_evolution(vb, -1.0, 1.0, 1)
         acc = sum(v_i(t) for t in ts) - 0.5 * (v_i(ts[0]) + v_i(ts[-1]))
@@ -271,7 +271,7 @@ def test_long_window_stays_unitary(basis):
     block = np.arange(16.0).reshape(4, 4)
     vm = np.zeros((basis.size, basis.size))
     vm[:4, :4] = 0.01 * (block + block.T)
-    vil = interaction_potential(ModePotential(vm, epsilon=0.5), basis)
+    vil = interaction_potential(Hamiltonian(basis, vm, epsilon=0.5), basis)
     for t_from, t_to in ((-400.0, 400.0), (400.0, -400.0)):
         assert ode_evolution(vil, t_from, t_to, 1e-10).unitarity_drift() <= 1e-10
 
@@ -286,7 +286,7 @@ def test_smatrix_interaction_horizon_checks(basis, vi):
 
 
 def test_smatrix_interaction_zero_potential(basis):
-    v0 = ModePotential(np.zeros((basis.size, basis.size)), epsilon=SWITCH)
+    v0 = Hamiltonian(basis, np.zeros((basis.size, basis.size)), epsilon=SWITCH)
     vi0 = interaction_potential(v0, basis)
     horizon = np.log(1e8) / SWITCH
     s = smatrix_interaction(vi0, "S1starPlus", horizon, SWITCH)
@@ -299,7 +299,7 @@ def test_smatrix_interaction_unitary_for_hermitian(basis):
     block = rng.normal(size=(8, 8))
     vm = np.zeros((basis.size, basis.size))
     vm[:8, :8] = 0.01 * (block + block.T)
-    v = ModePotential(vm, epsilon=eps)
+    v = Hamiltonian(basis, vm, epsilon=eps)
     vi8 = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     s = smatrix_interaction(vi8, "S1starPlus", horizon, eps, tol=1e-8)
@@ -316,7 +316,7 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     block = 2e-5 * (block + block.T) / 2
     vm = np.zeros((basis.size, basis.size))
     vm[:10, :10] = block
-    v = ModePotential(vm, epsilon=eps)
+    v = Hamiltonian(basis, vm, epsilon=eps)
     vi10 = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     s_dyn = smatrix_interaction(vi10, "S1starPlus", horizon, eps, tol=1e-10)
@@ -332,13 +332,13 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     # U^-1 rather than the adjoint, so a non-Hermitian coupling agrees too
     gain = vm.astype(complex)
     gain[:10, :10] += 2e-5j * rng.normal(size=(10, 10))
-    for pot in (v, ModePotential(gain, epsilon=eps)):
+    for pot in (v, Hamiltonian(basis, gain, epsilon=eps)):
         vi = interaction_potential(pot, basis)
         u = ode_evolution(vi, -horizon, horizon, 1e-10)
         for family in S_FAMILIES:
             s_route = smatrix_from_evolution(vi, u, family).matrix
             s_route_mom = smatrix_momentum(pot, basis, family, eps=eps).matrix
-            assert np.max(np.abs(s_route - s_route_mom)) < 1e-6, (pot.is_hermitian, family)
+            assert np.max(np.abs(s_route - s_route_mom)) < 1e-6, (pot.hermitian, family)
 
 
 def test_smatrix_interaction_free_past_overlap(basis):
@@ -347,7 +347,7 @@ def test_smatrix_interaction_free_past_overlap(basis):
     eps = 0.5
     vm = np.zeros((basis.size, basis.size))
     vm[2, 2] = 0.05
-    v = ModePotential(vm, epsilon=eps)
+    v = Hamiltonian(basis, vm, epsilon=eps)
     vif = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
     u = ode_evolution(vif, -horizon, -horizon, 1e-8)

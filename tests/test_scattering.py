@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from braidline import (
-    ModePotential,
+    Hamiltonian,
     Potential,
     born_radius,
     born_wavefunction,
@@ -16,7 +16,6 @@ from braidline import (
     lippmann_schwinger_solve,
     make_lattice,
     smatrix_momentum,
-    transition_probability,
     unitarity_defect,
     variant_basis,
 )
@@ -73,17 +72,37 @@ def test_variant_scales(ctx, basis):
 
 def test_potential_matrix_is_hermitian(basis, weak_v):
     vm = weak_v.matrix(basis)
-    assert weak_v.is_hermitian
+    assert weak_v.on(basis).hermitian
     assert np.max(np.abs(vm - vm.conj().T)) < 1e-13
 
 
-def test_mode_potential_passthrough(basis):
+def test_hamiltonian_passthrough(basis):
     rng = np.random.default_rng(0)
     m = rng.normal(size=(basis.size, basis.size))
     m = m + m.T
-    mp = ModePotential(m, epsilon=EPS)
-    assert mp.is_hermitian
-    assert np.max(np.abs(mp.matrix(basis) - m)) == 0.0
+    mp = Hamiltonian(basis, m, epsilon=EPS)
+    assert mp.hermitian
+    assert mp.on(basis) is mp
+    assert np.max(np.abs(mp.on(basis).v - m)) == 0.0
+
+
+def test_decomposition_is_never_reused_across_bases(basis, weak_v):
+    # a Hamiltonian decomposed on b and handed a variant basis gives the S-matrix
+    # of one built on the variant basis, bit for bit: the variant's energies differ
+    vb = variant_basis(basis, "Hprime")
+    h = weak_v.on(basis)
+    assert h.eigen is h.eigen  # decomposed once, then held
+    for tilde in (False, True):
+        got = smatrix_momentum(h, vb, "S2minus", eps=EPS, tilde=tilde)
+        ref = smatrix_momentum(weak_v.on(vb), vb, "S2minus", eps=EPS, tilde=tilde)
+        assert np.array_equal(got.matrix, ref.matrix), tilde
+    moved = h.on(vb)
+    assert moved.basis is vb and moved.v is h.v and "eigen" not in vars(moved)
+    small = build_hamiltonian_basis(make_lattice(Q, j_min=-5, j_max=5), MASS, basis.ctx)
+    with pytest.raises(ValueError, match="mode count"):
+        h.on(small)
+    with pytest.raises(ValueError, match="mode count"):
+        smatrix_momentum(h, small, "S2minus", eps=EPS)
 
 
 @pytest.mark.parametrize("width", [1e-170, 4.5e-303, 0.0, -1.0, 1.3407807929942597e154,
@@ -153,7 +172,7 @@ def test_non_finite_eps_is_refused(basis, weak_v, eps):
     with pytest.raises(ValueError, match=named):
         Potential(weak_v.values, epsilon=eps)
     with pytest.raises(ValueError, match=named):
-        ModePotential(weak_v.matrix(basis), epsilon=eps)
+        Hamiltonian(basis, weak_v.matrix(basis), epsilon=eps)
     with pytest.raises(ValueError, match=named):
         lippmann_schwinger_solve(weak_v, basis, 1.0, eps)
     with pytest.raises(ValueError, match=named):
@@ -168,7 +187,7 @@ def test_ls_reports_singular_system(basis):
     energy = float(basis.energies[8])
     vm = np.zeros((basis.size, basis.size), dtype=complex)
     vm[8, 8] = 1j * EPS  # cancels the +i eps of the resolvent exactly
-    v = ModePotential(vm, epsilon=EPS)
+    v = Hamiltonian(basis, vm, epsilon=EPS)
     with pytest.raises(np.linalg.LinAlgError):
         lippmann_schwinger_solve(v, basis, energy, EPS)
 
@@ -180,10 +199,10 @@ def test_tilde_route_reports_near_singular_system(basis):
     vm = np.zeros((basis.size, basis.size), dtype=complex)
     vm[8, 8] = 1j * EPS * (1.0 + 1e-14)
     with pytest.raises(np.linalg.LinAlgError):
-        smatrix_momentum(ModePotential(vm, epsilon=EPS), basis, "S1plusPrime", eps=EPS,
+        smatrix_momentum(Hamiltonian(basis, vm, epsilon=EPS), basis, "S1plusPrime", eps=EPS,
                          tilde=True)
     with pytest.raises(np.linalg.LinAlgError):
-        smatrix_momentum(ModePotential(np.conj(vm), epsilon=EPS), basis, "S2minus", eps=EPS)
+        smatrix_momentum(Hamiltonian(basis, np.conj(vm), epsilon=EPS), basis, "S2minus", eps=EPS)
 
 
 def test_born_geometric_convergence(basis, weak_v):
@@ -275,7 +294,7 @@ def test_full_green_refuses_defective_hamiltonian(basis):
     vm = np.zeros((basis.size, basis.size), dtype=complex)
     vm[0, 1] = 1e-3
     with pytest.raises(np.linalg.LinAlgError):
-        full_green(ModePotential(vm, epsilon=EPS), basis, None, 0.0, 0.7)
+        full_green(Hamiltonian(basis, vm, epsilon=EPS), basis, None, 0.0, 0.7)
 
 
 def test_full_green_born_orders_converge(basis, weak_v):
@@ -321,10 +340,11 @@ def test_family_table(ctx):
         assert conjugation_partner(S_FAMILIES, partner) == fam
 
 
-def test_mode_potential_refuses_negative_epsilon(basis):
-    # a negative rate would switch on a growing envelope exp(+|eps t|)
+def test_hamiltonian_refuses_negative_epsilon(basis):
+    # a negative rate would switch on a growing envelope exp(+|eps t|); a
+    # non-finite one is refused in test_non_finite_eps_is_refused
     with pytest.raises(ValueError, match="epsilon"):
-        ModePotential(np.eye(basis.size), epsilon=-0.1)
+        Hamiltonian(basis, np.eye(basis.size), epsilon=-0.1)
 
 
 def test_smatrix_zero_potential_identity(basis):
@@ -367,7 +387,7 @@ def test_unitarity_anti_hermitian_control(basis):
     va = Potential(
         0.05j * np.exp(-basis.lattice.points ** 2), epsilon=EPS
     )
-    assert not va.is_hermitian
+    assert not va.on(basis).hermitian
     s = smatrix_momentum(va, basis, "S2minus", eps=EPS)
     assert unitarity_defect(s) > 1e-2
 
@@ -377,14 +397,14 @@ def test_transition_probabilities_real_nonnegative(basis, weak_v):
     table = transition_probability_table(s)
     assert np.all(np.isreal(table))
     assert np.all(table >= 0.0)
-    assert transition_probability(s, 3, 7) == pytest.approx(abs(s.matrix[3, 7]) ** 2)
+    assert table[3, 7] == pytest.approx(abs(s.matrix[3, 7]) ** 2)
 
 
 def test_transition_probabilities_zero_potential(basis):
     v0 = Potential(np.zeros(basis.lattice.size), epsilon=EPS)
-    s = smatrix_momentum(v0, basis, "S2minus", eps=EPS)
-    assert transition_probability(s, 2, 5) == 0.0
-    assert transition_probability(s, 4, 4) == 1.0
+    table = transition_probability_table(smatrix_momentum(v0, basis, "S2minus", eps=EPS))
+    assert table[2, 5] == 0.0
+    assert table[4, 4] == 1.0
 
 
 def test_transition_probabilities_tilde_pairs(basis, weak_v):
@@ -419,7 +439,7 @@ ONE_FAMILY_PER_SIGN = ("S1plusPrime", "S2minus")
 def on_shell_residuals(v, basis, eps):
     """Per-column max|R[:, k]| of R = V - T + V (R0 o T) for the on-shell
     solve, its bound 64 eps_mach max|V|, and the solve's diagnostics."""
-    vm, e = v.matrix(basis), basis.energies
+    vm, e = v.on(basis).v, basis.energies
     diagnostics = {}
     t = lippmann_schwinger_solve(v, basis, e, eps, diagnostics)
     r0 = 1.0 / (e[None, :] + 1j * eps - e[:, None])
