@@ -54,13 +54,11 @@ from .scattering import (
 )
 from .dyson import (
     EvolutionOperator,
-    InteractionPotential,
     dyson_evolution,
     from_interaction_picture,
     interaction_coefficients,
-    interaction_potential,
     ode_evolution,
-    smatrix_interaction,
+    smatrix_from_evolution,
     to_interaction_picture,
 )
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis
-from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
+from .dyson import ode_evolution, smatrix_from_evolution
 from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
 from .qcalc import crossing_transform, make_lattice
@@ -141,12 +141,11 @@ def _check_unitarity(cfg, basis, basis2, v):
 
 
 def _check_cross_formalism(cfg, basis, basis2, v):
-    mp = cross_formalism_potential(basis)
-    vi = interaction_potential(mp, basis)
-    horizon = float(np.log(1e8) / mp.epsilon)
-    u = ode_evolution(vi, -horizon, horizon, 1e-10)  # one window gives both time signs
-    return max(float(np.max(np.abs(smatrix_from_evolution(vi, u, family).matrix
-                                   - smatrix_momentum(mp, basis, family, mp.epsilon).matrix)))
+    h = cross_formalism_potential(basis)
+    horizon = float(np.log(1e8) / h.epsilon)
+    u = ode_evolution(h, -horizon, horizon, 1e-10)  # one window gives both time signs
+    return max(float(np.max(np.abs(smatrix_from_evolution(h, u, family).matrix
+                                   - smatrix_momentum(h, basis, family, h.epsilon).matrix)))
                for family in ("S1starPlus", "S2minus")), 1e-6
 
 

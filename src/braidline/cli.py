@@ -28,7 +28,7 @@ from . import __version__
 from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
                     half_line_hamiltonian)
 from .checks import CHECKS, boundary_defect, crossed_basis, geometry_variants, run_check
-from .dyson import interaction_potential, ode_evolution, smatrix_from_evolution
+from .dyson import ode_evolution, smatrix_from_evolution
 from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
 from .qcalc import braided_line, make_lattice
 from .scattering import (
@@ -376,13 +376,13 @@ def cmd_dyson(cfg: dict, out: str) -> int:
     vm = build_potential(cfg, lat).matrix(basis)
     block = np.zeros_like(vm)
     block[:n_modes, :n_modes] = vm[:n_modes, :n_modes]
-    vi = interaction_potential(Hamiltonian(basis, block, epsilon=eps), basis)
+    h = Hamiltonian(basis, block, epsilon=eps)
     horizon = float(np.log(1e8) / eps)
     os.makedirs(out, exist_ok=True)
     # one evolution per run: the S-matrix of either time sign follows from it
-    u = _guarded(ode_evolution, vi, -horizon, horizon, tol)
+    u = _guarded(ode_evolution, h, -horizon, horizon, tol)
     write_matrix_csv(os.path.join(out, "evolution.csv"), u.matrix)
-    s = smatrix_from_evolution(vi, u, cfg["family"])
+    s = smatrix_from_evolution(h, u, cfg["family"])
     write_matrix_csv(os.path.join(out, f"smatrix_interaction_{cfg['family']}.csv"),
                      s.matrix)
     write_report(os.path.join(out, "dyson_report.json"), {

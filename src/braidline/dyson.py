@@ -1,6 +1,6 @@
-"""Interaction picture: picture-change maps, interaction potentials,
-time-evolution operators (exact Dyson partial sums and the full evolution,
-both from one block exponential) and interaction-picture S-matrices.
+"""Interaction picture: picture-change maps, time-evolution operators (exact
+Dyson partial sums and the full evolution, both from one block exponential)
+and interaction-picture S-matrices.  V_I(t) is ``Hamiltonian.at``.
 
 Geometry G1 evolution acts from the left on coefficient columns, geometry
 G2 from the right with the reversed operator ordering and the opposite
@@ -17,27 +17,12 @@ import math
 
 import numpy as np
 
-from .basis import CoefficientVector, WaveBasis
+from .basis import CoefficientVector
 from .qcalc import G1
-from .scattering import Hamiltonian, Potential, SMatrix, S_FAMILIES, _dyson_blocks
+from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _dyson_blocks
 
-
-@dataclass
-class InteractionPotential:
-    """V_I(t)_{pp'} = exp(i (E_p - E_p') t) V_{pp'} exp(-eps |t|)."""
-
-    basis: WaveBasis
-    matrix: np.ndarray  # V in the energy basis
-    epsilon: float
-
-    def at(self, t: float) -> np.ndarray:
-        phase = np.exp(1j * self.basis.energies * t)
-        return np.outer(phase, phase.conj()) * self.matrix * np.exp(-self.epsilon * abs(t))
-
-
-def interaction_potential(v: Potential | Hamiltonian, basis: WaveBasis) -> InteractionPotential:
-    h = v.on(basis)
-    return InteractionPotential(basis, h.v, h.epsilon)
+# the benchmark's tracer counts V_I(t) evaluations as InteractionPotential.at
+InteractionPotential = Hamiltonian
 
 
 @dataclass
@@ -70,8 +55,7 @@ MAX_STEPS = 256
 
 
 def _integrate(
-    vi: InteractionPotential, t_from: float, t_to: float, tol: float,
-    levels: int | None,
+    h: Hamiltonian, t_from: float, t_to: float, tol: float, levels: int | None,
 ) -> tuple[np.ndarray, dict]:
     """Time-ordered exponential on the modes V couples: (matrix, diagnostics).
 
@@ -82,23 +66,23 @@ def _integrate(
     the tail (largest entry of a last block) and the coupled modes.  The
     README's "Interaction picture" sets out the steps, K and the refusals.
     """
-    idx = np.flatnonzero(np.any(vi.matrix, axis=0) | np.any(vi.matrix, axis=1))
+    idx = np.flatnonzero(np.any(h.v, axis=0) | np.any(h.v, axis=1))
     n = idx.size
-    out = np.eye(vi.basis.size, dtype=complex)
+    out = np.eye(h.basis.size, dtype=complex)
     if n == 0 or t_from == t_to or levels == 0:
         return out, {"order": 0, "steps": 0, "tail": 0.0, "coupled_modes": n}
-    block, left, eps = np.ix_(idx, idx), vi.basis.ctx.geometry == G1, vi.epsilon
+    block, left, eps = np.ix_(idx, idx), h.basis.ctx.geometry == G1, h.epsilon
 
     def env(t):  # int_0^|t| exp(-eps s) ds
         return -math.expm1(-eps * abs(t)) / eps if eps else abs(t)
 
     sigma, c = (1.0, -1j) if left else (-1.0, 1j)  # G2 is the transposed problem
-    e = sigma * vi.basis.energies[idx]
+    e = sigma * h.basis.energies[idx]
     # |t| is monotone on each piece, so the envelope is one exponential there
     pieces = [(t_from, 0.0), (0.0, t_to)] if t_from * t_to < 0 else [(t_from, t_to)]
     counts, order = [1] * len(pieces), levels
     if levels is None:
-        vb = vi.matrix[block]
+        vb = h.v[block]
         v_norm = float(np.linalg.norm(vb, 2)) if np.all(np.isfinite(vb)) else math.inf
         xs = [v_norm * abs(env(b) - env(a)) for a, b in pieces]
         if not sum(xs) <= MAX_STEPS:
@@ -116,11 +100,11 @@ def _integrate(
         for t0, t1 in zip(ts[:-1], ts[1:]):
             # W at the end nearer t = 0: a step towards it is the transposed
             # problem in reversed time, so no diagonal block of M grows
-            h, grow = t1 - t0, abs(t1) < abs(t0)
-            w = vi.at(t1 if grow else t0)[block]
-            blocks = _dyson_blocks(e, w.T if left == grow else w, c, eps * np.sign(h), h, order)
+            dt, grow = t1 - t0, abs(t1) < abs(t0)
+            w = h.at(t1 if grow else t0)[block]
+            blocks = _dyson_blocks(e, w.T if left == grow else w, c, eps * np.sign(dt), dt, order)
             tail = max(tail, float(np.max(np.abs(blocks[-1]))))
-            step = np.exp(1j * e * h)[:, None] * blocks
+            step = np.exp(1j * e * dt)[:, None] * blocks
             step = step.transpose(0, 2, 1) if grow else step
             step = step.sum(axis=0, keepdims=True) if levels is None else step
             acc = step if acc is None else np.stack(  # graded by order, truncated
@@ -133,25 +117,25 @@ def _integrate(
 
 
 def ode_evolution(
-    vi: InteractionPotential, t_from: float, t_to: float, tol: float,
+    h: Hamiltonian, t_from: float, t_to: float, tol: float,
 ) -> EvolutionOperator:
     """U(t_to, t_from) to ``tol``: sub-steps of the block exponential."""
-    if tol <= 0:
+    if not 0 < tol < np.inf:
         raise ValueError("tol must be positive")
-    u, diag = _integrate(vi, t_from, t_to, tol, None)
-    return EvolutionOperator(u, t_from, t_to, vi.basis.ctx.geometry, diag)
+    u, diag = _integrate(h, t_from, t_to, tol, None)
+    return EvolutionOperator(u, t_from, t_to, h.basis.ctx.geometry, diag)
 
 
 def dyson_evolution(
-    vi: InteractionPotential, t_from: float, t_to: float, order: int,
+    h: Hamiltonian, t_from: float, t_to: float, order: int,
 ) -> EvolutionOperator:
     """Order-N truncation 1 + I_1 + ... + I_N of the iterated time-ordered
     integrals I_k(t) = (-+i) int V(s) I_{k-1}(s) ds, exact block by block.
     Order 0 returns the identity."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    u, diag = _integrate(vi, t_from, t_to, 0.0, order)
-    return EvolutionOperator(u, t_from, t_to, vi.basis.ctx.geometry, diag)
+    u, diag = _integrate(h, t_from, t_to, 0.0, order)
+    return EvolutionOperator(u, t_from, t_to, h.basis.ctx.geometry, diag)
 
 
 def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
@@ -172,29 +156,20 @@ def interaction_coefficients(states: list[CoefficientVector]) -> tuple[np.ndarra
     return times, np.stack(rows, axis=0)
 
 
-def smatrix_from_evolution(vi: InteractionPotential, u: EvolutionOperator, family: str) -> SMatrix:
-    """The family's S-matrix from the forward evolution U(T, -T) of ``vi``: U for
+def smatrix_from_evolution(h: Hamiltonian, u: EvolutionOperator, family: str) -> SMatrix:
+    """The family's S-matrix from the forward evolution U(T, -T) of ``h``: U for
     time sign +1, the reversed window U(-T, T) = U(T, -T)^-1 for -1 (the
-    inverse, not the adjoint, so a non-Hermitian V stays right)."""
-    mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
-    return SMatrix(basis=vi.basis, matrix=mat, family=family,
-                   epsilon=vi.epsilon, tilde=False, diagnostics=dict(u.diagnostics))
-
-
-def smatrix_interaction(
-    vi: InteractionPotential, family: str, t_horizon: float, eps: float,
-    tol: float = 1e-8,
-) -> SMatrix:
-    """S = U(+-T, -+T) across the switched-on window, from one forward
-    evolution.  Requires exp(-eps*T) <= 1e-8 so the interaction is negligible
-    outside it."""
+    inverse, not the adjoint, so a non-Hermitian V stays right).  The window
+    must be symmetric and switched off at its ends: exp(-eps*T) <= 1e-8."""
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
-    if eps <= 0:
+    if h.epsilon <= 0:
         raise ValueError("eps must be positive")
+    if not (u.t_from == -u.t_to and u.t_to > 0):
+        raise ValueError(f"window ({u.t_from!r}, {u.t_to!r}) must be (-T, T) with T > 0")
     # T = ln(1e8) / eps itself can round to exp(-eps*T) a few ulps above 1e-8
-    if np.exp(-eps * t_horizon) > 1e-8 * (1 + 1e-12):
+    if np.exp(-h.epsilon * u.t_to) > 1e-8 * (1 + 1e-12):
         raise ValueError("horizon too short for the requested eps: need exp(-eps*T) <= 1e-8")
-    if vi.epsilon != eps:
-        raise ValueError("interaction epsilon must match the requested eps")
-    return smatrix_from_evolution(vi, ode_evolution(vi, -t_horizon, t_horizon, tol), family)
+    mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
+    return SMatrix(basis=h.basis, matrix=mat, family=family,
+                   epsilon=h.epsilon, tilde=False, diagnostics=dict(u.diagnostics))

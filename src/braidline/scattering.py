@@ -75,7 +75,8 @@ class Potential:
 class Hamiltonian:
     """H = H0 + V on a free basis: V in the energy basis, the switching rate and
     whether V is Hermitian by construction (real values for ``Potential.on``,
-    else V == V^H bit for bit).  ``eigen`` decomposes H once, on first use."""
+    else V == V^H bit for bit).  ``eigen`` decomposes H once, on first use, and
+    ``at(t)`` is V in the interaction picture."""
 
     basis: WaveBasis
     v: np.ndarray
@@ -104,6 +105,11 @@ class Hamiltonian:
     def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``."""
         return _eigen(self.matrix, self.hermitian)
+
+    def at(self, t: float) -> np.ndarray:
+        """V_I(t)_{pp'} = exp(i (E_p - E_p') t) V_{pp'} exp(-eps |t|)."""
+        phase = np.exp(1j * self.basis.energies * t)
+        return np.outer(phase, phase.conj()) * self.v * np.exp(-self.epsilon * abs(t))
 
 
 def gaussian_width_ok(width: float) -> bool:
@@ -284,7 +290,7 @@ class FullGreen:
 
 def full_green(
     v: Potential | Hamiltonian, basis: WaveBasis, order: int | None,
-    t_source: float, t_target: float, prop_variant: str = "K1prime",
+    t_source: float, t_target: float,
 ) -> FullGreen:
     """Retarded interacting kernel G = K + (-i) int K V G dt.
 
@@ -306,7 +312,7 @@ def full_green(
     u = basis.vectors
     mat = u @ mat_modes @ u.conj().T
     kern = PropagatorKernel(
-        basis=basis, variant=prop_variant, t_source=t_source,
+        basis=basis, variant="K1prime", t_source=t_source,
         t_target=t_target, matrix=mat, tilde=False, causality="retarded",
     )
     return FullGreen(kernel=kern, hamiltonian=h, order=order)

@@ -21,9 +21,9 @@ from braidline import (
     conjugate_smatrix,
     crossing_transform,
     free_propagator,
-    interaction_potential,
     make_lattice,
-    smatrix_interaction,
+    ode_evolution,
+    smatrix_from_evolution,
     smatrix_momentum,
     unitarity_defect,
 )
@@ -161,8 +161,9 @@ def test_c07_unitarity_trend_and_controls(scene):
     block = rng.normal(size=(8, 8))
     vm = np.zeros((basis.size, basis.size))
     vm[:8, :8] = 0.01 * (block + block.T)
-    vi = interaction_potential(Hamiltonian(basis, vm, epsilon=eps), basis)
-    s = smatrix_interaction(vi, "S1starPlus", np.log(1e8) / eps, eps, tol=1e-8)
+    h = Hamiltonian(basis, vm, epsilon=eps)
+    horizon = np.log(1e8) / eps
+    s = smatrix_from_evolution(h, ode_evolution(h, -horizon, horizon, 1e-8), "S1starPlus")
     registered("unitarity_trend", scene,
                "C07 unitarity improves with adiabatic switching",
                extra_ok=control and unitarity_defect(s) <= 1e-6)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -11,15 +13,14 @@ from braidline import (
     from_interaction_picture,
     gaussian_potential,
     interaction_coefficients,
-    interaction_potential,
     make_lattice,
     ode_evolution,
-    smatrix_interaction,
+    smatrix_from_evolution,
     to_interaction_picture,
     unitarity_defect,
 )
 from braidline.basis import CoefficientVector
-from braidline.dyson import evolve, smatrix_from_evolution
+from braidline.dyson import evolve
 from braidline.scattering import S_FAMILIES, smatrix_momentum, variant_basis, variant_scale
 
 Q = 0.9
@@ -38,46 +39,51 @@ def basis(ctx):
 
 
 @pytest.fixture(scope="module")
-def vi(basis):
+def h(basis):
     v = gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=SWITCH)
-    return interaction_potential(v, basis)
+    return v.on(basis)
 
 
-def test_interaction_potential_at_zero_is_bare(basis, vi):
+def test_hamiltonian_at_zero_is_bare(basis, h):
     v = gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=SWITCH)
-    assert np.max(np.abs(vi.at(0.0) - v.matrix(basis))) < 1e-14
+    assert np.max(np.abs(h.at(0.0) - v.matrix(basis))) < 1e-14
 
 
-def test_interaction_potential_phases_and_envelope(basis, vi):
+def test_hamiltonian_at_phases_and_envelope(basis, h):
     # on H and on H'', whose phases carry the scaled energies q**zeta E_p
     t = 0.8
-    bare = vi.matrix
+    bare = h.v
     for variant in ("H", "Hdoubleprime"):
-        vt = interaction_potential(Hamiltonian(basis, bare, epsilon=SWITCH),
-                                   variant_basis(basis, variant)).at(t)
+        vt = Hamiltonian(variant_basis(basis, variant), bare, epsilon=SWITCH).at(t)
         e = variant_scale(variant, basis.ctx) * basis.energies
         phase = np.exp(1j * e * t)
         expect = (phase[:, None] * bare * np.conj(phase)[None, :]) * np.exp(-SWITCH * t)
         assert np.max(np.abs(vt - expect)) < 1e-13, variant
 
 
-def test_evolution_identity_cases(vi):
-    u = ode_evolution(vi, 0.5, 0.5, 1e-8)
+def test_evolution_identity_cases(h):
+    u = ode_evolution(h, 0.5, 0.5, 1e-8)
     assert np.max(np.abs(u.matrix - np.eye(u.matrix.shape[0]))) == 0.0
-    u0 = dyson_evolution(vi, -1.0, 1.0, 0)
+    u0 = dyson_evolution(h, -1.0, 1.0, 0)
     assert np.max(np.abs(u0.matrix - np.eye(u0.matrix.shape[0]))) == 0.0
 
 
-def test_ode_unitarity_drift(vi):
-    u = ode_evolution(vi, -1.0, 1.0, 1e-8)
+def test_ode_unitarity_drift(h):
+    u = ode_evolution(h, -1.0, 1.0, 1e-8)
     assert u.unitarity_drift() <= 1e-8
 
 
-def test_group_property(vi):
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_ode_evolution_refuses_non_finite_tol(h, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ode_evolution(h, -1.0, 1.0, tol)
+
+
+def test_group_property(h):
     tol = 1e-9
-    whole = ode_evolution(vi, -1.0, 1.0, tol)
-    first = ode_evolution(vi, -1.0, 0.3, tol)
-    second = ode_evolution(vi, 0.3, 1.0, tol)
+    whole = ode_evolution(h, -1.0, 1.0, tol)
+    first = ode_evolution(h, -1.0, 0.3, tol)
+    second = ode_evolution(h, 0.3, 1.0, tol)
     defect = np.linalg.norm(second.matrix @ first.matrix - whole.matrix)
     assert defect <= 10 * tol
 
@@ -87,9 +93,8 @@ def test_diagonal_potential_closed_form(basis):
     # times, so the evolution is exp(-i V int exp(-eps|t|) dt)
     dvals = np.zeros(basis.size)
     dvals[:6] = [0.3, -0.2, 0.1, 0.05, -0.4, 0.25]
-    vd = Hamiltonian(basis, np.diag(dvals), epsilon=SWITCH)
-    vid = interaction_potential(vd, basis)
-    u = ode_evolution(vid, -1.0, 1.0, 1e-10)
+    hd = Hamiltonian(basis, np.diag(dvals), epsilon=SWITCH)
+    u = ode_evolution(hd, -1.0, 1.0, 1e-10)
     integral = 2.0 * (1.0 - np.exp(-SWITCH)) / SWITCH
     exact = np.diag(np.exp(-1j * dvals * integral))
     assert np.max(np.abs(u.matrix - exact)) < 1e-9
@@ -104,21 +109,21 @@ def test_dyson_order_truncation_scaling(basis):
     block[:12, :12] = bare[:12, :12]
     errs = []
     for lam in (1.0, 0.5, 0.25):
-        vl = interaction_potential(Hamiltonian(basis, lam * block, epsilon=SWITCH), basis)
-        u2 = dyson_evolution(vl, -1.0, 1.0, 2)
-        ue = ode_evolution(vl, -1.0, 1.0, 1e-10)
+        hl = Hamiltonian(basis, lam * block, epsilon=SWITCH)
+        u2 = dyson_evolution(hl, -1.0, 1.0, 2)
+        ue = ode_evolution(hl, -1.0, 1.0, 1e-10)
         errs.append(np.linalg.norm(u2.matrix - ue.matrix))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(slopes - 3.0) < 0.3)
 
 
-def _packed_full_space(vi, t_from, t_to, tol, order=None):
+def _packed_full_space(h, t_from, t_to, tol, order=None):
     """The integration the coupled-mode driver replaced: every one of the
     m x m entries, complex matrices packed as real/imaginary halves.
     ``order=None`` evolves U, else the Dyson hierarchy up to ``order``."""
-    m = vi.basis.size
+    m = h.basis.size
     nm = m * m
-    coeff, left = (-1j, True) if vi.basis.ctx.geometry == "G1" else (1j, False)
+    coeff, left = (-1j, True) if h.basis.ctx.geometry == "G1" else (1j, False)
     levels = 1 if order is None else order
     rtol = (tol if order is None else tol / order) * 1e-2
 
@@ -127,7 +132,7 @@ def _packed_full_space(vi, t_from, t_to, tol, order=None):
                 + 1j * y[(2 * k + 1) * nm: (2 * k + 2) * nm].reshape(m, m))
 
     def rhs_real(t, y):
-        vt = vi.at(t)
+        vt = h.at(t)
         out = np.zeros_like(y)
         prev = unpack(y, 0) if order is None else np.eye(m, dtype=complex)
         for k in range(levels):
@@ -159,13 +164,13 @@ def test_coupled_modes_match_full_space_oracle(ctx, crossed):
     vm[3, 17] = 0.3 - 0.1j
     vm[np.ix_([1, 4, 9], [1, 4, 9])] = 0.2 * (rng.normal(size=(3, 3))
                                               + 1j * rng.normal(size=(3, 3)))
-    vic = interaction_potential(Hamiltonian(b, vm, epsilon=SWITCH), b)
+    hc = Hamiltonian(b, vm, epsilon=SWITCH)
     outside = np.ones(b.size, dtype=bool)
     outside[[1, 3, 4, 9, 17]] = False
     outside = outside[:, None] | outside[None, :]
-    for fast, order in ((ode_evolution(vic, -1.0, 1.0, 1e-10), None),
-                        (dyson_evolution(vic, -1.0, 1.0, 2), 2)):
-        ref = _packed_full_space(vic, -1.0, 1.0, 1e-10, order)
+    for fast, order in ((ode_evolution(hc, -1.0, 1.0, 1e-10), None),
+                        (dyson_evolution(hc, -1.0, 1.0, 2), 2)):
+        ref = _packed_full_space(hc, -1.0, 1.0, 1e-10, order)
         assert np.max(np.abs(fast.matrix - ref)) < 1e-9
         assert np.array_equal(fast.matrix[outside], np.eye(b.size)[outside])
         assert fast.diagnostics["coupled_modes"] == 5
@@ -183,15 +188,15 @@ def test_substeps_match_full_space_oracle(ctx, crossed):
     herm = a + a.conj().T
     vm = np.zeros((b.size, b.size), dtype=complex)
     vm[np.ix_([0, 2, 5], [0, 2, 5])] = 5.0 * herm / np.linalg.norm(herm, 2)
-    vic = interaction_potential(Hamiltonian(b, vm, epsilon=SWITCH), b)
+    hc = Hamiltonian(b, vm, epsilon=SWITCH)
     for t_from, t_to in ((-1.0, 1.0), (1.0, -1.0)):
-        fast = ode_evolution(vic, t_from, t_to, 1e-10)
-        ref = _packed_full_space(vic, t_from, t_to, 1e-11)  # 4.5e-10 off at 1e-10
+        fast = ode_evolution(hc, t_from, t_to, 1e-10)
+        ref = _packed_full_space(hc, t_from, t_to, 1e-11)  # 4.5e-10 off at 1e-10
         assert np.max(np.abs(fast.matrix - ref)) < 1e-9
         assert fast.diagnostics["steps"] == 10 and fast.diagnostics["tail"] <= 1e-10
 
 
-def test_dyson_first_order_oracle(basis, vi):
+def test_dyson_first_order_oracle(basis, h):
     # order 1 is the identity minus i times the plain time integral of V_I,
     # on H and on H'', whose phases carry the scaled energies
     ts = np.linspace(-1.0, 1.0, 4001)
@@ -200,11 +205,10 @@ def test_dyson_first_order_oracle(basis, vi):
 
         def v_i(t):
             phase = np.exp(1j * e * t)
-            return np.outer(phase, phase.conj()) * vi.matrix * np.exp(-SWITCH * abs(t))
+            return np.outer(phase, phase.conj()) * h.v * np.exp(-SWITCH * abs(t))
 
-        vb = interaction_potential(Hamiltonian(basis, vi.matrix, epsilon=SWITCH),
-                                   variant_basis(basis, variant))
-        u1 = dyson_evolution(vb, -1.0, 1.0, 1)
+        hb = Hamiltonian(variant_basis(basis, variant), h.v, epsilon=SWITCH)
+        u1 = dyson_evolution(hb, -1.0, 1.0, 1)
         acc = sum(v_i(t) for t in ts) - 0.5 * (v_i(ts[0]) + v_i(ts[-1]))
         expect = np.eye(basis.size) - 1j * (ts[1] - ts[0]) * acc
         assert np.max(np.abs(u1.matrix - expect)) < 1e-6, variant
@@ -241,8 +245,8 @@ def test_free_state_coefficients_constant(basis):
     assert np.max(np.abs(rows - rows[0])) < 1e-12
 
 
-def test_evolve_respects_time_stamps(basis, vi):
-    u = ode_evolution(vi, -1.0, 1.0, 1e-8)
+def test_evolve_respects_time_stamps(basis, h):
+    u = ode_evolution(h, -1.0, 1.0, 1e-8)
     psi = CoefficientVector(basis, np.eye(basis.size)[0], time=-1.0)
     out = evolve(u, psi)
     assert out.time == 1.0
@@ -256,8 +260,7 @@ def test_crossed_geometry_right_action(ctx):
     lat2 = make_lattice(c2.q)
     b2 = build_hamiltonian_basis(lat2, MASS, c2)
     v = gaussian_potential(lat2, strength=0.05, width=1.0, epsilon=SWITCH)
-    vi2 = interaction_potential(v, b2)
-    u = ode_evolution(vi2, -1.0, 1.0, 1e-8)
+    u = ode_evolution(v.on(b2), -1.0, 1.0, 1e-8)
     assert u.geometry == "G2"
     assert u.unitarity_drift() <= 1e-8
     psi = CoefficientVector(b2, np.eye(b2.size)[0], time=-1.0)
@@ -271,25 +274,29 @@ def test_long_window_stays_unitary(basis):
     block = np.arange(16.0).reshape(4, 4)
     vm = np.zeros((basis.size, basis.size))
     vm[:4, :4] = 0.01 * (block + block.T)
-    vil = interaction_potential(Hamiltonian(basis, vm, epsilon=0.5), basis)
+    hl = Hamiltonian(basis, vm, epsilon=0.5)
     for t_from, t_to in ((-400.0, 400.0), (400.0, -400.0)):
-        assert ode_evolution(vil, t_from, t_to, 1e-10).unitarity_drift() <= 1e-10
+        assert ode_evolution(hl, t_from, t_to, 1e-10).unitarity_drift() <= 1e-10
 
 
-def test_smatrix_interaction_horizon_checks(basis, vi):
-    with pytest.raises(ValueError):
-        smatrix_interaction(vi, "S1starPlus", 1.0, SWITCH)  # horizon too short
-    with pytest.raises(ValueError):
-        smatrix_interaction(vi, "S1starPlus", 100.0, 0.3)  # eps mismatch
-    with pytest.raises(ValueError):
-        smatrix_interaction(vi, "S9", 100.0, SWITCH)
+def test_smatrix_from_evolution_guards(basis, h):
+    h5 = replace(h, epsilon=0.5)
+    with pytest.raises(ValueError, match="horizon too short"):
+        smatrix_from_evolution(h5, ode_evolution(h5, -1.0, 1.0, 1e-8), "S1starPlus")
+    horizon = np.log(1e8) / SWITCH
+    with pytest.raises(ValueError, match="window"):
+        smatrix_from_evolution(h, ode_evolution(h, -horizon, 2 * horizon, 1e-8), "S1starPlus")
+    u = ode_evolution(h, -horizon, horizon, 1e-8)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        smatrix_from_evolution(replace(h, epsilon=0.0), u, "S1starPlus")
+    with pytest.raises(ValueError, match="unknown S-matrix family"):
+        smatrix_from_evolution(h, u, "S9")
 
 
 def test_smatrix_interaction_zero_potential(basis):
-    v0 = Hamiltonian(basis, np.zeros((basis.size, basis.size)), epsilon=SWITCH)
-    vi0 = interaction_potential(v0, basis)
+    h0 = Hamiltonian(basis, np.zeros((basis.size, basis.size)), epsilon=SWITCH)
     horizon = np.log(1e8) / SWITCH
-    s = smatrix_interaction(vi0, "S1starPlus", horizon, SWITCH)
+    s = smatrix_from_evolution(h0, ode_evolution(h0, -horizon, horizon, 1e-8), "S1starPlus")
     assert np.max(np.abs(s.matrix - np.eye(basis.size))) == 0.0
 
 
@@ -299,10 +306,9 @@ def test_smatrix_interaction_unitary_for_hermitian(basis):
     block = rng.normal(size=(8, 8))
     vm = np.zeros((basis.size, basis.size))
     vm[:8, :8] = 0.01 * (block + block.T)
-    v = Hamiltonian(basis, vm, epsilon=eps)
-    vi8 = interaction_potential(v, basis)
+    h8 = Hamiltonian(basis, vm, epsilon=eps)
     horizon = np.log(1e8) / eps
-    s = smatrix_interaction(vi8, "S1starPlus", horizon, eps, tol=1e-8)
+    s = smatrix_from_evolution(h8, ode_evolution(h8, -horizon, horizon, 1e-8), "S1starPlus")
     assert unitarity_defect(s) <= 1e-6
 
 
@@ -317,9 +323,9 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     vm = np.zeros((basis.size, basis.size))
     vm[:10, :10] = block
     v = Hamiltonian(basis, vm, epsilon=eps)
-    vi10 = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
-    s_dyn = smatrix_interaction(vi10, "S1starPlus", horizon, eps, tol=1e-10)
+    u10 = ode_evolution(v, -horizon, horizon, 1e-10)
+    s_dyn = smatrix_from_evolution(v, u10, "S1starPlus")
     s_mom = smatrix_momentum(v, basis, "S1starPlus", eps=eps)
     assert np.max(np.abs(s_dyn.matrix - s_mom.matrix)) < 1e-6
     assert s_dyn.diagnostics["coupled_modes"] == 10
@@ -327,16 +333,15 @@ def test_smatrix_interaction_matches_momentum_route(basis):
     assert s_dyn.diagnostics["tail"] <= 1e-10
     # a time sign -1 family takes the reversed window, U(T, -T)^-1, and the
     # momentum route the advanced resolvent: the routes agree for every family
-    s_minus = smatrix_interaction(vi10, "S2minus", horizon, eps, tol=1e-10)
+    s_minus = smatrix_from_evolution(v, u10, "S2minus")
     assert np.max(np.abs(s_minus.matrix @ s_dyn.matrix - np.eye(basis.size))) <= 1e-12
     # U^-1 rather than the adjoint, so a non-Hermitian coupling agrees too
     gain = vm.astype(complex)
     gain[:10, :10] += 2e-5j * rng.normal(size=(10, 10))
     for pot in (v, Hamiltonian(basis, gain, epsilon=eps)):
-        vi = interaction_potential(pot, basis)
-        u = ode_evolution(vi, -horizon, horizon, 1e-10)
+        u = ode_evolution(pot, -horizon, horizon, 1e-10)
         for family in S_FAMILIES:
-            s_route = smatrix_from_evolution(vi, u, family).matrix
+            s_route = smatrix_from_evolution(pot, u, family).matrix
             s_route_mom = smatrix_momentum(pot, basis, family, eps=eps).matrix
             assert np.max(np.abs(s_route - s_route_mom)) < 1e-6, (pot.hermitian, family)
 
@@ -348,9 +353,8 @@ def test_smatrix_interaction_free_past_overlap(basis):
     vm = np.zeros((basis.size, basis.size))
     vm[2, 2] = 0.05
     v = Hamiltonian(basis, vm, epsilon=eps)
-    vif = interaction_potential(v, basis)
     horizon = np.log(1e8) / eps
-    u = ode_evolution(vif, -horizon, -horizon, 1e-8)
+    u = ode_evolution(v, -horizon, -horizon, 1e-8)
     psi = CoefficientVector(basis, np.eye(basis.size)[2], time=-horizon)
     out = evolve(u, psi)
     assert abs(np.vdot(psi.values, out.values)) == pytest.approx(1.0, abs=1e-6)
