@@ -3,8 +3,9 @@
 The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel and the weighted kernel
 product over both branches, the matrix-exponential interacting Green's
-function and the per-(evaluation, source) kernel loop of the inhomogeneous
-solve, and the per-column dense Lippmann-Schwinger solve of the on-shell
+function, the dense block exponential of the Dyson terms, the
+per-(evaluation, source) kernel loop of the inhomogeneous solve, and the
+per-column dense Lippmann-Schwinger solve of the on-shell
 S-matrix.  The scalar ones evaluate one entry at a time: the q-exponential
 series in Python complex arithmetic, and the CSV writers, which hand
 ``csv.writer`` each value formatted by hand as repr(float(x)).
@@ -44,6 +45,16 @@ def expm_green(v, basis, variant, dt):
     theta(dt) expm(-i (scale*H0 + V) dt)."""
     h = np.diag(variant_scale(variant, basis.ctx) * basis.energies) + v.on(basis).v
     return expm(-1j * h * dt) if dt >= 0 else np.zeros_like(h)
+
+
+def dense_dyson_blocks(e, w, c, rate, h, order):
+    """The (0, k) blocks, k = 0..order, of one dense expm(h M) of the whole
+    block-bidiagonal matrix M: diagonal blocks -i diag(e) - k*rate, superdiagonal
+    blocks c*w.  The reference for ``scattering._dyson_blocks``."""
+    m, nb = e.size, order + 1
+    big = (np.diag(np.tile(-1j * e, nb) - rate * np.repeat(np.arange(nb), m))
+           + np.kron(np.eye(nb, k=1), c * w))
+    return expm(h * big)[:m].reshape(m, nb, m).transpose(1, 0, 2)
 
 
 def dense_smatrix(v, basis, eps, variant, time_sign, tilde):

@@ -1,7 +1,11 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from braidline import (
@@ -19,9 +23,13 @@ from braidline import (
     to_interaction_picture,
     unitarity_defect,
 )
+from braidline import checks, cli, dyson, scattering
 from braidline.basis import CoefficientVector
 from braidline.dyson import evolve
-from braidline.scattering import S_FAMILIES, smatrix_momentum, variant_basis, variant_scale
+from braidline.scattering import (
+    S_FAMILIES, _dyson_blocks, full_green, smatrix_momentum, variant_basis, variant_scale,
+)
+from oracles import dense_dyson_blocks
 
 Q = 0.9
 MASS = 1.0
@@ -358,3 +366,142 @@ def test_smatrix_interaction_free_past_overlap(basis):
     psi = CoefficientVector(basis, np.eye(basis.size)[2], time=-horizon)
     out = evolve(u, psi)
     assert abs(np.vdot(psi.values, out.values)) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the structured block exponential against the dense expm of the whole matrix
+
+# bench/'s PHASE_MULTIPLE: a block may differ from the oracle by 4 phase units,
+# one unit being the rounding of the largest free phase, max(|h| max|e|, 1) 2^-52
+PHASE_MULTIPLE = 4
+
+
+def assert_blocks_match_oracle(e, w, c, rate, h, order):
+    got = _dyson_blocks(e, w, c, rate, h, order)
+    assert got.shape == (order + 1, e.size, e.size)
+    unit = max(abs(h) * float(np.max(np.abs(e), initial=0.0)), 1.0) * 2.0 ** -52
+    err = np.max(np.abs(got - dense_dyson_blocks(e, w, c, rate, h, order)), axis=(1, 2))
+    assert np.all(err <= PHASE_MULTIPLE * unit), err / unit
+    return got
+
+
+def _block_calls(monkeypatch, module, run):
+    """The arguments of every block exponential that ``run()`` takes through ``module``."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _dyson_blocks(*args)
+
+    monkeypatch.setattr(module, "_dyson_blocks", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _real_steps(monkeypatch, tmp_path, config):
+    """The block exponentials `braidline dyson` takes under ``config``; for None,
+    those of the C08 check (``cross_formalism``) on the default scene."""
+    if config is None:
+        cfg = cli.load_config(None)
+        _, _, b = cli.build_scene(cfg)
+        return _block_calls(monkeypatch, dyson,
+                            lambda: checks.run_check("cross_formalism", cfg, b, None, None))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["dyson", "--config", str(path), "--out", str(tmp_path)]
+    return _block_calls(monkeypatch, dyson, lambda: cli.main(argv))
+
+
+@pytest.mark.parametrize("config, modes, order", [
+    ({}, 16, 6),
+    (None, 10, 4),
+    ({"potential": {"strength": 50}}, 16, 15),
+    ({"dyson": {"n_modes": 50}}, 50, 7),
+], ids=["dyson_default", "c08", "strength50", "all_50_modes"])
+def test_block_exponential_matches_dense_on_real_steps(monkeypatch, tmp_path, config, modes,
+                                                       order):
+    calls = _real_steps(monkeypatch, tmp_path, config)
+    assert {(a[0].size, a[5]) for a in calls} == {(modes, order)}
+    # the first, a middle and the last step: every step of a two-step window
+    for i in sorted({0, len(calls) // 2, len(calls) - 1}):
+        assert_blocks_match_oracle(*calls[i])
+
+
+def test_block_exponential_matches_dense_for_full_green(monkeypatch, basis, h):
+    calls = _block_calls(monkeypatch, scattering, lambda: full_green(h, basis, 3, 0.1, 0.4))
+    (e, w, c, rate, dt, order), = calls
+    assert (rate, order, e.size) == (0.0, 3, basis.size)
+    assert_blocks_match_oracle(e, w, c, rate, dt, order)
+
+
+@pytest.mark.parametrize("c, rate, step, order, scale", [
+    (-1j, 0.3, 2.0, 0, 1.0),    # order 0: the free phases alone
+    (-1j, 0.3, 2.0, 4, 1.0),
+    (1j, 0.3, 2.0, 4, 1.0),     # the crossed geometry's sign of i
+    (-1j, -0.3, -2.0, 4, 1.0),  # a reversed window: h < 0 with rate < 0
+    (-1j, 0.3, 2.0, 4, 0.0),    # w = 0
+    (-1j, 0.3, 0.0, 4, 1.0),    # h = 0
+], ids=["order0", "c=-i", "c=+i", "reversed", "w=0", "h=0"])
+def test_block_exponential_edge_cases(c, rate, step, order, scale):
+    rng = np.random.default_rng(3)
+    e = np.sort(rng.uniform(0.0, 30.0, size=5))
+    w = scale * 0.2 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    got = assert_blocks_match_oracle(e, w, c, rate, step, order)
+    # block 0 is the exact free evolution; it alone survives w = 0 or h = 0
+    assert np.array_equal(got[0], np.diag(np.exp(-1j * step * e)))
+    if scale == 0.0 or step == 0.0:
+        assert not np.any(got[1:])
+
+
+@pytest.mark.parametrize("decay", [0.0, 1e-9, 1e-3, 0.5])
+def test_block_exponential_one_mode_closed_form(decay):
+    # one mode: U = exp(-i e h) exp(c w g) with g = int_0^h exp(-rate tau) dtau, so
+    # block k is exp(-i e h) (c w g)^k / k!.  The dense oracle is no reference here:
+    # scipy's expm recomputes the superdiagonal of a triangular matrix by the plain
+    # divided difference, which cancels when rate h is small and nonzero (4.5e7
+    # units off a 40-digit expm at rate h = 1e-9, against 1 unit for this function)
+    e, w, h = np.array([7.3]), np.array([[0.4 - 0.2j]]), 1.5
+    rate = decay / h
+    g = -np.expm1(-decay) / rate if decay else h
+    got = _dyson_blocks(e, w, -1j, rate, h, 4)
+    want = [np.exp(-1j * e * h) * (-1j * w * g) ** k / math.factorial(k) for k in range(5)]
+    unit = abs(h) * e[0] * 2.0 ** -52
+    assert np.max(np.abs(got - np.array(want))) <= PHASE_MULTIPLE * unit
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), order=st.integers(0, 8),
+       phase=st.one_of(st.just(0.0), st.floats(1.0, 1e3)), coupling=st.floats(0.0, 1.0),
+       decay=st.one_of(st.just(0.0), st.floats(0.5, 2.0)), backward=st.booleans(),
+       crossed=st.booleans())
+def test_block_exponential_matches_dense_random(seed, m, order, phase, coupling, decay,
+                                                backward, crossed):
+    # |h| max|e| = phase, |h| |w|_2 = coupling <= 1 and rate * h = decay >= 0, as in an
+    # ode_evolution step: x <= 1, and no diagonal block of M grows.  The energies are
+    # sorted and span [-phase, phase] / |h|, and phase and decay are 0 or at least
+    # 1 and 0.5: the oracle's superdiagonal pairs, (-i e_last, -i e_0 - rate) times h,
+    # are then equal or far apart (see the one-mode test above).  A phase unit does
+    # not scale with the coupling; at |h| |w|_2 = 2 the oracle itself is 5 units off
+    # a 40-digit expm where this function is 2.2 units off
+    rng = np.random.default_rng(seed)
+    h = -1.5 if backward else 1.5
+    e = np.sort(rng.uniform(-1.0, 1.0, size=m))
+    e[[0, -1]] = -1.0, 1.0
+    e *= phase / abs(h)
+    w = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    w *= coupling / (abs(h) * np.linalg.norm(w, 2))
+    assert_blocks_match_oracle(e, w, 1j if crossed else -1j, decay / h, h, order)
+
+
+def test_block_exponential_refuses_non_finite_input(basis, h):
+    bad = h.v.copy()
+    bad[1, 2] = np.nan
+    hb = Hamiltonian(basis, bad, epsilon=SWITCH)
+    with pytest.raises(np.linalg.LinAlgError, match="bound"):
+        dyson_evolution(hb, -1.0, 1.0, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="bound"):
+        full_green(hb, basis, 2, 0.0, 1.0)
+    e, w = basis.energies[:4], h.v[:4, :4]
+    with pytest.raises(np.linalg.LinAlgError, match="bound"):
+        _dyson_blocks(e, w, -1j, SWITCH, np.inf, 2)
