@@ -11,10 +11,12 @@ carries +p and the odd member -p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import product
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .qcalc import LatticeFunction, QContext, QLattice, q_exponential
 
@@ -53,6 +55,24 @@ class CoefficientVector:
             raise ValueError("value count must equal mode count")
 
 
+def _load_flapack():
+    """SciPy's f2py LAPACK extension, loaded from its file alone: running
+    ``scipy/__init__`` and ``scipy/linalg/__init__`` would cost 0.2-0.4 s of
+    imports, mostly numpy submodules that SciPy's array-API layer pulls in."""
+    spec = find_spec("scipy")
+    dirs = [Path(p, "linalg") for p in (spec and spec.submodule_search_locations or [])]
+    for path in (d / f"_flapack{suffix}" for d in dirs for suffix in EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = ExtensionFileLoader("scipy.linalg._flapack", str(path))
+            module = module_from_spec(spec_from_file_location(loader.name, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack not found; searched {dirs}")
+
+
+_FLAPACK = _load_flapack()
+
+
 def half_line_hamiltonian(lattice: QLattice, mass: float, ctx: QContext
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Weight-symmetrised H0 = B^T B / 2m on the positive branch, B = W^1/2 D W^-1/2.
@@ -81,7 +101,9 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     even and odd modes of the symmetrised H0, so each +-p pair is exactly
     degenerate.  The LAPACK routine is MRRR (``stemr``), always: on the default
     scene it gives the residual check C03 5.2e-11, against 1.8e-10 (above the
-    1e-10 bound) from ``stevd``, ``stev`` or a dense ``eigh``.
+    1e-10 bound) from ``stevd``, ``stev`` or a dense ``eigh``.  It is called
+    as ``scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")`` calls it,
+    with the same checks and bit-identical eigenpairs, minus the import.
     """
     if lattice.size < 4:
         raise ValueError("lattice must have at least 4 points")
@@ -90,8 +112,15 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     w = lattice.weights
     if np.any(w <= 0):
         raise ValueError("degenerate weight matrix")
-    evals, v = eigh_tridiagonal(*half_line_hamiltonian(lattice, mass, ctx),
-                                lapack_driver="stemr")
+    d, e = half_line_hamiltonian(lattice, mass, ctx)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("free Hamiltonian has non-finite entries")
+    args = (d, np.append(e, 0.0), 0, 0.0, 1.0, 1, 1)  # all eigenpairs; stemr's e has n entries
+    lwork, liwork, info = _FLAPACK.dstemr_lwork(*args)
+    if info == 0:
+        _, evals, v, info = _FLAPACK.dstemr(*args, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK stemr failed (info={info})")
     v, sw = v / np.sqrt(2.0), np.sqrt(w)[:, None]
     u_even = np.concatenate([v[::-1], v]) / sw
     u_odd = np.concatenate([v[::-1], -v]) / sw

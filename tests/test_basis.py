@@ -1,7 +1,9 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from braidline import (
     LatticeFunction,
@@ -14,7 +16,8 @@ from braidline import (
     make_lattice,
     project,
 )
-from braidline.basis import CoefficientVector
+from braidline import basis as basis_module
+from braidline.basis import CoefficientVector, half_line_hamiltonian
 from braidline.cli import export_basis
 import oracles
 from oracles import SPECIAL_FLOATS, derivative_matrix
@@ -167,6 +170,74 @@ def test_build_rejects_degenerate_input(lattice, ctx):
     tiny = make_lattice(Q, j_min=0, j_max=0)
     with pytest.raises(ValueError):
         build_hamiltonian_basis(tiny, MASS, ctx)
+
+
+class StemrSpy:
+    """SciPy's LAPACK extension, recording what each ``dstemr`` call returns."""
+
+    def __init__(self, flapack):
+        self.dstemr_lwork, self._dstemr, self.results = flapack.dstemr_lwork, flapack.dstemr, []
+
+    def dstemr(self, *args, **kwargs):
+        self.results.append(self._dstemr(*args, **kwargs))
+        return self.results[-1]
+
+
+@pytest.mark.parametrize("q, j_min, j_max, crossed", [
+    (Q, -2, 2, False), (Q, -12, 12, False), (Q, -25, 25, False),
+    (0.99, -50, 50, False), (0.99, -50, 50, True),
+    (0.99, -200, 200, False), (0.99, -200, 200, True),
+    (0.25, -30, 30, False),
+], ids=["q0.9-n10", "q0.9-n50", "q0.9-n102", "q0.99-n202", "q0.99-n202-crossed",
+        "q0.99-n802", "q0.99-n802-crossed", "q0.25-graded-n122"])
+def test_stemr_matches_eigh_tridiagonal_bitwise(monkeypatch, q, j_min, j_max, crossed):
+    # the direct dstemr call against the SciPy wrapper it replaces, bit for bit
+    c = crossing_transform(braided_line(q)) if crossed else braided_line(q)
+    lattice = make_lattice(c.q, j_min=j_min, j_max=j_max)
+    spy = StemrSpy(basis_module._FLAPACK)
+    monkeypatch.setattr(basis_module, "_FLAPACK", spy)
+    b = build_hamiltonian_basis(lattice, MASS, c)
+    evals, vecs = eigh_tridiagonal(*half_line_hamiltonian(lattice, MASS, c),
+                                   lapack_driver="stemr")
+    assert lattice.size == 2 * (j_max - j_min + 1) and len(spy.results) == 1
+    m, w, v, info = spy.results[0]
+    assert (m, info) == (evals.size, 0)
+    assert np.array_equal(w, evals) and np.array_equal(v, vecs)
+    assert np.array_equal(b.energies, np.repeat(evals, 2))
+
+
+def test_stemr_refusals_match_eigh_tridiagonal(monkeypatch, lattice, ctx):
+    # MRRR gives up on this graded lattice; eigh_tridiagonal raised LinAlgError too
+    graded = make_lattice(0.25, j_min=-132, j_max=-64)
+    with pytest.raises(np.linalg.LinAlgError, match=r"stemr.*info=22"):
+        build_hamiltonian_basis(graded, MASS, braided_line(0.25))
+    with pytest.raises(np.linalg.LinAlgError):
+        eigh_tridiagonal(*half_line_hamiltonian(graded, MASS, braided_line(0.25)),
+                         lapack_driver="stemr")
+    d, e = half_line_hamiltonian(lattice, MASS, ctx)
+    for bad in (np.nan, np.inf):
+        for dd, ee in ((np.append(d[:-1], bad), e), (d, e * bad)):
+            with pytest.raises(ValueError):
+                eigh_tridiagonal(dd, ee, lapack_driver="stemr")
+            monkeypatch.setattr(basis_module, "half_line_hamiltonian", lambda *_: (dd, ee))
+            with pytest.raises(ValueError, match="non-finite"):
+                build_hamiltonian_basis(lattice, MASS, ctx)
+
+
+def test_flapack_loader_names_what_it_searched(monkeypatch, tmp_path):
+    assert callable(basis_module._load_flapack().dstemr)
+    monkeypatch.setattr(basis_module, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"scipy.*_flapack.*searched \[.+linalg"):
+        basis_module._load_flapack()
+    monkeypatch.undo()
+    monkeypatch.setattr(basis_module, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match="searched") as err:
+        basis_module._load_flapack()
+    assert str(tmp_path / "linalg") in str(err.value)
+    monkeypatch.setattr(basis_module, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy.*searched \[\]"):
+        basis_module._load_flapack()
 
 
 def test_qexp_basis_diagnostics(lattice, ctx):

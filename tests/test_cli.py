@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +33,28 @@ from oracles import SPECIAL_FLOATS
 
 def run(args):
     return main(args)
+
+
+FOOTPRINT = """
+import sys, tempfile
+from braidline.cli import main
+with tempfile.TemporaryDirectory() as out:
+    for cmd in (["basis", "--qexp"], ["propagate"], ["scatter"], ["dyson"], ["verify"]):
+        assert main([*cmd, "--out", f"{out}/{cmd[0]}"]) == 0, cmd
+heavy = [m for m in ("scipy.linalg", "numpy.f2py", "numpy.testing") if m in sys.modules]
+assert not heavy, f"imported {heavy}"
+"""
+
+
+def test_commands_never_import_scipy_linalg():
+    # the free basis loads only SciPy's LAPACK extension (scipy.linalg._flapack):
+    # a fresh interpreter running every command keeps the 0.2-0.4 s import out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_print_defaults(capsys):
