@@ -171,5 +171,4 @@ def smatrix_from_evolution(h: Hamiltonian, u: EvolutionOperator, family: str) ->
     if np.exp(-h.epsilon * u.t_to) > 1e-8 * (1 + 1e-12):
         raise ValueError("horizon too short for the requested eps: need exp(-eps*T) <= 1e-8")
     mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
-    return SMatrix(basis=h.basis, matrix=mat, family=family,
-                   epsilon=h.epsilon, tilde=False, diagnostics=dict(u.diagnostics))
+    return SMatrix(matrix=mat, family=family, tilde=False, diagnostics=dict(u.diagnostics))

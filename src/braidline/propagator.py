@@ -52,14 +52,6 @@ class PropagatorKernel:
     tilde: bool = False
     causality: str = CAUSALITY_NONE
 
-    @property
-    def family(self) -> int:
-        return VARIANTS[self.variant][0]
-
-    @property
-    def ctx(self):
-        return self.basis.ctx
-
     def apply(self, f: LatticeFunction) -> LatticeFunction:
         if f.lattice != self.basis.lattice:
             raise ValueError("lattice mismatch")

@@ -60,15 +60,13 @@ class Potential:
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
-    def matrix(self, basis: WaveBasis) -> np.ndarray:
-        """V in the energy basis: V_{pp'} = <u_p, V u_{p'}>."""
+    def on(self, basis: WaveBasis) -> Hamiltonian:
+        """H0 + V with V in the energy basis: V_{pp'} = <u_p, V u_{p'}>."""
         if self.values.shape != (basis.lattice.size,):
             raise ValueError("potential values must match the lattice")
         u = basis.vectors
-        return u.conj().T @ ((basis.weights * self.strength * self.values)[:, None] * u)
-
-    def on(self, basis: WaveBasis) -> Hamiltonian:
-        return Hamiltonian(basis, self.matrix(basis), self.epsilon, not np.any(self.values.imag))
+        vm = u.conj().T @ ((basis.weights * self.strength * self.values)[:, None] * u)
+        return Hamiltonian(basis, vm, self.epsilon, not np.any(self.values.imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +244,9 @@ def born_wavefunction(
     """Order-N Born series in the energy basis, closed-form time integrals.
 
     Each incoming mode q contributes the iteration (R0(E_q) V)^n with
-    uniform denominators 1/(E_q - E_p + i eps).  Order 0 is the free
-    solution with its phase attached.
+    uniform denominators 1/(E_q - E_p + i eps) and evolves with its own
+    phase exp(-i E_q t), so order 0 is the free solution and the series is
+    linear in ``phi``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -256,26 +255,18 @@ def born_wavefunction(
     if h.epsilon <= 0 and order > 0:
         raise ValueError("adiabatic epsilon must be positive for the Born series")
     vm, e = h.v, basis.energies
-    c_total = phi.values.astype(complex).copy()
-    for jq in np.nonzero(np.abs(phi.values) > 0)[0]:
-        r0 = 1.0 / (e[jq] - e + 1j * h.epsilon)
-        m = r0[:, None] * vm
-        term = np.zeros(basis.size, dtype=complex)
-        term[jq] = phi.values[jq]
+    modes = np.nonzero(np.abs(phi.values) > 0)[0]
+    c = np.zeros((modes.size, basis.size), dtype=complex)  # row k: the series of modes[k]
+    c[np.arange(modes.size), modes] = phi.values[modes]
+    for row, jq in zip(c, modes):
+        m = (1.0 / (e[jq] - e + 1j * h.epsilon))[:, None] * vm
+        term = row
         for _ in range(order):
             term = m @ term
-            c_total += term
-    e_in = _incoming_energy(phi)
-    return [CoefficientVector(basis, np.exp(-1j * e_in * t) * c_total, time=float(t))
+            row += term
+    return [CoefficientVector(basis, (np.exp(-1j * e[modes] * t)[:, None] * c).sum(axis=0),
+                              time=float(t))
             for t in np.asarray([0.0] if times is None else times, dtype=float)]
-
-
-def _incoming_energy(phi: CoefficientVector) -> float:
-    idx = np.nonzero(np.abs(phi.values) > 0)[0]
-    if idx.size == 0:
-        return 0.0
-    weights = np.abs(phi.values[idx]) ** 2
-    return float(np.sum(weights * phi.basis.energies[idx]) / np.sum(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +386,8 @@ class SMatrix:
     solve that built it (see ``lippmann_schwinger_solve``) and is never written
     to a report, so reports stay byte-identical from run to run."""
 
-    basis: WaveBasis
     matrix: np.ndarray
     family: str
-    epsilon: float
     tilde: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -428,14 +417,12 @@ def smatrix_momentum(
         lor = (eps / np.pi) / ((e[:, None] - e[None, :]) ** 2 + np.square(eps))
     step = sigma * 2j * np.pi * lor * t_mat
     s = np.eye(basis.size) - (step.T if tilde else step)
-    return SMatrix(basis=basis, matrix=s, family=family, epsilon=eps, tilde=tilde,
-                   diagnostics=diagnostics)
+    return SMatrix(matrix=s, family=family, tilde=tilde, diagnostics=diagnostics)
 
 
 def conjugate_smatrix(s: SMatrix) -> SMatrix:
     """Entrywise conjugate with transposed labels; toggles tilde and prime."""
-    return SMatrix(basis=s.basis, matrix=np.conj(s.matrix).T,
-                   family=conjugation_partner(S_FAMILIES, s.family), epsilon=s.epsilon,
+    return SMatrix(matrix=np.conj(s.matrix).T, family=conjugation_partner(S_FAMILIES, s.family),
                    tilde=not s.tilde, diagnostics=dict(s.diagnostics))
 
 

@@ -16,11 +16,11 @@ from scipy.sparse.linalg import eigsh
 
 from braidline import (
     Hamiltonian,
-    Potential,
     braided_line,
     conjugate_smatrix,
     crossing_transform,
     free_propagator,
+    gaussian_potential,
     make_lattice,
     ode_evolution,
     smatrix_from_evolution,
@@ -29,7 +29,8 @@ from braidline import (
 )
 from braidline import checks
 from braidline.basis import half_line_hamiltonian
-from braidline.checks import born_errors, cross_formalism_potential, crossed_basis, run_check
+from braidline.checks import (CHECK_EPS, born_errors, cross_formalism_potential, crossed_basis,
+                              run_check)
 from braidline.cli import build_potential, build_scene, load_config
 from braidline.scattering import transition_probability_table
 from conftest import ACCEPTANCE_LINES
@@ -55,10 +56,10 @@ def registered(name, scene, label, extra_ok=True):
 
 @pytest.fixture(scope="module")
 def scene():
-    """The default-config verify scene: (cfg, basis, crossed basis, potential)."""
+    """The default-config verify scene: (cfg, basis, crossed basis, H0 + V)."""
     cfg = load_config(None)
     _, lat, basis = build_scene(cfg)
-    return cfg, basis, crossed_basis(basis), build_potential(cfg, lat)
+    return cfg, basis, crossed_basis(basis), build_potential(cfg, lat).on(basis)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
     cfg = load_config(None)
     cfg["lattice"].update(j_min=-j_max, j_max=j_max)
     _, lat, basis = build_scene(cfg)
-    scene = (cfg, basis, crossed_basis(basis), build_potential(cfg, lat))
+    scene = (cfg, basis, crossed_basis(basis), build_potential(cfg, lat).on(basis))
     clean = {name: run_check(name, *scene)["value"] for name in ("composition", "residual")}
     built = []
 
@@ -140,11 +141,12 @@ def test_c05_conjugation_partners(scene):
 
 
 def test_c06_born_series_convergence_rate(scene):
-    # extra: the order-by-order error decays at the Born spectral radius
-    basis, v = scene[1], scene[3]
+    # extra: the order-by-order error of the check's Gaussian decays at the
+    # Born spectral radius
+    basis = scene[1]
     slopes_ok = True
     for lam in (0.003, 0.006, 0.012):
-        errs, rho = born_errors(Potential(v.values, epsilon=EPS, strength=lam),
+        errs, rho = born_errors(gaussian_potential(basis.lattice, lam, epsilon=CHECK_EPS),
                                 basis, (1, 2, 3, 4))
         slope = np.polyfit([1, 2, 3, 4], np.log(errs), 1)[0]
         slopes_ok = slopes_ok and abs(slope / np.log(rho) - 1.0) < 0.3

@@ -423,8 +423,9 @@ def test_cmd_verify_all_pass_and_deterministic(tmp_path, capsys):
 
 
 def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
-    # H0 + V is decomposed once per (basis, V): a whole scatter sweep, each
-    # check, and an exact Green's function with its residual read one decomposition
+    # H0 + V is decomposed once per (basis, V): a whole scatter sweep, the
+    # configured H that verify shares between its checks, and an exact Green's
+    # function with its residual read one decomposition each
     calls = []
     real = scattering._eigen
     monkeypatch.setattr(scattering, "_eigen", lambda *args: calls.append(1) or real(*args))
@@ -434,19 +435,23 @@ def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
         calls.clear()
         assert run(["scatter", "--config", str(cfgp), "--out", str(tmp_path / f"s{k}")]) == 0
         assert len(calls) == 1, override
+    calls.clear()
+    assert run(["verify", "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 5
     cfg = load_config(None)
     _, lat, basis = build_scene(cfg)
-    scene = (cfg, basis, checks.crossed_basis(basis), cli.build_potential(cfg, lat))
+    scene = (cfg, basis, checks.crossed_basis(basis), cli.build_potential(cfg, lat).on(basis))
     counts = {}
     for name in sorted(CHECKS):
         calls.clear()
         checks.run_check(name, *scene)
         counts[name] = len(calls)
+    # conjugation decomposes the shared H and its tilde partner's H0 + conj(V),
+    # so unitarity_trend, run after it, reads the shared decomposition
     assert {name: n for name, n in counts.items() if n} == {
-        "unitarity_trend": 1, "cross_formalism": 1, "conjugation": 2, "born": 1,
-        "unitarity_negative_control": 1}
+        "cross_formalism": 1, "conjugation": 2, "born": 1, "unitarity_negative_control": 1}
     calls.clear()
-    g = full_green(scene[3].on(basis), basis, None, 0.0, cfg["time_target"])
+    g = full_green(cli.build_potential(cfg, lat).on(basis), basis, None, 0.0, cfg["time_target"])
     green_residual(g)
     assert len(calls) == 1
 
@@ -454,6 +459,26 @@ def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
 def test_checks_registry_is_shared():
     assert CHECKS is checks.CHECKS
     assert all(len(entry) == 2 for entry in CHECKS.values())
+
+
+def test_born_check_reads_a_fixed_scene(tmp_path):
+    # C06 tests the Born series on its own weak Gaussian: a zero configured
+    # potential no longer makes it read 0.0
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"potential": {"shape": "none"}}))
+    out = tmp_path / "v"
+    assert run(["verify", "--config", str(cfgp), "--out", str(out)]) == 0
+    born = next(c for c in json.loads((out / "verify_report.json").read_text())["checks"]
+                if c["check"] == "born")
+    assert born["value"] != 0.0 and born["pass"]
+
+
+def test_removed_check_knob_exits_2(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"born_order": 2}))
+    assert run(["verify", "--config", str(cfgp), "--out", str(tmp_path / "v")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["field"] == "born_order" and "born_order" in err["message"]
 
 
 @pytest.mark.parametrize("override", [{"eps_sweep": [0.05]},

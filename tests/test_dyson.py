@@ -54,7 +54,7 @@ def h(basis):
 
 def test_hamiltonian_at_zero_is_bare(basis, h):
     v = gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=SWITCH)
-    assert np.max(np.abs(h.at(0.0) - v.matrix(basis))) < 1e-14
+    assert np.max(np.abs(h.at(0.0) - v.on(basis).v)) < 1e-14
 
 
 def test_hamiltonian_at_phases_and_envelope(basis, h):
@@ -112,7 +112,7 @@ def test_dyson_order_truncation_scaling(basis):
     # || U_dyson(2) - U_ode || shrinks like strength**3; the potential is
     # confined to the lowest modes so the reference solve stays cheap
     bare = gaussian_potential(basis.lattice, strength=0.05, width=1.0,
-                              epsilon=SWITCH).matrix(basis)
+                              epsilon=SWITCH).on(basis).v
     block = np.zeros_like(bare)
     block[:12, :12] = bare[:12, :12]
     errs = []

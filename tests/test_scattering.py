@@ -71,9 +71,9 @@ def test_variant_scales(ctx, basis):
 
 
 def test_potential_matrix_is_hermitian(basis, weak_v):
-    vm = weak_v.matrix(basis)
-    assert weak_v.on(basis).hermitian
-    assert np.max(np.abs(vm - vm.conj().T)) < 1e-13
+    h = weak_v.on(basis)
+    assert h.hermitian
+    assert np.max(np.abs(h.v - h.v.conj().T)) < 1e-13
 
 
 def test_hamiltonian_passthrough(basis):
@@ -125,7 +125,7 @@ def test_gaussian_potential_admits_the_narrowest_normal_width():
 def test_ls_identity(basis, weak_v):
     # T = V + V R0 T with the uniform resolvent denominators, on H and H''
     energy = 1.0
-    vm = weak_v.matrix(basis)
+    vm = weak_v.on(basis).v
     for variant in ("H", "Hdoubleprime"):
         vb = variant_basis(basis, variant)
         t = lippmann_schwinger_solve(weak_v, vb, energy, EPS)
@@ -141,7 +141,7 @@ def test_ls_negative_eps_takes_the_advanced_resolvent(basis, weak_v):
     # T = V + V R0(E - i eps) T, the equation of a -1 family's S-matrix
     energy = 1.0
     t = lippmann_schwinger_solve(weak_v, basis, energy, -EPS)
-    vm = weak_v.matrix(basis)
+    vm = weak_v.on(basis).v
     r0 = np.diag(1.0 / (energy - basis.energies - 1j * EPS))
     assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
 
@@ -172,7 +172,7 @@ def test_non_finite_eps_is_refused(basis, weak_v, eps):
     with pytest.raises(ValueError, match=named):
         Potential(weak_v.values, epsilon=eps)
     with pytest.raises(ValueError, match=named):
-        Hamiltonian(basis, weak_v.matrix(basis), epsilon=eps)
+        Hamiltonian(basis, weak_v.on(basis).v, epsilon=eps)
     with pytest.raises(ValueError, match=named):
         lippmann_schwinger_solve(weak_v, basis, 1.0, eps)
     with pytest.raises(ValueError, match=named):
@@ -225,7 +225,7 @@ def test_born_first_order_closed_form(basis, weak_v):
     jq = 6
     phi = np.zeros(basis.size, dtype=complex)
     phi[jq] = 1.0
-    vm = weak_v.matrix(basis)
+    vm = weak_v.on(basis).v
     for variant in ("H", "Hdoubleprime"):
         got = born_wavefunction(CoefficientVector(variant_basis(basis, variant), phi),
                                 weak_v, 1)[0].values
@@ -243,6 +243,18 @@ def test_born_order_zero_free_phase(basis, weak_v):
         assert np.max(np.abs(out[0].values - phi)) == 0.0
         e4 = variant_scale(variant, basis.ctx) * basis.energies[4]
         assert np.max(np.abs(out[1].values - phi * np.exp(-1j * e4 * 0.7))) < 1e-13
+
+
+def test_born_superposition_evolves_each_mode_with_its_own_phase(basis, weak_v):
+    # order 0 is free evolution, and the series is linear in the incoming state
+    t = 0.7
+    single = [born_wavefunction(CoefficientVector(basis, np.eye(basis.size)[q]), weak_v, 3,
+                                times=np.array([t]))[0].values for q in (4, 8)]
+    phi = np.eye(basis.size)[4] + np.eye(basis.size)[8]
+    free = born_wavefunction(CoefficientVector(basis, phi), weak_v, 0, times=np.array([t]))
+    assert np.max(np.abs(free[0].values - phi * np.exp(-1j * basis.energies * t))) < 1e-13
+    both = born_wavefunction(CoefficientVector(basis, phi), weak_v, 3, times=np.array([t]))
+    assert np.max(np.abs(both[0].values - single[0] - single[1])) < 1e-13
 
 
 def test_born_requires_eps_for_positive_order(basis):
