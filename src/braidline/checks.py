@@ -1,11 +1,11 @@
 """The verification registry: one implementation of each operator identity.
 
 ``braidline verify`` and the acceptance tests run the same checks.  Each
-takes ``(cfg, basis, basis2, h)`` -- the config, the G1 basis, its crossed G2
-partner and the configured H0 + V on the G1 basis, one object per run so it is
-decomposed once -- and returns ``(value, tolerance)``; ``CHECKS`` maps its name
-to ``(fn, sense)``, where sense "max" bounds the value from above and "min" from
-below.  Times come from ``time_target``, switching rates from ``CHECK_EPS``.
+takes one ``cli.Scene`` -- the config with the G1 basis, its crossed G2 partner
+and the configured H0 + V on the G1 basis, each built on first use -- and
+returns ``(value, tolerance)``; ``CHECKS`` maps its name to ``(fn, sense)``,
+where sense "max" bounds the value from above and "min" from below.  Times
+come from ``time_target``, switching rates from ``CHECK_EPS``.
 """
 
 from __future__ import annotations
@@ -14,31 +14,15 @@ import math
 
 import numpy as np
 
-from .basis import CoefficientVector, WaveBasis, build_hamiltonian_basis
+from .basis import CoefficientVector, WaveBasis
 from .dyson import ode_evolution, smatrix_from_evolution
-from .propagator import (VARIANTS, compose, conjugate_kernel, free_propagator, make_advanced,
+from .propagator import (compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
-from .qcalc import crossing_transform, make_lattice
 from .scattering import (Hamiltonian, Potential, born_radius, born_wavefunction,
                          conjugate_smatrix, gaussian_potential, lippmann_schwinger_solve,
                          smatrix_momentum, unitarity_defect)
 
 CHECK_EPS = 0.05  # the adiabatic switching rate of every check scene
-
-
-def crossed_basis(basis: WaveBasis) -> WaveBasis:
-    """The G2 basis of the crossed context over the same j range."""
-    c2 = crossing_transform(basis.ctx)
-    lat = basis.lattice
-    return build_hamiltonian_basis(
-        make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min, j_max=lat.j_max), basis.mass, c2)
-
-
-def geometry_variants(basis: WaveBasis, basis2: WaveBasis) -> list[tuple[WaveBasis, list[str]]]:
-    """Each geometry's basis with its kernel variants, sorted by name.  A variant
-    only selects the geometry, so one kernel per geometry serves all its names."""
-    return [(b, sorted(v for v in VARIANTS if VARIANTS[v][0] == family))
-            for family, b in ((1, basis), (2, basis2))]
 
 
 def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
@@ -81,11 +65,11 @@ def cross_formalism_potential(basis: WaveBasis) -> Hamiltonian:
 # ---------------------------------------------------------------------------
 # the checks
 
-def _check_composition(cfg, basis, basis2, h):
+def _check_composition(scene):
     worst = 0.0
     rng = np.random.default_rng(42)
     # per variant, in name order: each draws its own times
-    for b, names in geometry_variants(basis, basis2):
+    for b, names in scene.geometries:
         for variant in names:
             for _ in range(5):
                 t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
@@ -96,16 +80,16 @@ def _check_composition(cfg, basis, basis2, h):
     return worst, 1e-12
 
 
-def _check_boundary(cfg, basis, basis2, h):
-    return max(boundary_defect(b, variant, cfg["time_target"])
-               for b, (variant, *_) in geometry_variants(basis, basis2)), 1e-12
+def _check_boundary(scene):
+    return max(boundary_defect(b, variant, scene.cfg["time_target"])
+               for b, (variant, *_) in scene.geometries), 1e-12
 
 
-def _check_residual(cfg, basis, basis2, h):
+def _check_residual(scene):
     # retarded and advanced wave-equation residuals plus the source jump
-    t = cfg["time_target"]
+    t = scene.cfg["time_target"]
     worst = 0.0
-    for b, (variant, *_) in geometry_variants(basis, basis2):
+    for b, (variant, *_) in scene.geometries:
         retarded = schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
         advanced = schrodinger_residual(make_advanced(free_propagator(b, variant, t, 0.0)))
         coincident = make_retarded(free_propagator(b, variant, t, t))
@@ -114,53 +98,55 @@ def _check_residual(cfg, basis, basis2, h):
     return worst, 1e-10
 
 
-def _check_conjugation(cfg, basis, basis2, h):
-    t = cfg["time_target"]
+def _check_conjugation(scene):
+    t, family = scene.cfg["time_target"], scene.cfg["family"]
     worst = 0.0
-    for b, (variant, *_) in geometry_variants(basis, basis2):
+    for b, (variant, *_) in scene.geometries:
         ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
         partner = free_propagator(b, ck.variant, -0.2, t, tilde=True)
         worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
     # a family selects only its time sign and its tilde partner solves with the
     # opposite one, so one plain/tilde pair covers both resolvents; the tilde
     # partner decomposes H0 + conj(V) itself, so the two solves stay independent
-    cs = conjugate_smatrix(smatrix_momentum(h, basis, cfg["family"], eps=CHECK_EPS))
-    built = smatrix_momentum(h, basis, cs.family, eps=CHECK_EPS, tilde=True)
+    cs = conjugate_smatrix(smatrix_momentum(scene.h, scene.basis, family, eps=CHECK_EPS))
+    built = smatrix_momentum(scene.h, scene.basis, cs.family, eps=CHECK_EPS, tilde=True)
     return max(worst, float(np.max(np.abs(cs.matrix - built.matrix)))), 1e-10
 
 
-def _check_born(cfg, basis, basis2, h):
+def _check_born(scene):
     # a fixed weak Gaussian, so the order-4 truncation error (~rho**5) is
     # resolvable whatever potential the config names
+    basis = scene.basis
     errs, _ = born_errors(gaussian_potential(basis.lattice, 0.003, epsilon=CHECK_EPS), basis, [4])
     return errs[0], 1e-8
 
 
-def _check_unitarity(cfg, basis, basis2, h):
-    defects = [unitarity_defect(smatrix_momentum(h, basis, cfg["family"], eps=e))
-               for e in cfg["eps_sweep"]]
+def _check_unitarity(scene):
+    defects = [unitarity_defect(smatrix_momentum(scene.h, scene.basis, scene.cfg["family"], eps=e))
+               for e in scene.cfg["eps_sweep"]]
     return worst_ratio(defects), 1.2
 
 
-def _check_cross_formalism(cfg, basis, basis2, h):
-    hc = cross_formalism_potential(basis)
+def _check_cross_formalism(scene):
+    hc = cross_formalism_potential(scene.basis)
     horizon = float(np.log(1e8) / hc.epsilon)
     u = ode_evolution(hc, -horizon, horizon, 1e-10)  # one window gives both time signs
     return max(float(np.max(np.abs(smatrix_from_evolution(hc, u, family).matrix
-                                   - smatrix_momentum(hc, basis, family, hc.epsilon).matrix)))
+                                   - smatrix_momentum(hc, hc.basis, family, hc.epsilon).matrix)))
                for family in ("S1starPlus", "S2minus")), 1e-6
 
 
-def _check_crossing(cfg, basis, basis2, h):
-    t = cfg["time_target"]
-    k1 = free_propagator(basis, "K1prime", 0.0, t)
-    k2 = free_propagator(basis2, "K2", 0.0, t)
+def _check_crossing(scene):
+    t = scene.cfg["time_target"]
+    k1 = free_propagator(scene.basis, "K1prime", 0.0, t)
+    k2 = free_propagator(scene.basis2, "K2", 0.0, t)
     return float(np.max(np.abs(k1.matrix - k2.matrix))), 1e-10
 
 
-def _check_unitarity_negative_control(cfg, basis, basis2, h):
-    va = Potential(0.05j * np.exp(-basis.lattice.points ** 2))
-    defect = unitarity_defect(smatrix_momentum(va, basis, cfg["family"], eps=CHECK_EPS))
+def _check_unitarity_negative_control(scene):
+    va = Potential(0.05j * np.exp(-scene.basis.lattice.points ** 2))
+    defect = unitarity_defect(smatrix_momentum(va, scene.basis, scene.cfg["family"],
+                                               eps=CHECK_EPS))
     # reported as a lower bound: the check passes when the defect is large
     return float(defect), 1e-2
 
@@ -178,10 +164,10 @@ CHECKS = {
 }
 
 
-def run_check(name: str, cfg: dict, basis: WaveBasis, basis2: WaveBasis, h) -> dict:
-    """Evaluate one registered check; the entry is looked up at call time."""
+def run_check(name: str, scene) -> dict:
+    """Evaluate one registered check on a ``cli.Scene``; the entry is looked up at call time."""
     fn, sense = CHECKS[name]
-    value, tol = fn(cfg, basis, basis2, h)
+    value, tol = fn(scene)
     passed = value <= tol if sense == "max" else value >= tol
     return {"check": name, "value": value, "tolerance": tol, "sense": sense,
             "pass": bool(passed)}

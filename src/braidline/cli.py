@@ -20,6 +20,7 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -27,10 +28,10 @@ import orjson
 from . import __version__
 from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
                     half_line_hamiltonian)
-from .checks import CHECKS, boundary_defect, crossed_basis, geometry_variants, run_check
+from .checks import CHECKS, boundary_defect, run_check
 from .dyson import ode_evolution, smatrix_from_evolution
 from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
-from .qcalc import braided_line, make_lattice
+from .qcalc import braided_line, crossing_transform, make_lattice
 from .scattering import (
     Hamiltonian,
     Potential,
@@ -121,7 +122,7 @@ def load_config(path: str | None) -> dict:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", f"cannot read config: {exc}")
-        except ValueError as exc:  # malformed JSON, bad encoding, oversized int
+        except (ValueError, RecursionError) as exc:  # malformed, bad encoding, too deep
             raise ConfigError("config", f"invalid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config", "top-level config must be an object")
@@ -182,8 +183,7 @@ def config_hash(cfg: dict) -> str:
 def build_scene(cfg: dict):
     ctx = braided_line(cfg["ctx"]["q"])
     lat = make_lattice(cfg["ctx"]["q"], **cfg["lattice"])
-    basis = build_hamiltonian_basis(lat, cfg["mass"], ctx)
-    return ctx, lat, basis
+    return ctx, lat, build_hamiltonian_basis(lat, cfg["mass"], ctx)
 
 
 def build_potential(cfg: dict, lattice) -> Potential:
@@ -196,6 +196,36 @@ def build_potential(cfg: dict, lattice) -> Potential:
         vals[np.argmin(np.abs(lattice.points - pot["center"]))] = 1.0
         return Potential(vals, strength=pot["strength"])
     return Potential(np.zeros(lattice.size))
+
+
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """One run's validated config and the operators it reads, each built on
+    first use and then shared: the G1 basis, its crossed G2 partner and the
+    configured H0 + V on the G1 basis, so a run decomposes H0 + V once."""
+
+    cfg: dict
+
+    @functools.cached_property
+    def basis(self) -> WaveBasis:
+        return build_scene(self.cfg)[2]
+
+    @functools.cached_property
+    def basis2(self) -> WaveBasis:
+        """The G2 basis of the crossed context over the same j range."""
+        c2, lat = crossing_transform(self.basis.ctx), self.basis.lattice
+        return build_hamiltonian_basis(
+            make_lattice(c2.q, x0=lat.x0, j_min=lat.j_min, j_max=lat.j_max), self.basis.mass, c2)
+
+    @functools.cached_property
+    def h(self) -> Hamiltonian:
+        return build_potential(self.cfg, self.basis.lattice).on(self.basis)
+
+    @property
+    def geometries(self) -> list[tuple[WaveBasis, list[str]]]:
+        """Each geometry's basis with its sorted variants, one kernel serving all their names."""
+        return [(b, sorted(v for v in VARIANTS if VARIANTS[v][0] == family))
+                for family, b in ((1, self.basis), (2, self.basis2))]
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +292,12 @@ def export_basis(basis: WaveBasis, path: str) -> None:
     _write_table(path, header, table, lambda k: row, preamble)
 
 
-def write_report(path: str, report: dict) -> None:
+def write_report(path: str, cfg: dict, report: dict) -> None:
+    """The JSON ``report`` with the provenance of ``cfg``: its hash and the package version."""
+    provenance = {"config_sha256": config_hash(cfg), "version": __version__}
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump({"provenance": provenance, **report}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _provenance(cfg: dict) -> dict:
-    return {"config_sha256": config_hash(cfg), "version": __version__}
 
 
 def _guarded(build, *args, **kwargs):
@@ -283,9 +311,8 @@ def _guarded(build, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
-    ctx, lat, basis = build_scene(cfg)
-    os.makedirs(out, exist_ok=True)
+def cmd_basis(scene: Scene, out: str, qexp: bool) -> int:
+    basis = scene.basis
     export_basis(basis, os.path.join(out, "basis.csv"))
     _write_table(os.path.join(out, "spectrum.csv"), ["mode", "energy", "momentum", "parity"],
                  np.column_stack([basis.energies, basis.momenta, basis.parity]),
@@ -294,7 +321,6 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     comp_defect = float(np.max(np.abs(
         delta_kernel(basis) * basis.weights[None, :] - np.eye(basis.size))))
     report = {
-        "provenance": _provenance(cfg),
         "modes": basis.size,
         "gram_defect": gram_defect,
         "completeness_defect": comp_defect,
@@ -302,21 +328,20 @@ def cmd_basis(cfg: dict, out: str, qexp: bool) -> int:
     if qexp:
         grid = np.linspace(0.3, 2.0, 8)
         try:
-            _, qexp_report = build_qexp_basis(lat, cfg["mass"], ctx, grid, n_trunc=60)
+            _, qexp_report = build_qexp_basis(basis.lattice, basis.mass, basis.ctx, grid,
+                                              n_trunc=60)
         except ValueError as exc:  # every momentum rejected, or a degenerate family
             raise ConfigError("qexp", f"--qexp diagnostic unavailable: {exc}")
         report["qexp"] = {k: qexp_report[k]
                           for k in ("gram_defect", "n_modes", "rejected_momenta")}
-    write_report(os.path.join(out, "basis_report.json"), report)
+    write_report(os.path.join(out, "basis_report.json"), scene.cfg, report)
     return 0
 
 
-def cmd_propagate(cfg: dict, out: str) -> int:
-    ctx, lat, basis = build_scene(cfg)
-    os.makedirs(out, exist_ok=True)
-    t = cfg["time_target"]
+def cmd_propagate(scene: Scene, out: str) -> int:
+    t = scene.cfg["time_target"]
     rows = {}
-    for b, names in geometry_variants(basis, crossed_basis(basis)):
+    for b, names in scene.geometries:
         kern = free_propagator(b, names[0], 0.0, t)
         first = os.path.join(out, f"kernel_{names[0]}.csv")
         write_matrix_csv(first, kern.matrix)
@@ -328,22 +353,18 @@ def cmd_propagate(cfg: dict, out: str) -> int:
     _write_table(os.path.join(out, "propagator_checks.csv"),
                  ["variant", "schrodinger_residual", "boundary_defect"],
                  np.array([rows[v] for v in variants]), lambda k: f"{variants[k]},%s,%s\r\n")
-    write_report(os.path.join(out, "propagator_report.json"), {
-        "provenance": _provenance(cfg),
+    write_report(os.path.join(out, "propagator_report.json"), scene.cfg, {
         "time_target": t,
         "variants": sorted(VARIANTS),
     })
     return 0
 
 
-def cmd_scatter(cfg: dict, out: str) -> int:
-    ctx, lat, basis = build_scene(cfg)
-    h = build_potential(cfg, lat).on(basis)  # one decomposition for the whole sweep
-    os.makedirs(out, exist_ok=True)
-    family = cfg["family"]
+def cmd_scatter(scene: Scene, out: str) -> int:
+    cfg, family = scene.cfg, scene.cfg["family"]
     trend = []
-    for eps in cfg["eps_sweep"]:
-        s = _guarded(smatrix_momentum, h, basis, family, eps=eps)
+    for eps in cfg["eps_sweep"]:  # one decomposition of scene.h for the whole sweep
+        s = _guarded(smatrix_momentum, scene.h, scene.basis, family, eps=eps)
         tag = float(eps)  # an integer sweep entry still names eps1.0
         write_matrix_csv(os.path.join(out, f"smatrix_{family}_eps{tag}.csv"), s.matrix)
         omega = transition_probability_table(s)
@@ -352,36 +373,33 @@ def cmd_scatter(cfg: dict, out: str) -> int:
     _write_table(os.path.join(out, "unitarity_trend.csv"),
                  ["eps", "unitarity_defect", "max_row_sum_deviation"], np.array(trend),
                  lambda k: "%s,%s,%s\r\n")
-    write_report(os.path.join(out, "scatter_report.json"), {
-        "provenance": _provenance(cfg),
+    write_report(os.path.join(out, "scatter_report.json"), cfg, {
         "family": family,
         "eps_sweep": [float(e) for e in cfg["eps_sweep"]],
     })
     return 0
 
 
-def cmd_dyson(cfg: dict, out: str) -> int:
-    ctx, lat, basis = build_scene(cfg)
+def cmd_dyson(scene: Scene, out: str) -> int:
+    cfg = scene.cfg
     eps = cfg["dyson"]["epsilon"]
     tol = cfg["dyson"]["tol"]
     # restrict V to a low-energy mode block: a block-exponential step costs about
     # log2(E_max h) (K + 1)(K + 2) / 2 products of size n_modes, so all 50 modes
     # take 0.13 s per evolution against 6 ms on 16, and N = 802 is out of reach
     n_modes = cfg["dyson"]["n_modes"]
-    vm = build_potential(cfg, lat).on(basis).v
+    vm = scene.h.v
     block = np.zeros_like(vm)
     block[:n_modes, :n_modes] = vm[:n_modes, :n_modes]
-    h = Hamiltonian(basis, block, epsilon=eps)
+    h = Hamiltonian(scene.basis, block, epsilon=eps)
     horizon = float(np.log(1e8) / eps)
-    os.makedirs(out, exist_ok=True)
     # one evolution per run: the S-matrix of either time sign follows from it
     u = _guarded(ode_evolution, h, -horizon, horizon, tol)
     write_matrix_csv(os.path.join(out, "evolution.csv"), u.matrix)
     s = smatrix_from_evolution(h, u, cfg["family"])
     write_matrix_csv(os.path.join(out, f"smatrix_interaction_{cfg['family']}.csv"),
                      s.matrix)
-    write_report(os.path.join(out, "dyson_report.json"), {
-        "provenance": _provenance(cfg),
+    write_report(os.path.join(out, "dyson_report.json"), cfg, {
         "horizon": horizon,
         "epsilon": eps,
         "tol": tol,
@@ -392,13 +410,7 @@ def cmd_dyson(cfg: dict, out: str) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suite (the checks live in checks.py)
-
-def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
-    ctx, lat, basis = build_scene(cfg)
-    basis2 = crossed_basis(basis)
-    h = build_potential(cfg, lat).on(basis)  # one decomposition for every check that reads it
+def cmd_verify(scene: Scene, out: str, only: str | None) -> int:
     names = sorted(CHECKS)
     if only is not None:
         if only not in CHECKS:
@@ -406,14 +418,12 @@ def cmd_verify(cfg: dict, out: str, only: str | None) -> int:
         names = [only]
     results = []
     for name in names:
-        r = _guarded(run_check, name, cfg, basis, basis2, h)
+        r = _guarded(run_check, name, scene)
         results.append(r)
         print(f"{name}: value={r['value']:.3e} tol={r['tolerance']:.1e} "
               f"{'PASS' if r['pass'] else 'FAIL'}")
     failing = [r["check"] for r in results if not r["pass"]]
-    os.makedirs(out, exist_ok=True)
-    write_report(os.path.join(out, "verify_report.json"), {
-        "provenance": _provenance(cfg),
+    write_report(os.path.join(out, "verify_report.json"), scene.cfg, {
         "checks": results,
         "all_pass": not failing,
     })
@@ -457,16 +467,20 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out = args.out if args.out is not None else cfg["out"]
+        os.makedirs(out, exist_ok=True)
+        scene = Scene(cfg)  # builds nothing until a command reads it
         if args.command == "basis":
-            return cmd_basis(cfg, out, args.qexp)
+            return cmd_basis(scene, out, args.qexp)
         if args.command == "verify":
-            return cmd_verify(cfg, out, args.only)
+            return cmd_verify(scene, out, args.only)
         cmd = {"propagate": cmd_propagate, "scatter": cmd_scatter, "dyson": cmd_dyson}
-        return cmd[args.command](cfg, out)
+        return cmd[args.command](scene, out)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "field": exc.field,
-                          "message": str(exc)}), file=sys.stderr)
-        return 2
+        field, message = exc.field, str(exc)
+    except OSError as exc:  # load_config reports its own; a command opens only its outputs
+        field, message = "out", f"cannot write to output directory {out!r}: {exc}"
+    print(json.dumps({"error": "config", "field": field, "message": message}), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

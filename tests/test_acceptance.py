@@ -29,9 +29,8 @@ from braidline import (
 )
 from braidline import checks
 from braidline.basis import half_line_hamiltonian
-from braidline.checks import (CHECK_EPS, born_errors, cross_formalism_potential, crossed_basis,
-                              run_check)
-from braidline.cli import build_potential, build_scene, load_config
+from braidline.checks import CHECK_EPS, born_errors, cross_formalism_potential, run_check
+from braidline.cli import Scene, load_config
 from braidline.scattering import transition_probability_table
 from conftest import ACCEPTANCE_LINES
 
@@ -50,26 +49,24 @@ def check(name, value, tol, sense="max", extra_ok=True):
 
 def registered(name, scene, label, extra_ok=True):
     """Record a registry check as an acceptance line, with extra conditions."""
-    r = run_check(name, *scene)
+    r = run_check(name, scene)
     check(label, r["value"], r["tolerance"], r["sense"], extra_ok)
 
 
 @pytest.fixture(scope="module")
 def scene():
-    """The default-config verify scene: (cfg, basis, crossed basis, H0 + V)."""
-    cfg = load_config(None)
-    _, lat, basis = build_scene(cfg)
-    return cfg, basis, crossed_basis(basis), build_potential(cfg, lat).on(basis)
+    """The default-config verify scene."""
+    return Scene(load_config(None))
 
 
 @pytest.fixture(scope="module")
 def basis(scene):
-    return scene[1]
+    return scene.basis
 
 
 @pytest.fixture(scope="module")
 def weak_v(scene):
-    return scene[3]
+    return scene.h
 
 
 def test_c01_basis_orthonormal_complete(basis):
@@ -98,14 +95,14 @@ def test_c04_coincident_time_boundary(scene):
 def test_c04_and_source_jump_detect_a_missing_mode(scene):
     # a basis with one mode zeroed is incomplete: its coincident kernel is not
     # the Jackson delta, and its jump misses the source i diag(1/w)
-    cfg, *bases, v = scene
-    holed = []
-    for b in bases:
-        vectors = b.vectors.copy()
+    holed = Scene(scene.cfg)
+    for name in ("basis", "basis2"):
+        vectors = getattr(scene, name).vectors.copy()
         vectors[:, 3] = 0.0
-        holed.append(dataclasses.replace(b, vectors=vectors))
-    assert run_check("boundary", cfg, *holed, v)["value"] > 1e-12
-    assert run_check("residual", cfg, *holed, v)["value"] > 1e-10
+        # a cached_property reads the instance dict first: the holed basis stands in
+        vars(holed)[name] = dataclasses.replace(getattr(scene, name), vectors=vectors)
+    assert run_check("boundary", holed)["value"] > 1e-12
+    assert run_check("residual", holed)["value"] > 1e-10
 
 
 @pytest.mark.parametrize("j_max", [12, 50], ids=["n50", "n202"])
@@ -116,9 +113,8 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
     # exceeds the absolute bound
     cfg = load_config(None)
     cfg["lattice"].update(j_min=-j_max, j_max=j_max)
-    _, lat, basis = build_scene(cfg)
-    scene = (cfg, basis, crossed_basis(basis), build_potential(cfg, lat).on(basis))
-    clean = {name: run_check(name, *scene)["value"] for name in ("composition", "residual")}
+    scene = Scene(cfg)
+    clean = {name: run_check(name, scene)["value"] for name in ("composition", "residual")}
     built = []
 
     def corrupt_first(b, *args, **kwargs):
@@ -131,7 +127,7 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
     monkeypatch.setattr(checks, "free_propagator", corrupt_first)
     for name, value in clean.items():
         built.clear()
-        r = run_check(name, *scene)
+        r = run_check(name, scene)
         assert not r["pass"] and r["value"] > 1e3 * value, (name, r["value"], value)
 
 
@@ -143,7 +139,7 @@ def test_c05_conjugation_partners(scene):
 def test_c06_born_series_convergence_rate(scene):
     # extra: the order-by-order error of the check's Gaussian decays at the
     # Born spectral radius
-    basis = scene[1]
+    basis = scene.basis
     slopes_ok = True
     for lam in (0.003, 0.006, 0.012):
         errs, rho = born_errors(gaussian_potential(basis.lattice, lam, epsilon=CHECK_EPS),
@@ -156,8 +152,8 @@ def test_c06_born_series_convergence_rate(scene):
 
 def test_c07_unitarity_trend_and_controls(scene):
     # extras: the anti-Hermitian control and the Dyson leg of the switching
-    basis = scene[1]
-    control = run_check("unitarity_negative_control", *scene)["pass"]
+    basis = scene.basis
+    control = run_check("unitarity_negative_control", scene)["pass"]
     eps = 0.5
     rng = np.random.default_rng(2)
     block = rng.normal(size=(8, 8))
@@ -173,8 +169,8 @@ def test_c07_unitarity_trend_and_controls(scene):
 
 def test_c08_interaction_picture_matches_resolvent(scene):
     # extra: the S-matrix differs from the identity far above the agreement
-    basis = scene[1]
-    r = run_check("cross_formalism", *scene)
+    basis = scene.basis
+    r = run_check("cross_formalism", scene)
     mp = cross_formalism_potential(basis)
     s_mom = smatrix_momentum(mp, basis, "S1starPlus", eps=mp.epsilon)
     signal = float(np.max(np.abs(s_mom.matrix - np.eye(basis.size))))
@@ -184,7 +180,7 @@ def test_c08_interaction_picture_matches_resolvent(scene):
 
 def test_c09_crossing_symmetry(scene):
     # extra: crossing is an involution on the context
-    ctx = scene[1].ctx
+    ctx = scene.basis.ctx
     ctx2 = crossing_transform(crossing_transform(ctx))
     involution_ok = (
         ctx2.q == pytest.approx(ctx.q)

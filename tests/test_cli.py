@@ -16,12 +16,13 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from braidline import basis as bbasis
 from braidline import checks, cli
 from braidline.cli import (
     CHECKS,
     DEFAULT_CONFIG,
     ConfigError,
-    build_scene,
+    Scene,
     config_hash,
     load_config,
     main,
@@ -102,10 +103,16 @@ def test_unknown_field_rejected(tmp_path):
 
 
 def test_invalid_json_rejected(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    # malformed, and nested past the parser's recursion limit (a RecursionError
+    # traceback before): an array and an object 100,000 deep
+    depth = 100_000
+    for text in ("{not json", "[" * depth + "]" * depth,
+                 '{"a":' * depth + "1" + "}" * depth):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.field == "config"
 
 
 # wrongly typed or out-of-range fields: (override, field named in the error)
@@ -199,7 +206,7 @@ def test_unavailable_qexp_diagnostic_exits_2(tmp_path, capsys, override):
 def test_largest_lattice_accepted(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"ctx": {"q": 0.99}, "lattice": {"j_min": -200, "j_max": 200}}))
-    assert build_scene(load_config(str(path)))[2].size == 802
+    assert Scene(load_config(str(path))).basis.size == 802
 
 
 def test_integral_floats_accepted(tmp_path):
@@ -261,7 +268,7 @@ def test_load_config_fuzz(fuzz_dir, user):
     else:
         assert set(cfg) == set(DEFAULT_CONFIG)
         # an accepted config builds a finite basis
-        basis = build_scene(cfg)[2]
+        basis = Scene(cfg).basis
         assert np.all(np.isfinite(basis.energies)) and np.all(np.isfinite(basis.vectors))
 
 
@@ -439,19 +446,20 @@ def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
     assert run(["verify", "--out", str(tmp_path / "v")]) == 0
     assert len(calls) == 5
     cfg = load_config(None)
-    _, lat, basis = build_scene(cfg)
-    scene = (cfg, basis, checks.crossed_basis(basis), cli.build_potential(cfg, lat).on(basis))
+    scene = Scene(cfg)
     counts = {}
     for name in sorted(CHECKS):
         calls.clear()
-        checks.run_check(name, *scene)
+        checks.run_check(name, scene)
         counts[name] = len(calls)
     # conjugation decomposes the shared H and its tilde partner's H0 + conj(V),
     # so unitarity_trend, run after it, reads the shared decomposition
     assert {name: n for name, n in counts.items() if n} == {
         "cross_formalism": 1, "conjugation": 2, "born": 1, "unitarity_negative_control": 1}
     calls.clear()
-    g = full_green(cli.build_potential(cfg, lat).on(basis), basis, None, 0.0, cfg["time_target"])
+    basis = scene.basis
+    g = full_green(cli.build_potential(cfg, basis.lattice).on(basis), basis, None, 0.0,
+                   cfg["time_target"])
     green_residual(g)
     assert len(calls) == 1
 
@@ -515,6 +523,41 @@ def test_cmd_verify_unknown_only(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["field"] == "only"
+
+
+@pytest.mark.parametrize("case", ["empty", "config_file", "option_file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, case):
+    # an empty or file-occupied output path exits 2 naming `out` before any
+    # check runs (empty stdout), not with an os.makedirs traceback and exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"out": "" if case == "empty" else str(taken)}))
+    argv = ["verify", "--config", str(cfgp)]
+    assert run(argv + (["--out", str(taken)] if case == "option_file" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["field"] == "out"
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["basis", "--qexp"], 1), (["propagate"], 2), (["scatter"], 1), (["dyson"], 1),
+    (["verify"], 2), (["verify", "--only", "born"], 1), (["verify", "--only", "nope"], 0)],
+    ids=["basis", "propagate", "scatter", "dyson", "verify", "verify_born", "verify_unknown"])
+def test_each_command_builds_only_the_bases_it_reads(tmp_path, monkeypatch, argv, builds):
+    # the crossed G2 basis only for the two-geometry kernels and checks, and no
+    # basis at all for a refused --only
+    real, calls = bbasis.build_hamiltonian_basis, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (bbasis, cli, checks):
+        if getattr(module, "build_hamiltonian_basis", None) is real:
+            monkeypatch.setattr(module, "build_hamiltonian_basis", spy)
+    assert run([*argv, "--out", str(tmp_path / "o")]) == (2 if argv[-1] == "nope" else 0)
+    assert len(calls) == builds
 
 
 def test_cmd_verify_negative_control_in_report(tmp_path):
@@ -671,13 +714,14 @@ def test_small_tables_match_csv_oracles(tmp_path, monkeypatch):
     # for every defect the CLI writes
     special = iter(np.resize(SPECIAL_FLOATS, 64).tolist())
     cfg = load_config(None)
-    ctx, lat, basis = build_scene(cfg)
+    scene = Scene(cfg)
+    basis = scene.basis
     m = basis.size
     odd = replace(basis, energies=np.resize(SPECIAL_FLOATS, m),
                   momenta=np.resize(SPECIAL_FLOATS[::-1], m),
                   parity=np.resize(SPECIAL_FLOATS[5:], m))
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "build_scene", lambda _: (ctx, lat, odd))
+        mp.setattr(cli, "build_scene", lambda _: (basis.ctx, basis.lattice, odd))
         assert run(["basis", "--out", str(tmp_path / "b")]) == 0
     oracles.write_spectrum(odd, tmp_path / "spectrum.csv")
     spectrum = (tmp_path / "b" / "spectrum.csv").read_bytes()
@@ -698,7 +742,7 @@ def test_small_tables_match_csv_oracles(tmp_path, monkeypatch):
     assert run(["propagate", "--out", str(tmp_path / "p")]) == 0
     assert run(["scatter", "--out", str(tmp_path / "s")]) == 0
     rows = [(variant, residual[names[0]], boundary[names[0]])
-            for _, names in checks.geometry_variants(basis, checks.crossed_basis(basis))
+            for _, names in scene.geometries
             for variant in names]
     oracles.write_propagator_checks(rows, tmp_path / "propagator_checks.csv")
     oracles.write_unitarity_trend(trend, tmp_path / "unitarity_trend.csv")

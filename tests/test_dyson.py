@@ -403,10 +403,8 @@ def _real_steps(monkeypatch, tmp_path, config):
     """The block exponentials `braidline dyson` takes under ``config``; for None,
     those of the C08 check (``cross_formalism``) on the default scene."""
     if config is None:
-        cfg = cli.load_config(None)
-        _, _, b = cli.build_scene(cfg)
-        return _block_calls(monkeypatch, dyson,
-                            lambda: checks.run_check("cross_formalism", cfg, b, None, None))
+        scene = cli.Scene(cli.load_config(None))
+        return _block_calls(monkeypatch, dyson, lambda: checks.run_check("cross_formalism", scene))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     argv = ["dyson", "--config", str(path), "--out", str(tmp_path)]
