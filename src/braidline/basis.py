@@ -21,7 +21,7 @@ import numpy as np
 from .qcalc import LatticeFunction, QContext, QLattice, q_exponential
 
 
-@dataclass
+@dataclass(eq=False)
 class WaveBasis:
     ctx: QContext
     lattice: QLattice
@@ -43,7 +43,7 @@ class WaveBasis:
         return self.vectors.conj().T @ (self.weights[:, None] * self.vectors)
 
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientVector:
     basis: WaveBasis
     values: np.ndarray

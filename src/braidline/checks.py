@@ -130,7 +130,7 @@ def _check_unitarity(scene):
 def _check_cross_formalism(scene):
     hc = cross_formalism_potential(scene.basis)
     horizon = float(np.log(1e8) / hc.epsilon)
-    u = ode_evolution(hc, -horizon, horizon, 1e-10)  # one window gives both time signs
+    u = ode_evolution(hc, -horizon, horizon, 1e-10)  # one window covers both time directions
     return max(float(np.max(np.abs(smatrix_from_evolution(hc, u, family).matrix
                                    - smatrix_momentum(hc, hc.basis, family, hc.epsilon).matrix)))
                for family in ("S1starPlus", "S2minus")), 1e-6

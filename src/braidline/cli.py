@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import dataclass
 
@@ -340,13 +339,12 @@ def cmd_basis(scene: Scene, out: str, qexp: bool) -> int:
 
 def cmd_propagate(scene: Scene, out: str) -> int:
     t = scene.cfg["time_target"]
-    rows = {}
+    rows, files = {}, {}
     for b, names in scene.geometries:
         kern = free_propagator(b, names[0], 0.0, t)
-        first = os.path.join(out, f"kernel_{names[0]}.csv")
-        write_matrix_csv(first, kern.matrix)
-        for variant in names[1:]:
-            shutil.copyfile(first, os.path.join(out, f"kernel_{variant}.csv"))
+        name = f"kernel_{names[0]}.csv"  # one kernel serves every variant of the geometry
+        write_matrix_csv(os.path.join(out, name), kern.matrix)
+        files.update(dict.fromkeys(names, name))
         defects = [schrodinger_residual(make_retarded(kern)), boundary_defect(b, names[0], t)]
         rows.update(dict.fromkeys(names, defects))
     variants = sorted(rows)
@@ -355,7 +353,7 @@ def cmd_propagate(scene: Scene, out: str) -> int:
                  np.array([rows[v] for v in variants]), lambda k: f"{variants[k]},%s,%s\r\n")
     write_report(os.path.join(out, "propagator_report.json"), scene.cfg, {
         "time_target": t,
-        "variants": sorted(VARIANTS),
+        "kernels": files,
     })
     return 0
 

@@ -25,7 +25,7 @@ from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _dyson_blocks
 InteractionPotential = Hamiltonian
 
 
-@dataclass
+@dataclass(eq=False)
 class EvolutionOperator:
     matrix: np.ndarray
     t_from: float

@@ -42,7 +42,7 @@ def heaviside(t: float) -> float:
     return 1.0 if t >= 0.0 else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class PropagatorKernel:
     basis: WaveBasis
     variant: str

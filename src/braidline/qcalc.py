@@ -8,7 +8,8 @@ top of the difference calculus defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,37 +75,29 @@ def crossing_transform(ctx: QContext) -> QContext:
 class QLattice:
     """Truncated bilateral geometric lattice with Jackson weights.
 
-    Points are stored in ascending order: the negative branch from the
+    Points are built in ascending order: the negative branch from the
     outermost point inward, then the positive branch outward.  ``base`` is
     the contraction factor in (0, 1); an index shift j -> j+1 multiplies the
-    point by ``base``.
+    point by ``base``.  Points and weights are built on first use.
     """
 
     x0: float
     j_min: int
     j_max: int
     base: float
-    points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    js: np.ndarray = field(repr=False)  # exponent j per point
-    signs: np.ndarray = field(repr=False)  # +-1 per point
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        pos = self.x0 * self.base ** np.arange(self.j_min, self.j_max + 1)
+        return np.concatenate([-pos, pos[::-1]])
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return (1.0 - self.base) * np.abs(self.points)
 
     @property
     def size(self) -> int:
-        return self.points.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QLattice):
-            return NotImplemented
-        return (
-            self.x0 == other.x0
-            and self.j_min == other.j_min
-            and self.j_max == other.j_max
-            and self.base == other.base
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x0, self.j_min, self.j_max, self.base))
+        return 2 * (self.j_max - self.j_min + 1)
 
     def shift_map(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Index map for x -> base**m * x.
@@ -112,16 +105,13 @@ class QLattice:
         Returns (idx, ok): for each point i, idx[i] is the index of the point
         ``base**m * x_i`` and ok[i] says whether it stays on the lattice.
         """
-        n_per = self.j_max - self.j_min + 1
-        jj = self.js + m
-        ok = (jj >= self.j_min) & (jj <= self.j_max)
-        idx = np.zeros(self.size, dtype=int)
-        neg = self.signs < 0
-        # negative branch is laid out with j ascending, positive descending
-        idx[neg] = jj[neg] - self.j_min
-        idx[~neg] = n_per + (self.j_max - jj[~neg])
-        idx[~ok] = -1
-        return idx, ok
+        n_per = self.size // 2
+        i = np.arange(self.size)
+        # j ascends along the negative branch and descends along the positive
+        # one, so the shift moves an index by +m on the first half, -m on the second
+        idx = i + np.where(i < n_per, m, -m)
+        ok = idx // n_per == i // n_per
+        return np.where(ok, idx, -1), ok
 
 
 def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -> QLattice:
@@ -137,19 +127,10 @@ def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -
     base = q if q < 1.0 else 1.0 / q
     if not 0.0 < base < 1.0:
         raise ValueError(f"invalid deformation parameter {q}")
-    j = np.arange(j_min, j_max + 1)
-    pos = x0 * base ** j
-    points = np.concatenate([-pos, pos[::-1]])
-    js = np.concatenate([j, j[::-1]])
-    signs = np.concatenate([-np.ones_like(j), np.ones_like(j[::-1])])
-    weights = (1.0 - base) * np.abs(points)
-    return QLattice(
-        x0=x0, j_min=j_min, j_max=j_max, base=base,
-        points=points, weights=weights, js=js, signs=signs,
-    )
+    return QLattice(x0, j_min, j_max, base)
 
 
-@dataclass
+@dataclass(eq=False)
 class LatticeFunction:
     """Complex values on a QLattice at a fixed time stamp.
 
@@ -255,11 +236,8 @@ def kappa_scale(f: LatticeFunction, m: int, ctx: QContext) -> LatticeFunction:
     if not np.isclose(ratio, e):
         raise ValueError("kappa is not an integer power of the lattice base")
     idx, ok = f.lattice.shift_map(e * m)
-    vals = np.zeros_like(f.values)
-    vals[ok] = f.values[idx[ok]]
-    valid = np.zeros_like(ok)
-    valid[ok] = f.valid[idx[ok]]
-    return LatticeFunction(f.lattice, vals, time=f.time, valid=valid)
+    vals = np.where(ok, f.values[idx], 0.0)
+    return LatticeFunction(f.lattice, vals, time=f.time, valid=ok & f.valid[idx])
 
 
 def sesquilinear(f: LatticeFunction, g: LatticeFunction) -> complex:

@@ -41,7 +41,7 @@ def variant_basis(basis: WaveBasis, variant: str) -> WaveBasis:
     return replace(basis, energies=variant_scale(variant, basis.ctx) * basis.energies)
 
 
-@dataclass
+@dataclass(eq=False)
 class Potential:
     """Position-diagonal interaction with adiabatic switching.
 
@@ -272,7 +272,7 @@ def born_wavefunction(
 # ---------------------------------------------------------------------------
 # Interacting Green's functions
 
-@dataclass
+@dataclass(eq=False)
 class FullGreen:
     kernel: PropagatorKernel
     hamiltonian: Hamiltonian
@@ -380,7 +380,7 @@ S_FAMILIES = {
     "S2starMinus": (2, -1, True, False),
 }
 
-@dataclass
+@dataclass(eq=False)
 class SMatrix:
     """An S-matrix with its labels.  ``diagnostics`` holds the health of the
     solve that built it (see ``lippmann_schwinger_solve``) and is never written

@@ -28,6 +28,7 @@ from braidline.cli import (
     main,
 )
 from braidline import scattering
+from braidline.propagator import VARIANTS, free_propagator
 from braidline.scattering import full_green, green_residual, transition_probability_table
 from oracles import SPECIAL_FLOATS
 
@@ -378,7 +379,16 @@ def test_cmd_propagate_outputs(tmp_path):
         _, residual, boundary = line.split(",")
         assert float(residual) <= 1e-10
         assert float(boundary) <= 1e-12
-    assert (out / "kernel_K1prime.csv").exists()
+    # one file per distinct kernel; the report maps every variant to its file
+    kernels = json.loads((out / "propagator_report.json").read_text())["kernels"]
+    assert sorted(kernels) == sorted(VARIANTS)
+    assert sorted(p.name for p in out.glob("kernel_*.csv")) == sorted(set(kernels.values()))
+    scene, expect = Scene(load_config(None)), tmp_path / "expect.csv"
+    for variant, name in kernels.items():
+        b = scene.basis if VARIANTS[variant][0] == 1 else scene.basis2
+        cli.write_matrix_csv(str(expect),
+                             free_propagator(b, variant, 0.0, scene.cfg["time_target"]).matrix)
+        assert (out / name).read_bytes() == expect.read_bytes(), variant
 
 
 def test_cmd_scatter_zero_potential_identity(tmp_path):

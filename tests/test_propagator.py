@@ -76,6 +76,14 @@ def test_geometry_enforced(basis, basis_g2):
         free_propagator(basis, "K9", 0.0, 1.0)
 
 
+def test_bases_and_kernels_compare_by_identity(ctx, basis):
+    # array-holding values: equal content is not ==, and comparing never raises
+    twin = build_hamiltonian_basis(make_lattice(Q), MASS, ctx)
+    assert basis == basis and basis != twin and twin not in [basis]
+    k, k_twin = (free_propagator(basis, "K1", 0.0, 0.3) for _ in range(2))
+    assert k == k and k != k_twin and k_twin not in [k]
+
+
 def test_boundary_limit_is_delta(basis, basis_g2):
     for variant in VARIANTS:
         b = pick_basis(variant, basis, basis_g2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from braidline import (
     G2,
     LatticeFunction,
     QContext,
+    QLattice,
     braided_line,
     crossing_transform,
     jackson_derivative,
@@ -110,6 +113,43 @@ def test_lattice_validation():
         make_lattice(Q, x0=-1.0)
     with pytest.raises(ValueError):
         make_lattice(Q, j_min=3, j_max=1)
+
+
+@pytest.mark.parametrize("q, x0, j_min, j_max", [
+    (Q, 1.0, -12, 12),
+    (1.0 / Q, 1.0, -12, 12),  # crossed q > 1: the base is normalised to 1/q
+    (Q, 0.7, 0, 0),  # a single point per branch
+    (0.25, 1.0, -132, -64),
+], ids=["q0.9", "crossed", "single-point", "q0.25-graded"])
+def test_lattice_matches_per_point_oracle(q, x0, j_min, j_max):
+    # each point carries its exponent j and its sign; the shift map reads them
+    base = q if q < 1.0 else 1.0 / q
+    j = np.arange(j_min, j_max + 1)
+    exponent = np.concatenate([j, j[::-1]])
+    sign = np.concatenate([-np.ones_like(j), np.ones_like(j)])
+    points = sign * (x0 * base ** exponent)
+    lat = make_lattice(q, x0=x0, j_min=j_min, j_max=j_max)
+    assert lat.size == points.size
+    assert np.array_equal(lat.points, points)
+    assert np.array_equal(lat.weights, (1.0 - base) * np.abs(points))
+    n_per = j.size
+    for m in range(-(lat.size + 2), lat.size + 3):
+        jj = exponent + m
+        ok = (jj >= j_min) & (jj <= j_max)
+        idx = np.where(sign < 0, jj - j_min, n_per + (j_max - jj))
+        idx[~ok] = -1
+        got_idx, got_ok = lat.shift_map(m)
+        assert got_idx.dtype == idx.dtype and np.array_equal(got_idx, idx), m
+        assert np.array_equal(got_ok, ok), m
+
+
+def test_lattice_is_its_four_parameters():
+    a, b = make_lattice(Q, x0=0.5), make_lattice(Q, x0=0.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert a != make_lattice(Q, x0=0.6)
+    assert a != make_lattice(0.5, x0=0.5)  # another base
+    assert [f.name for f in dataclasses.fields(QLattice)] == ["x0", "j_min", "j_max", "base"]
 
 
 # ---------------------------------------------------------------------------
