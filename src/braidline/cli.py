@@ -28,7 +28,7 @@ from . import __version__
 from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
                     half_line_hamiltonian)
 from .checks import CHECKS, boundary_defect, run_check
-from .dyson import ode_evolution, smatrix_from_evolution
+from .dyson import TOL_FLOOR, ode_evolution, smatrix_from_evolution
 from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
 from .qcalc import braided_line, crossing_transform, make_lattice
 from .scattering import (
@@ -151,7 +151,8 @@ def validate_config(cfg: dict) -> None:
         ("time_target", cfg["time_target"] != 0, "must be nonzero"),
         ("family", cfg["family"] in S_FAMILIES, f"must be one of {sorted(S_FAMILIES)}"),
         ("dyson.epsilon", dy["epsilon"] > 0, "must be positive"),
-        ("dyson.tol", dy["tol"] > 0, "must be positive"),
+        ("dyson.tol", dy["tol"] >= TOL_FLOOR,
+         f"must be at least {TOL_FLOOR!r} (machine epsilon / 10)"),
         ("dyson.n_modes", 2 <= dy["n_modes"] <= min(50, size),
          f"must be between 2 and {min(50, size)} (the lattice has {size} modes)"),
     ):
@@ -418,8 +419,8 @@ def cmd_verify(scene: Scene, out: str, only: str | None) -> int:
     for name in names:
         r = _guarded(run_check, name, scene)
         results.append(r)
-        print(f"{name}: value={r['value']:.3e} tol={r['tolerance']:.1e} "
-              f"{'PASS' if r['pass'] else 'FAIL'}")
+        _write(f"{name}: value={r['value']:.3e} tol={r['tolerance']:.1e} "
+               f"{'PASS' if r['pass'] else 'FAIL'}\n")
     failing = [r["check"] for r in results if not r["pass"]]
     write_report(os.path.join(out, "verify_report.json"), scene.cfg, {
         "checks": results,
@@ -433,6 +434,18 @@ def cmd_verify(scene: Scene, out: str, only: str | None) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  A reader that has gone
+    (``braidline verify | head -1``) is no error: stdout then becomes
+    os.devnull (Python's SIGPIPE recipe), and the run goes on to write its
+    files and exit as it would with an open stdout."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -455,9 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    finally:  # --help prints before it exits
+        _write("")
     if args.print_defaults:
-        print(json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2))
+        _write(json.dumps(DEFAULT_CONFIG, sort_keys=True, indent=2) + "\n")
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -52,6 +52,8 @@ def from_interaction_picture(psi: CoefficientVector) -> CoefficientVector:
 
 # the most sub-steps one evolution takes: a default-scene strength up to ~80
 MAX_STEPS = 256
+# the finest tail an evolution targets: a tol below it cannot be met
+TOL_FLOOR = float(np.finfo(float).eps) / 10
 
 
 def _integrate(
@@ -91,7 +93,7 @@ def _integrate(
         x = max(x / k for x, k in zip(xs, counts))
         # the least K with steps * x^K / K! <= tol / 10, no finer than the rounding
         order, bound = 1, sum(counts) * x
-        while bound > max(tol, np.finfo(float).eps) / 10:
+        while bound > max(tol / 10, TOL_FLOOR):
             order, bound = order + 1, bound * x / (order + 1)
     acc, tail = None, 0.0
     for (a, b), k in zip(pieces, counts):

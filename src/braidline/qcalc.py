@@ -2,8 +2,10 @@
 
 The lattice consists of the points ``{+-x0 * b**j : j_min <= j <= j_max}``
 with base ``0 < b < 1``, carrying the Jackson measure ``w(x) = (1-b)|x|``.
-Everything else in the package (bases, propagators, scattering) is built on
-top of the difference calculus defined here.
+A context is its deformation parameter q alone: q fixes the geometry, the
+scaling unit kappa, the exponent zeta and the conjugation bar, and crossing
+is q -> 1/q.  Everything else in the package (bases, propagators,
+scattering) is built on top of the difference calculus defined here.
 """
 
 from __future__ import annotations
@@ -20,25 +22,36 @@ G2 = "G2"
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameters governing every computation.
+    """Deformation parameter governing every computation.
 
-    ``q`` is the deformation parameter, ``kappa`` the argument-scaling unit
-    and ``zeta`` the integer exponent entering the scaled Hamiltonians.  The
-    one-dimensional case fixes kappa = q and zeta = -1 in the canonical
-    geometry G1; the crossed geometry G2 carries the reciprocal parameters.
+    ``q`` fixes the rest of the context.  q < 1 is the canonical geometry G1,
+    with argument-scaling unit kappa = q and exponent zeta = -1 in the scaled
+    Hamiltonians; q > 1 is the crossed, conjugate ("barred") geometry G2,
+    whose kappa = q and zeta = +1 are the reciprocal parameters of its 1/q
+    partner.
     """
 
     q: float
-    kappa: float
-    zeta: int
-    geometry: str = G1
-    barred: bool = False
 
     def __post_init__(self) -> None:
         if self.q <= 0 or self.q == 1.0:
             raise ValueError(f"q must be positive and != 1, got {self.q}")
-        if self.geometry not in (G1, G2):
-            raise ValueError(f"unknown geometry {self.geometry!r}")
+
+    @property
+    def geometry(self) -> str:
+        return G1 if self.q < 1.0 else G2
+
+    @property
+    def kappa(self) -> float:
+        return self.q
+
+    @property
+    def zeta(self) -> int:
+        return -1 if self.geometry == G1 else 1
+
+    @property
+    def barred(self) -> bool:
+        return self.geometry == G2
 
     @property
     def shift_factor(self) -> float:
@@ -54,21 +67,13 @@ def braided_line(q: float) -> QContext:
     """Canonical one-dimensional context: kappa = q, zeta = -1, geometry G1."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"canonical G1 context requires 0 < q < 1, got {q}")
-    return QContext(q=q, kappa=q, zeta=-1, geometry=G1, barred=False)
+    return QContext(q)
 
 
 def crossing_transform(ctx: QContext) -> QContext:
-    """Swap q <-> 1/q, kappa <-> 1/kappa, flip geometry label and conjugation.
-
-    The map is an involution.
-    """
-    return QContext(
-        q=1.0 / ctx.q,
-        kappa=1.0 / ctx.kappa,
-        zeta=-ctx.zeta,
-        geometry=G2 if ctx.geometry == G1 else G1,
-        barred=not ctx.barred,
-    )
+    """q -> 1/q: kappa -> 1/kappa, zeta -> -zeta, and the geometry label and
+    conjugation flip with it.  The map is an involution."""
+    return QContext(1.0 / ctx.q)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,31 @@ def test_print_defaults(capsys):
     assert json.loads(out) == DEFAULT_CONFIG
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["verify"], ["--print-defaults"], ["--help"]],
+                         ids=["verify", "print_defaults", "help"])
+def test_closed_stdout_is_not_an_error(tmp_path, argv, unbuffered):
+    # `braidline verify | head -1`: a reader that has gone costs neither the
+    # run's files nor its exit code, and leaves no traceback on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "o"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidline.cli", *argv,
+             *(["--out", str(out)] if argv == ["verify"] else [])],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (out / "verify_report.json").is_file() == (argv == ["verify"])
+
+
 def test_no_command_is_usage_error(capsys):
     assert run([]) == 2
 
@@ -167,6 +192,8 @@ def test_validation_fields(tmp_path):
         ({"born_order": -1}, "born_order"),
         ({"family": "S5"}, "family"),
         ({"dyson": {"tol": 0.0}}, "dyson.tol"),
+        ({"dyson": {"tol": 1e-300}}, "dyson.tol"),
+        ({"dyson": {"tol": 1e-17}}, "dyson.tol"),
         ({"dyson": {"n_modes": 1}}, "dyson.n_modes"),
     ] + TYPE_PROBES
     for override, field in cases:
@@ -415,6 +442,20 @@ def test_cmd_scatter_trend_monotone(tmp_path):
         assert later <= earlier * 1.2
     for defect, rowdev in zip(defects, rowdevs):
         assert rowdev <= defect
+
+
+def test_dyson_tol_floor(tmp_path, capsys):
+    # the integrator targets no tail below machine epsilon / 10: that tol runs,
+    # and any smaller one is refused under its own field, not as `potential`
+    floor = float(np.finfo(float).eps) / 10
+    for tol, code in ((floor, 0), (float(np.nextafter(floor, 0)), 2), (1e-300, 2)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dyson": {"tol": tol}}))
+        assert run(["dyson", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if code:
+            error = json.loads(err)
+            assert error["field"] == "dyson.tol" and repr(floor) in error["message"]
 
 
 def test_cmd_dyson_outputs(tmp_path):

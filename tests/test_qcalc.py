@@ -50,9 +50,9 @@ def test_braided_line_parameters(ctx):
 
 def test_context_rejects_bad_q():
     with pytest.raises(ValueError):
-        QContext(q=1.0, kappa=1.0, zeta=-1)
+        QContext(1.0)
     with pytest.raises(ValueError):
-        QContext(q=-0.5, kappa=0.5, zeta=-1)
+        QContext(-0.5)
     with pytest.raises(ValueError):
         braided_line(1.2)
 
@@ -78,6 +78,32 @@ def test_crossing_transform_is_involution(ctx):
 def test_shift_factor_by_geometry(ctx):
     assert ctx.shift_factor == Q
     assert crossing_transform(ctx).shift_factor == pytest.approx(Q)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 0.9, 0.99, 0.999, 1 - 2.0**-52])
+def test_context_is_derived_from_q(q):
+    # the five values a context once stored, built by the formulas that set them:
+    # the braided line, then each crossing inverts q and kappa and flips the rest
+    q_, kappa, zeta, geometry, barred = q, q, -1, G1, False
+    ctx = braided_line(q)
+    for _ in range(3):
+        shift = q_ if geometry == G1 else 1.0 / q_
+        assert (ctx.q, ctx.kappa, ctx.zeta, ctx.geometry, ctx.barred, ctx.shift_factor) \
+            == (q_, kappa, zeta, geometry, barred, shift)
+        assert type(ctx.zeta) is int and type(ctx.barred) is bool
+        q_, kappa, zeta = 1.0 / q_, 1.0 / kappa, -zeta
+        geometry, barred = G2 if geometry == G1 else G1, not barred
+        ctx = crossing_transform(ctx)
+
+
+def test_context_is_its_q():
+    assert [f.name for f in dataclasses.fields(QContext)] == ["q"]
+    assert QContext(0.9) == braided_line(0.9)
+    assert hash(QContext(0.9)) == hash(braided_line(0.9))
+    assert crossing_transform(QContext(0.9)) == QContext(1.0 / 0.9)
+    for bad in (0.0, -0.5, 1.0):
+        with pytest.raises(ValueError):
+            QContext(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +275,7 @@ def test_derivative_matches_dense_matrix(q, j_max):
 
 
 def test_jackson_derivative_requires_matching_base(lattice):
-    other = QContext(q=0.8, kappa=0.8, zeta=-1)
+    other = QContext(0.8)
     with pytest.raises(ValueError):
         jackson_derivative(LatticeFunction(lattice, np.ones(lattice.size)), other)
 
@@ -313,7 +339,7 @@ def test_kappa_scale_roundtrip_interior(lattice, ctx):
 
 def test_kappa_scale_rejects_incommensurate():
     lat = make_lattice(Q)
-    odd = QContext(q=Q, kappa=0.77, zeta=-1)
+    odd = braided_line(0.77)
     f = LatticeFunction(lat, np.ones(lat.size, dtype=complex))
     with pytest.raises(ValueError):
         kappa_scale(f, 1, odd)
