@@ -206,23 +206,35 @@ def expand(c: CoefficientVector, t: float) -> LatticeFunction:
     return LatticeFunction(c.basis.lattice, vals, time=t)
 
 
-def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
-    """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy.
-
-    The free modes are real and H0 never couples the mirrored half-lines, so the
-    kernel is one positive-branch block, mirrored onto the negative branch, with
-    exact zeros across the branches (each +-p pair shares f_p).  The block takes
-    one real GEMM, and a second one for a nonzero imaginary part of f; the kernel
-    has the type of f.  A complex basis, such as the q-exponential one, is refused."""
+def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The x, y > 0 block of ``spectral_kernel(basis, f)``, written into ``out`` (default: a
+    new array of the type of f): one real GEMM, and one more for a nonzero imaginary
+    part of f.  A complex basis, such as the q-exponential one, is refused."""
     if np.iscomplexobj(basis.vectors):
         raise ValueError("spectral kernels need the real free basis")
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
-    block = (pos * f.real) @ pos.T
+    out = np.empty((half, half), np.result_type(pos, f)) if out is None else out
+    np.matmul(pos * f.real, pos.T, out=out.real)
     if f.imag.any():
-        block = block + 1j * ((pos * f.imag) @ pos.T)
-    out = np.zeros((2 * half, 2 * half), dtype=np.result_type(block, f))
-    out[half:, half:], out[:half, :half] = block, block[::-1, ::-1]
+        np.matmul(pos * f.imag, pos.T, out=out.imag)
+    elif np.iscomplexobj(out):
+        out.imag = 0.0
+    return out
+
+
+def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
+    """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy.
+
+    The free modes are real and H0 never couples the mirrored half-lines, so the
+    kernel is one positive-branch block, built in place and mirrored onto the
+    negative branch, with exact zeros across the branches (each +-p pair shares
+    f_p).  The kernel has the type of f."""
+    half = basis.lattice.size // 2
+    out = np.empty((2 * half, 2 * half), np.result_type(basis.vectors, np.asarray(f)))
+    out[:half, half:] = out[half:, :half] = 0.0
+    block = spectral_block(basis, f, out=out[half:, half:])
+    out[:half, :half] = block[::-1, ::-1]
     return out
 
 

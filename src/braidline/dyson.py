@@ -121,9 +121,9 @@ def _integrate(
 def ode_evolution(
     h: Hamiltonian, t_from: float, t_to: float, tol: float,
 ) -> EvolutionOperator:
-    """U(t_to, t_from) to ``tol``: sub-steps of the block exponential."""
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive")
+    """U(t_to, t_from) to ``tol`` >= ``TOL_FLOOR``: sub-steps of the block exponential."""
+    if not TOL_FLOOR <= tol < np.inf:
+        raise ValueError(f"tol must be positive, finite and >= TOL_FLOOR ({TOL_FLOOR!r}): {tol!r}")
     u, diag = _integrate(h, t_from, t_to, tol, None)
     return EvolutionOperator(u, t_from, t_to, h.basis.ctx.geometry, diag)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import WaveBasis, branch_product, spectral_kernel
+from .basis import WaveBasis, branch_product, spectral_block, spectral_kernel
 from .qcalc import G1, G2, LatticeFunction
 
 # variant name -> (family, starred, primed)
@@ -148,8 +148,11 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     s = _phase_sign(kernel.tilde) * (-1.0 if kernel.causality == ADVANCED else 1.0)
     b, e = kernel.basis, kernel.basis.energies
     out = branch_product(spectral_kernel(b, s * e), b.weights, kernel.matrix)  # s H0 K
-    # plus i d_t K: i d_t acting on exp(s i E dt) brings down -s E per mode
-    out += spectral_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    # plus i d_t K, a block and its mirror: i d_t on exp(s i E dt) brings down -s E
+    dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    half = len(dk)
+    out[half:, half:] += dk
+    out[:half, :half] += dk[::-1, ::-1]
     return float(np.linalg.norm(out))
 
 

@@ -34,8 +34,8 @@ class QContext:
     q: float
 
     def __post_init__(self) -> None:
-        if self.q <= 0 or self.q == 1.0:
-            raise ValueError(f"q must be positive and != 1, got {self.q}")
+        if not 0.0 < self.q < np.inf or self.q == 1.0:
+            raise ValueError(f"q must be finite, positive and != 1, got {self.q}")
 
     @property
     def geometry(self) -> str:

@@ -121,6 +121,17 @@ def test_bad_q_exits_2_with_field(tmp_path, capsys):
     assert err["field"] == "ctx.q"
 
 
+def test_subnormal_q_exits_2_with_field(tmp_path, capsys):
+    # q = 5e-324 is a valid G1 context whose crossing overflows; the config is
+    # refused for its lattice before any crossed basis is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ctx": {"q": 5e-324}}))
+    for cmd in ("basis", "verify"):
+        assert run([cmd, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "lattice.x0"
+
+
 def test_unknown_field_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"turbo": True}))

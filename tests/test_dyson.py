@@ -25,7 +25,7 @@ from braidline import (
 )
 from braidline import checks, cli, dyson, scattering
 from braidline.basis import CoefficientVector
-from braidline.dyson import evolve
+from braidline.dyson import TOL_FLOOR, evolve
 from braidline.scattering import (
     S_FAMILIES, _dyson_blocks, full_green, smatrix_momentum, variant_basis, variant_scale,
 )
@@ -85,6 +85,22 @@ def test_ode_unitarity_drift(h):
 def test_ode_evolution_refuses_non_finite_tol(h, tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         ode_evolution(h, -1.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-300, TOL_FLOOR / 2, np.nextafter(TOL_FLOOR, 0.0)])
+def test_ode_evolution_refuses_tol_below_floor_up_front(h, tol, monkeypatch):
+    # a tol no order can meet is refused before any step is integrated
+    def never(*args):
+        raise AssertionError("integrated a refused tol")
+
+    monkeypatch.setattr(dyson, "_integrate", never)
+    with pytest.raises(ValueError, match="tol .*TOL_FLOOR"):
+        ode_evolution(h, -1.0, 1.0, tol)
+
+
+def test_ode_evolution_accepts_the_floor(h):
+    u = ode_evolution(h, -1.0, 1.0, TOL_FLOOR)
+    assert u.diagnostics["tail"] <= TOL_FLOOR
 
 
 def test_group_property(h):

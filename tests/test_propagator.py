@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +24,10 @@ from braidline import (
     solve_inhomogeneous,
     source_term,
 )
-from braidline.basis import branch_product, spectral_kernel
+from braidline.basis import branch_product, spectral_block, spectral_kernel
 from braidline.propagator import VARIANTS, heaviside
-from oracles import dense_kernel, pairwise_inhomogeneous, weighted_product
+from oracles import (copied_spectral_kernel, dense_kernel, full_residual_matrix,
+                     pairwise_inhomogeneous, weighted_product)
 
 Q = 0.9
 MASS = 1.0
@@ -202,6 +204,74 @@ def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2)
             assert got.dtype == complex
             assert np.array_equal(got, spectral_kernel(b, f))
         assert free_propagator(b, "K1" if b is basis else "K2", 0.4, 0.4).matrix.dtype == complex
+
+
+def assert_same_bits(got, want):
+    # equal values, dtype and sign of every zero, real and imaginary parts alike
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+BIT_SIZES = pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 50)], ids=["n50", "n202"])
+
+
+@BIT_SIZES
+@GEOMETRIES
+def test_in_place_kernel_is_bit_identical_to_copied_oracle(q, j_max, geometry):
+    # real, complex, complex with an all-zero imaginary part, and f holding exact
+    # zeros of either sign, including the all-zero f of a closed causal gate
+    b = free_basis(q, j_max, geometry)
+    half, e = b.size // 2, b.energies
+    phase = np.exp(-1j * e * 0.7)
+    holes = np.arange(b.size) % 3 == 0
+    for f in (e, -e, np.ones(b.size), phase, np.conj(phase), e.astype(complex),
+              np.where(holes, 0.0, e), np.where(holes, -0.0, phase),
+              np.where(holes, 0.0, phase.real + 0.0j), np.zeros(b.size), -0.0 * phase):
+        want = copied_spectral_kernel(b, f)
+        assert_same_bits(spectral_kernel(b, f), want)
+        assert_same_bits(spectral_block(b, f), want[half:, half:])
+
+
+@BIT_SIZES
+@GEOMETRIES
+def test_blockwise_residual_is_bit_identical_to_full_oracle(q, j_max, geometry, monkeypatch):
+    # the matrix whose norm the residual takes, for bare, retarded, advanced and
+    # tilde kernels both ways in time (causal gates open and closed), and a kernel
+    # whose negative branch is corrupted, so the product takes the full loop
+    b = free_basis(q, j_max, geometry)
+    variant = "K1" if geometry == 1 else "K2"
+    norm, seen = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda a: seen.append(a.copy()) or norm(a))
+    kernels = []
+    for tilde in (False, True):
+        for t0, t1 in ((0.0, 0.7), (0.7, 0.0)):
+            bare = free_propagator(b, variant, t0, t1, tilde=tilde)
+            kernels += [bare, make_retarded(bare), make_advanced(bare)]
+    corrupt = free_propagator(b, variant, 0.0, 0.7)
+    corrupt.matrix[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
+    for k in kernels + [corrupt]:
+        seen.clear()
+        value = schrodinger_residual(k)
+        want = full_residual_matrix(k)
+        assert len(seen) == 1
+        assert_same_bits(seen[0], want)
+        assert value == norm(want)
+
+
+def test_residual_traced_peak_stays_near_two_kernels():
+    # d_t K is added one block at a time, not as a second full N x N kernel: one
+    # call at N = 402 allocates at most 2.05 complex N x N matrices at its peak
+    b = free_basis(0.99, 100, 1)
+    k = make_retarded(free_propagator(b, "K1", 0.0, 0.7))
+    schrodinger_residual(k)
+    tracemalloc.start()
+    try:
+        schrodinger_residual(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * b.size ** 2 * 16, peak / (b.size ** 2 * 16)
 
 
 def test_spectral_kernel_refuses_complex_basis(basis):

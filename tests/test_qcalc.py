@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_context_is_its_q():
     for bad in (0.0, -0.5, 1.0):
         with pytest.raises(ValueError):
             QContext(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_context_refuses_non_finite_q(bad):
+    # nan compares false both ways, so it once passed for a G2 context
+    with pytest.raises(ValueError, match="finite"):
+        QContext(bad)
+
+
+def test_crossing_refuses_an_overflowing_reciprocal():
+    # 1/5e-324 is inf: crossing the smallest subnormal q has no context
+    ctx = braided_line(5e-324)
+    with pytest.raises(ValueError, match="finite"):
+        crossing_transform(ctx)
 
 
 # ---------------------------------------------------------------------------
