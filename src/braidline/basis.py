@@ -11,6 +11,7 @@ carries +p and the odd member -p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import product
@@ -100,7 +101,7 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     with v an eigenvector and J the branch mirror, (Jv, +-v)/sqrt(2) are the
     even and odd modes of the symmetrised H0, so each +-p pair is exactly
     degenerate.  The LAPACK routine is MRRR (``stemr``), always: on the default
-    scene it gives the residual check C03 5.2e-11, against 1.8e-10 (above the
+    scene it gives the residual check C03 5.9e-11, against 1.8e-10 (above the
     1e-10 bound) from ``stevd``, ``stev`` or a dense ``eigh``.  It is called
     as ``scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")`` calls it,
     with the same checks and bit-identical eigenpairs, minus the import.
@@ -206,20 +207,63 @@ def expand(c: CoefficientVector, t: float) -> LatticeFunction:
     return LatticeFunction(c.basis.lattice, vals, time=t)
 
 
+# Half-line size from which a complex f is split by sign: on shorter half-lines the
+# numpy calls of the split cost more than the flops it saves (the measured crossover,
+# README "Free basis").
+SPLIT_MIN = 200
+
+
+@cache
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _scaled_gram(pos: np.ndarray, r: np.ndarray, cols: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """A A^T for A the columns ``cols`` of ``pos`` scaled by r, one ``syrk``."""
+    a = pos[:, cols]
+    a *= r[cols]
+    return np.matmul(a, a.T, out=out)
+
+
 def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The x, y > 0 block of ``spectral_kernel(basis, f)``, written into ``out`` (default: a
-    new array of the type of f): one real GEMM, and one more for a nonzero imaginary
-    part of f.  A complex basis, such as the q-exponential one, is refused."""
+    """The x, y > 0 block P diag(f) P^T of ``spectral_kernel(basis, f)``, P the positive-branch
+    rows of the real modes, written into ``out`` (default: a new array of the type of f).
+    The block is exactly symmetric.
+
+    Each part g of f, the real one and a nonzero imaginary one, is split by sign:
+    P diag(g) P^T = A+ A+^T - A- A-^T, A+- the columns of P where +-g > 0 scaled by
+    sqrt(+-g).  Each ``a @ a.T`` goes to BLAS ``syrk``, half the flops of a GEMM, and numpy
+    mirrors its triangle.  On half-lines shorter than ``SPLIT_MIN`` a complex f is instead
+    one real GEMM, both parts at once on the float view, whose upper triangle is copied
+    onto the lower.  A complex basis, such as the q-exponential one, is refused."""
     if np.iscomplexobj(basis.vectors):
         raise ValueError("spectral kernels need the real free basis")
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
     out = np.empty((half, half), np.result_type(pos, f)) if out is None else out
-    np.matmul(pos * f.real, pos.T, out=out.real)
-    if f.imag.any():
-        np.matmul(pos * f.imag, pos.T, out=out.imag)
+    parts = [(out.real, f.real)]
+    if np.iscomplexobj(f) and np.count_nonzero(f.imag):
+        if half < SPLIT_MIN:  # both parts in one real GEMM on the float view
+            fp = np.multiply(f[:, None], pos.T, order="C")
+            np.matmul(pos, fp.view(float), out=out.view(float))
+            np.copyto(out, out.T, where=_strict_lower(half))
+            return out
+        parts.append((out.imag, f.imag))
     elif np.iscomplexobj(out):
         out.imag = 0.0
+    for part, g in parts:
+        minus = g < 0
+        if np.count_nonzero(minus):
+            r = np.sqrt(np.abs(g))
+            _scaled_gram(pos, r, ~minus, out=part)
+            part -= _scaled_gram(pos, r, minus)  # A- is released before the subtraction
+        else:
+            a = pos * np.sqrt(g)
+            np.matmul(a, a.T, out=part)
     return out
 
 
@@ -231,8 +275,7 @@ def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
     negative branch, with exact zeros across the branches (each +-p pair shares
     f_p).  The kernel has the type of f."""
     half = basis.lattice.size // 2
-    out = np.empty((2 * half, 2 * half), np.result_type(basis.vectors, np.asarray(f)))
-    out[:half, half:] = out[half:, :half] = 0.0
+    out = np.zeros((2 * half, 2 * half), np.result_type(basis.vectors, np.asarray(f)))
     block = spectral_block(basis, f, out=out[half:, half:])
     out[:half, :half] = block[::-1, ::-1]
     return out
@@ -247,25 +290,29 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
 def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ (w[:, None] * b), one block product at a time over the 2x2 partition of
     rows and columns into the mirrored half-lines.  A block product with an all-zero
-    factor is skipped; a real block of ``a`` times a complex one of ``b`` runs as two
-    real GEMMs, not promoted.  If square a, b and w are exactly even under the point
-    reversal J, as free kernels and H0 are, J(a w b)J = (JaJ)(JwJ)(JbJ) = a w b, so
-    only the positive-branch rows are multiplied and mirrored onto the negative ones."""
+    factor is skipped, and the first product of each output block is written straight
+    into it.  If square a, b and w are exactly even under the point reversal J, as free
+    kernels are, J(a w b)J = (JaJ)(JwJ)(JbJ) = a w b, so only the positive-branch rows
+    are multiplied and mirrored onto the negative ones."""
     half = a.shape[0] // 2
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
     parts = (slice(None, half), slice(half, None))
     even = (a.shape == b.shape == (2 * half, 2 * half) and np.array_equal(w, w[::-1])
             and all(np.array_equal(m, m[::-1, ::-1]) for m in (a, b)))
-    for r, c, k in product(parts[even:], parts, parts):
-        x, y = a[r, k], b[k, c]
-        if not (x.any() and y.any()):
-            continue
-        y = w[k, None] * y
-        if np.iscomplexobj(x) or not np.iscomplexobj(y):
-            out[r, c] += x @ y
-        else:
-            out[r, c].real += x @ y.real
-            out[r, c].imag += x @ y.imag
+    for r, c in product(parts[even:], parts):
+        block, empty = out[r, c], True
+        for k in parts:
+            x, y = a[r, k], b[k, c]
+            if not (x.any() and y.any()):
+                continue
+            y = w[k, None] * y
+            if empty:
+                np.matmul(x, y, out=block)
+                empty = False
+            else:
+                block += x @ y
+        if empty:
+            block[...] = 0.0
     if even:
         out[:half] = out[half:][::-1, ::-1]
     return out

@@ -13,6 +13,7 @@ the conjugation flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -140,6 +141,14 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     A kernel with phase exp(s i E dt) satisfies i d_t K = -s H0 K: retarded and
     bare kernels the +H0 equation, advanced and tilde kernels each flip the
     sign once.  Must be called off the source slice.
+
+    H0 and i d_t K never couple the mirrored half-lines: each is one positive-branch
+    block, h0 and dk, and its reversal J h0 J, J dk J on the negative branch.  Residual
+    block (r, c) is h0 W_r K_rc, plus dk when r = c; on the negative rows it is
+    J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  The squared
+    norms are summed over the four blocks, each product one real GEMM on the float view
+    of W K, and an all-zero block of K is not multiplied.  A corrupted negative branch is
+    multiplied like any other block, so the residual sees it.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
@@ -147,13 +156,23 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
     s = _phase_sign(kernel.tilde) * (-1.0 if kernel.causality == ADVANCED else 1.0)
     b, e = kernel.basis, kernel.basis.energies
-    out = branch_product(spectral_kernel(b, s * e), b.weights, kernel.matrix)  # s H0 K
-    # plus i d_t K, a block and its mirror: i d_t on exp(s i E dt) brings down -s E
+    h0 = spectral_block(b, s * e)  # s H0
+    # i d_t K: i d_t on exp(s i E dt) brings down -s E
     dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
-    half = len(dk)
-    out[half:, half:] += dk
-    out[:half, :half] += dk[::-1, ::-1]
-    return float(np.linalg.norm(out))
+    half, w, k = len(h0), b.weights, kernel.matrix
+    neg, pos = slice(None, half), slice(half, None)
+    squares = 0.0
+    for r, c in product((neg, pos), repeat=2):
+        y = dk if r == c else None
+        if k[r, c].any():
+            rev = slice(None, None, -1 if r == neg else 1)
+            wk = np.multiply(w[r][rev, None], k[r, c][rev, rev], dtype=complex)
+            y = (h0 @ wk.view(float)).view(complex)
+            if r == c:
+                y += dk
+        if y is not None:
+            squares += np.vdot(y, y).real
+    return float(np.sqrt(squares))
 
 
 def source_term(kernel: PropagatorKernel) -> np.ndarray:

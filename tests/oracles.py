@@ -2,12 +2,11 @@
 
 The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel and the weighted kernel
-product over both branches, the free kernel and the residual matrix assembled
-from full-size temporaries, the matrix-exponential interacting Green's
-function, the dense block exponential of the Dyson terms, the
-per-(evaluation, source) kernel loop of the inhomogeneous solve, and the
-per-column dense Lippmann-Schwinger solve of the on-shell
-S-matrix.  The scalar ones evaluate one entry at a time: the q-exponential
+product over both branches, the residual matrix from dense H0 and d_t K
+kernels, the matrix-exponential interacting Green's function, the dense block
+exponential of the Dyson terms, the per-(evaluation, source) kernel loop of the
+inhomogeneous solve, and the per-column dense Lippmann-Schwinger solve of the
+on-shell S-matrix.  The scalar ones evaluate one entry at a time: the q-exponential
 series in Python complex arithmetic, and the CSV writers, which hand
 ``csv.writer`` each value formatted by hand as repr(float(x)).
 """
@@ -20,7 +19,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from braidline import free_propagator, make_advanced, make_retarded
-from braidline.basis import branch_product
 from braidline.propagator import ADVANCED, RETARDED, heaviside
 from braidline.scattering import variant_scale
 
@@ -107,31 +105,15 @@ def dense_kernel(basis, f):
     return (u * f) @ u.conj().T
 
 
-def copied_spectral_kernel(basis, f):
-    """The free kernel built from temporaries: the positive-branch block (the real
-    GEMM plus 1j times the imaginary one), a zeroed output, and the block and its
-    mirror copied in.  The bit-for-bit reference for the in-place
-    ``basis.spectral_kernel`` and ``basis.spectral_block``."""
-    half = basis.lattice.size // 2
-    pos, f = basis.vectors[half:], np.asarray(f)
-    block = (pos * f.real) @ pos.T
-    if f.imag.any():
-        block = block + 1j * ((pos * f.imag) @ pos.T)
-    out = np.zeros((2 * half, 2 * half), dtype=np.result_type(block, f))
-    out[half:, half:], out[:half, :half] = block, block[::-1, ::-1]
-    return out
-
-
 def full_residual_matrix(kernel):
-    """i d_t K - (+-) H0 K with d_t K added as a second full kernel: the bit-for-bit
-    reference for the matrix ``propagator.schrodinger_residual`` takes the norm of."""
+    """i d_t K - (+-) H0 K over both branches, with H0 and d_t K dense products over every
+    mode: the reference for the norm ``propagator.schrodinger_residual`` takes."""
     dt = kernel.t_target - kernel.t_source
     theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
     s = (1.0 if kernel.tilde else -1.0) * (-1.0 if kernel.causality == ADVANCED else 1.0)
     b, e = kernel.basis, kernel.basis.energies
-    out = branch_product(copied_spectral_kernel(b, s * e), b.weights, kernel.matrix)
-    out += copied_spectral_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
-    return out
+    h0_k = dense_kernel(b, s * e) @ (b.weights[:, None] * kernel.matrix)
+    return h0_k + dense_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
 
 
 def weighted_product(a, w, b):
