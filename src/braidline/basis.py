@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qcalc import LatticeFunction, QContext, QLattice, q_exponential
+from .qcalc import QContext, QLattice, q_exponential
 
 
 @dataclass(eq=False)
@@ -188,25 +188,6 @@ def build_qexp_basis(
     return basis, report
 
 
-def project(f: LatticeFunction, basis: WaveBasis) -> CoefficientVector:
-    """c_p = <u_p, f> under the Jackson weights."""
-    if f.lattice != basis.lattice:
-        raise ValueError("lattice mismatch")
-    c = basis.vectors.conj().T @ (basis.weights * f.values)
-    return CoefficientVector(basis, c, time=f.time)
-
-
-def expand(c: CoefficientVector, t: float) -> LatticeFunction:
-    """f(x, t) = sum_p c_p exp(-i E_p (t - t_c)) u_p(x).
-
-    Conjugate (barred) contexts attach the opposite phase sign.
-    """
-    sign = 1.0 if c.basis.ctx.barred else -1.0
-    phase = np.exp(sign * 1j * c.basis.energies * (t - c.time))
-    vals = c.basis.vectors @ (phase * c.values)
-    return LatticeFunction(c.basis.lattice, vals, time=t)
-
-
 # Half-line size from which a complex f is split by sign: on shorter half-lines the
 # numpy calls of the split cost more than the flops it saves (the measured crossover,
 # README "Free basis").
@@ -272,10 +253,14 @@ def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
 
     The free modes are real and H0 never couples the mirrored half-lines, so the
     kernel is one positive-branch block, built in place and mirrored onto the
-    negative branch, with exact zeros across the branches (each +-p pair shares
-    f_p).  The kernel has the type of f."""
+    negative branch, with exact zeros across the branches.  That holds only when
+    each +-p pair (modes 2k and 2k + 1) shares f_p; any other f is refused.  The
+    kernel has the type of f."""
+    f = np.asarray(f)
+    if not np.array_equal(f[0::2], f[1::2], equal_nan=True):
+        raise ValueError("spectral_kernel needs f(E_p): each +-p pair of modes must share f_p")
     half = basis.lattice.size // 2
-    out = np.zeros((2 * half, 2 * half), np.result_type(basis.vectors, np.asarray(f)))
+    out = np.zeros((2 * half, 2 * half), np.result_type(basis.vectors, f))
     block = spectral_block(basis, f, out=out[half:, half:])
     out[:half, :half] = block[::-1, ::-1]
     return out

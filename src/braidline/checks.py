@@ -19,8 +19,8 @@ from .dyson import ode_evolution, smatrix_from_evolution
 from .propagator import (compose, conjugate_kernel, free_propagator, make_advanced,
                          make_retarded, schrodinger_residual, source_term)
 from .scattering import (Hamiltonian, Potential, born_radius, born_wavefunction,
-                         conjugate_smatrix, gaussian_potential, lippmann_schwinger_solve,
-                         smatrix_momentum, unitarity_defect)
+                         conjugate_smatrix, free_resolvent, gaussian_potential,
+                         lippmann_schwinger_solve, smatrix_momentum, unitarity_defect)
 
 CHECK_EPS = 0.05  # the adiabatic switching rate of every check scene
 
@@ -38,9 +38,8 @@ def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float],
     energy = float(basis.energies[jq])
     phi = CoefficientVector(basis, np.eye(basis.size)[jq])
     t_mat = lippmann_schwinger_solve(h, basis, energy, h.epsilon)
-    r0 = 1.0 / (energy - basis.energies + 1j * h.epsilon)
-    exact = phi.values + r0 * t_mat[:, jq]
-    return [float(np.max(np.abs(born_wavefunction(phi, h, n)[0].values - exact)))
+    exact = phi.values + free_resolvent(basis, energy, h.epsilon) * t_mat[:, jq]
+    return [float(np.max(np.abs(born_wavefunction(phi, h, n).values - exact)))
             for n in orders], born_radius(h, basis, energy, h.epsilon)
 
 

@@ -1,6 +1,5 @@
-"""Interaction picture: picture-change maps, time-evolution operators (exact
-Dyson partial sums and the full evolution, both from one block exponential)
-and interaction-picture S-matrices.  V_I(t) is ``Hamiltonian.at``.
+"""Interaction picture: the time-evolution operator, stepped with one block
+exponential, and the interaction-picture S-matrix.  V_I(t) is ``Hamiltonian.at``.
 
 Geometry G1 evolution acts from the left on coefficient columns, geometry
 G2 from the right with the reversed operator ordering and the opposite
@@ -17,7 +16,6 @@ import math
 
 import numpy as np
 
-from .basis import CoefficientVector
 from .qcalc import G1
 from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _dyson_blocks
 
@@ -30,7 +28,6 @@ class EvolutionOperator:
     matrix: np.ndarray
     t_from: float
     t_to: float
-    geometry: str = G1
     # order (K), steps, tail and coupled_modes; see _integrate
     diagnostics: dict = field(default_factory=dict)
 
@@ -39,39 +36,25 @@ class EvolutionOperator:
         return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
-def to_interaction_picture(psi: CoefficientVector) -> CoefficientVector:
-    """Remove the free phase: multiply coefficient p by exp(+i E_p t)."""
-    phase = np.exp(1j * psi.basis.energies * psi.time)
-    return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
-
-
-def from_interaction_picture(psi: CoefficientVector) -> CoefficientVector:
-    phase = np.exp(-1j * psi.basis.energies * psi.time)
-    return CoefficientVector(psi.basis, phase * psi.values, time=psi.time)
-
-
 # the most sub-steps one evolution takes: a default-scene strength up to ~80
 MAX_STEPS = 256
 # the finest tail an evolution targets: a tol below it cannot be met
 TOL_FLOOR = float(np.finfo(float).eps) / 10
 
 
-def _integrate(
-    h: Hamiltonian, t_from: float, t_to: float, tol: float, levels: int | None,
-) -> tuple[np.ndarray, dict]:
-    """Time-ordered exponential on the modes V couples: (matrix, diagnostics).
+def _integrate(h: Hamiltonian, t_from: float, t_to: float, tol: float) -> tuple[np.ndarray, dict]:
+    """Time-ordered exponential U to ``tol`` on the modes V couples: (matrix, diagnostics).
 
-    ``levels=None`` gives U to ``tol`` (U' = c V_I U in G1 with c = -i,
-    U' = c U V_I in G2 with c = +i), ``levels=k`` the exact partial sum
-    1 + I_1 + ... + I_k.  Outside the coupled modes U is the identity, since
-    V_I(t) keeps the zero pattern of V.  Diagnostics: the order K, the steps,
-    the tail (largest entry of a last block) and the coupled modes.  The
-    README's "Interaction picture" sets out the steps, K and the refusals.
+    U' = c V_I U in G1 with c = -i, U' = c U V_I in G2 with c = +i.  Outside the
+    coupled modes U is the identity, since V_I(t) keeps the zero pattern of V.
+    Diagnostics: the order K, the steps, the tail (largest entry of a last block)
+    and the coupled modes.  The README's "Interaction picture" sets out the steps,
+    K and the refusals.
     """
     idx = np.flatnonzero(np.any(h.v, axis=0) | np.any(h.v, axis=1))
     n = idx.size
     out = np.eye(h.basis.size, dtype=complex)
-    if n == 0 or t_from == t_to or levels == 0:
+    if n == 0 or t_from == t_to:
         return out, {"order": 0, "steps": 0, "tail": 0.0, "coupled_modes": n}
     block, left, eps = np.ix_(idx, idx), h.basis.ctx.geometry == G1, h.epsilon
 
@@ -82,19 +65,17 @@ def _integrate(
     e = sigma * h.basis.energies[idx]
     # |t| is monotone on each piece, so the envelope is one exponential there
     pieces = [(t_from, 0.0), (0.0, t_to)] if t_from * t_to < 0 else [(t_from, t_to)]
-    counts, order = [1] * len(pieces), levels
-    if levels is None:
-        vb = h.v[block]
-        v_norm = float(np.linalg.norm(vb, 2)) if np.all(np.isfinite(vb)) else math.inf
-        xs = [v_norm * abs(env(b) - env(a)) for a, b in pieces]
-        if not sum(xs) <= MAX_STEPS:
-            raise np.linalg.LinAlgError(f"|V|_2 = {v_norm:.3e} needs {sum(xs):.3e} steps")
-        counts = [max(1, math.ceil(x)) for x in xs]
-        x = max(x / k for x, k in zip(xs, counts))
-        # the least K with steps * x^K / K! <= tol / 10, no finer than the rounding
-        order, bound = 1, sum(counts) * x
-        while bound > max(tol / 10, TOL_FLOOR):
-            order, bound = order + 1, bound * x / (order + 1)
+    vb = h.v[block]
+    v_norm = float(np.linalg.norm(vb, 2)) if np.all(np.isfinite(vb)) else math.inf
+    xs = [v_norm * abs(env(b) - env(a)) for a, b in pieces]
+    if not sum(xs) <= MAX_STEPS:
+        raise np.linalg.LinAlgError(f"|V|_2 = {v_norm:.3e} needs {sum(xs):.3e} steps")
+    counts = [max(1, math.ceil(x)) for x in xs]
+    x = max(x / k for x, k in zip(xs, counts))
+    # the least K with steps * x^K / K! <= tol / 10, no finer than the rounding
+    order, bound = 1, sum(counts) * x
+    while bound > max(tol / 10, TOL_FLOOR):
+        order, bound = order + 1, bound * x / (order + 1)
     acc, tail = None, 0.0
     for (a, b), k in zip(pieces, counts):
         g = np.linspace(env(a), env(b), k + 1)[1:-1]
@@ -106,15 +87,12 @@ def _integrate(
             w = h.at(t1 if grow else t0)[block]
             blocks = _dyson_blocks(e, w.T if left == grow else w, c, eps * np.sign(dt), dt, order)
             tail = max(tail, float(np.max(np.abs(blocks[-1]))))
-            step = np.exp(1j * e * dt)[:, None] * blocks
-            step = step.transpose(0, 2, 1) if grow else step
-            step = step.sum(axis=0, keepdims=True) if levels is None else step
-            acc = step if acc is None else np.stack(  # graded by order, truncated
-                [sum(step[i] @ acc[j - i] for i in range(j + 1)) for j in range(len(acc))])
-    if levels is None and not tail <= tol:
+            step = (np.exp(1j * e * dt)[:, None] * blocks).sum(axis=0)
+            step = step.T if grow else step
+            acc = step if acc is None else step @ acc
+    if not tail <= tol:
         raise np.linalg.LinAlgError(f"Dyson order {order} leaves {tail:.3e} > tol={tol:g}")
-    u = acc.sum(axis=0)
-    out[block] = u if left else u.T
+    out[block] = acc if left else acc.T
     return out, {"order": order, "steps": sum(counts), "tail": tail, "coupled_modes": n}
 
 
@@ -124,38 +102,8 @@ def ode_evolution(
     """U(t_to, t_from) to ``tol`` >= ``TOL_FLOOR``: sub-steps of the block exponential."""
     if not TOL_FLOOR <= tol < np.inf:
         raise ValueError(f"tol must be positive, finite and >= TOL_FLOOR ({TOL_FLOOR!r}): {tol!r}")
-    u, diag = _integrate(h, t_from, t_to, tol, None)
-    return EvolutionOperator(u, t_from, t_to, h.basis.ctx.geometry, diag)
-
-
-def dyson_evolution(
-    h: Hamiltonian, t_from: float, t_to: float, order: int,
-) -> EvolutionOperator:
-    """Order-N truncation 1 + I_1 + ... + I_N of the iterated time-ordered
-    integrals I_k(t) = (-+i) int V(s) I_{k-1}(s) ds, exact block by block.
-    Order 0 returns the identity."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    u, diag = _integrate(h, t_from, t_to, 0.0, order)
-    return EvolutionOperator(u, t_from, t_to, h.basis.ctx.geometry, diag)
-
-
-def evolve(u: EvolutionOperator, psi: CoefficientVector) -> CoefficientVector:
-    if psi.time != u.t_from:
-        raise ValueError("state time does not match the operator window")
-    vals = u.matrix @ psi.values if u.geometry == G1 else psi.values @ u.matrix
-    return CoefficientVector(psi.basis, vals, time=u.t_to)
-
-
-def interaction_coefficients(states: list[CoefficientVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Time series C_p(t): projection against the t = 0 plane waves.
-
-    Returns (times, C) with C of shape (len(states), modes).  Free states
-    produce constant rows.
-    """
-    times = np.array([s.time for s in states])
-    rows = [to_interaction_picture(s).values for s in states]
-    return times, np.stack(rows, axis=0)
+    u, diag = _integrate(h, t_from, t_to, tol)
+    return EvolutionOperator(u, t_from, t_to, diag)
 
 
 def smatrix_from_evolution(h: Hamiltonian, u: EvolutionOperator, family: str) -> SMatrix:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .basis import WaveBasis, branch_product, spectral_block, spectral_kernel
-from .qcalc import G1, G2, LatticeFunction
+from .qcalc import G1, G2
 
 # variant name -> (family, starred, primed)
 VARIANTS = {
@@ -53,12 +53,6 @@ class PropagatorKernel:
     tilde: bool = False
     causality: str = CAUSALITY_NONE
 
-    def apply(self, f: LatticeFunction) -> LatticeFunction:
-        if f.lattice != self.basis.lattice:
-            raise ValueError("lattice mismatch")
-        vals = self.matrix @ (self.basis.weights * f.values)
-        return LatticeFunction(f.lattice, vals, time=self.t_target)
-
 
 def _phase_sign(tilde: bool) -> float:
     # Tilde partners carry the conjugate phase convention (positive energy
@@ -86,6 +80,9 @@ def free_propagator(
     """Spectral kernel evolving the source slice to the target slice; the modes
     are real, so a tilde kernel differs only in its phase sign."""
     _check_variant(basis, variant)
+    for name, t in (("t_source", t_source), ("t_target", t_target)):
+        if not np.isfinite(t):
+            raise ValueError(f"{name} must be finite: {t!r}")
     phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * (t_target - t_source))
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
@@ -203,42 +200,3 @@ def conjugation_partner(table: dict, name: str) -> str:
     of ``name`` with the last one, the prime, toggled."""
     *flags, primed = table[name]
     return next(other for other, key in table.items() if key == (*flags, not primed))
-
-
-def solve_inhomogeneous(
-    sources: list[LatticeFunction],
-    basis: WaveBasis,
-    variant: str,
-    times: np.ndarray,
-    t_eval: np.ndarray,
-    advanced: bool = False,
-) -> list[LatticeFunction]:
-    """psi(t) = -+ i * sum_s dt (K_+- rho)(t; s) over the uniform source grid.
-
-    Trapezoidal quadrature in time; the spatial contraction is the
-    Jackson-weighted kernel application.  The residual of the Schroedinger
-    operator applied to the result reproduces the source to O(dt^2).  Each
-    source is projected onto the modes once; the causal phases
-    theta(t - s) exp(-i E (t - s)) (retarded) or theta(s - t) exp(+i E (t - s))
-    (advanced) act mode by mode.
-    """
-    _check_variant(basis, variant)
-    times, t_eval = np.asarray(times, dtype=float), np.asarray(t_eval, dtype=float)
-    if times.size == 0 or len(sources) != times.size:
-        raise ValueError(f"need one source per time of a nonempty window, got "
-                         f"{len(sources)} for {times.size}")
-    if any(rho.lattice != basis.lattice for rho in sources):
-        raise ValueError("lattice mismatch")
-    steps = np.diff(times)
-    if steps.size and not np.allclose(steps, steps[0]):
-        raise ValueError("source grid must be uniform")
-    trap = np.full(times.size, float(steps[0]) if steps.size else 1.0)
-    trap[[0, -1]] *= 0.5 if steps.size else 1.0
-    u = basis.vectors
-    coeff = (np.stack([rho.values for rho in sources]) * basis.weights) @ u.conj()  # (s, p)
-    lag = t_eval[:, None] - times[None, :]  # t - s
-    gate = trap * (lag <= 0.0 if advanced else lag >= 0.0)
-    sign = 1.0 if advanced else -1.0
-    phase = gate[:, :, None] * np.exp(sign * 1j * lag[:, :, None] * basis.energies)
-    vals = (sign * 1j * np.einsum("tsp,sp->tp", phase, coeff)) @ u.T
-    return [LatticeFunction(basis.lattice, v, time=float(t)) for v, t in zip(vals, t_eval)]

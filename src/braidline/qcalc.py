@@ -1,11 +1,13 @@
-"""q-deformation primitives on a truncated bilateral Jackson lattice.
+"""q-deformation primitives: the context, the truncated bilateral Jackson
+lattice, q-numbers and the q-exponential series.
 
 The lattice consists of the points ``{+-x0 * b**j : j_min <= j <= j_max}``
 with base ``0 < b < 1``, carrying the Jackson measure ``w(x) = (1-b)|x|``.
 A context is its deformation parameter q alone: q fixes the geometry, the
 scaling unit kappa, the exponent zeta and the conjugation bar, and crossing
 is q -> 1/q.  Everything else in the package (bases, propagators,
-scattering) is built on top of the difference calculus defined here.
+scattering) is built on this lattice; the Jackson derivative enters only
+through the free Hamiltonian (``basis.half_line_hamiltonian``).
 """
 
 from __future__ import annotations
@@ -104,20 +106,6 @@ class QLattice:
     def size(self) -> int:
         return 2 * (self.j_max - self.j_min + 1)
 
-    def shift_map(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index map for x -> base**m * x.
-
-        Returns (idx, ok): for each point i, idx[i] is the index of the point
-        ``base**m * x_i`` and ok[i] says whether it stays on the lattice.
-        """
-        n_per = self.size // 2
-        i = np.arange(self.size)
-        # j ascends along the negative branch and descends along the positive
-        # one, so the shift moves an index by +m on the first half, -m on the second
-        idx = i + np.where(i < n_per, m, -m)
-        ok = idx // n_per == i // n_per
-        return np.where(ok, idx, -1), ok
-
 
 def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -> QLattice:
     """Build the truncated lattice for deformation parameter q.
@@ -125,36 +113,14 @@ def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -
     A crossed context with q > 1 gives its 1/q partner's point set only up to
     rounding: the base is normalised to 1/q, and 1/(1/0.9) = 0.8999999999999999.
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
+    if not 0 < x0 < np.inf:
+        raise ValueError(f"x0 must be positive and finite: {x0!r}")
     if j_min > j_max:
         raise ValueError("j_min must not exceed j_max")
     base = q if q < 1.0 else 1.0 / q
     if not 0.0 < base < 1.0:
         raise ValueError(f"invalid deformation parameter {q}")
     return QLattice(x0, j_min, j_max, base)
-
-
-@dataclass(eq=False)
-class LatticeFunction:
-    """Complex values on a QLattice at a fixed time stamp.
-
-    ``valid`` marks points whose value is trustworthy; boundary-shifted
-    points are zero-filled and flagged invalid, and norms are taken over
-    valid points only.
-    """
-
-    lattice: QLattice
-    values: np.ndarray
-    time: float = 0.0
-    valid: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.lattice.size,):
-            raise ValueError("value count must equal lattice point count")
-        if self.valid is None:
-            self.valid = np.ones(self.lattice.size, dtype=bool)
 
 
 def q_number(n: int, q: float) -> float:
@@ -164,16 +130,6 @@ def q_number(n: int, q: float) -> float:
     if q <= 0 or q == 1.0:
         raise ValueError("q must be positive and != 1")
     return (1.0 - q ** n) / (1.0 - q)
-
-
-def q_factorial(n: int, q: float) -> float:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= q_number(k, q)
-    return out
 
 
 class QExpResult(NamedTuple):
@@ -209,45 +165,3 @@ def q_exponential(z, q: float, n_trunc: int) -> QExpResult:
     if z.ndim == 0:
         return QExpResult(complex(total), float(last), bool(converged))
     return QExpResult(total, last, converged)
-
-
-def jackson_derivative(f: LatticeFunction, ctx: QContext) -> LatticeFunction:
-    """Pointwise difference quotient (f(x) - f(s x)) / ((1 - s) x), s the
-    context's shift factor.  Where s x falls off the lattice the shifted term
-    is zero-filled and the row flagged invalid."""
-    s = ctx.shift_factor
-    if not np.isclose(s, f.lattice.base):
-        raise ValueError("context shift factor does not match the lattice base")
-    idx, ok = f.lattice.shift_map(1)
-    shifted = np.where(ok, f.values[idx], 0.0)
-    vals = (f.values - shifted) / ((1.0 - s) * f.lattice.points)
-    return LatticeFunction(f.lattice, vals, time=f.time, valid=f.valid & ok)
-
-
-def jackson_integral(f: LatticeFunction) -> complex:
-    """Weighted sum over valid lattice points."""
-    return complex(np.sum(f.lattice.weights[f.valid] * f.values[f.valid]))
-
-
-def kappa_scale(f: LatticeFunction, m: int, ctx: QContext) -> LatticeFunction:
-    """g(x) = f(kappa**m x), an exact index shift on the lattice.
-
-    Points shifted past the truncation boundary are zero-filled and
-    flagged invalid.
-    """
-    # kappa**m x corresponds to base**(e*m) x for some integer orientation e
-    ratio = np.log(ctx.kappa) / np.log(f.lattice.base)
-    e = int(round(ratio))
-    if not np.isclose(ratio, e):
-        raise ValueError("kappa is not an integer power of the lattice base")
-    idx, ok = f.lattice.shift_map(e * m)
-    vals = np.where(ok, f.values[idx], 0.0)
-    return LatticeFunction(f.lattice, vals, time=f.time, valid=ok & f.valid[idx])
-
-
-def sesquilinear(f: LatticeFunction, g: LatticeFunction) -> complex:
-    """<f, g> = sum_x w(x) conj(f(x)) g(x) over mutually valid points."""
-    if f.lattice != g.lattice:
-        raise ValueError("lattice mismatch")
-    mask = f.valid & g.valid
-    return complex(np.sum(f.lattice.weights[mask] * np.conj(f.values[mask]) * g.values[mask]))

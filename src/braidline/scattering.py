@@ -1,5 +1,6 @@
-"""Potentials, Born series, Lippmann-Schwinger solver, interacting Green's
-functions, momentum-basis S-matrices and unitarity diagnostics.
+"""Potentials, the free resolvent, Born series, Lippmann-Schwinger solver,
+momentum-basis S-matrices and unitarity diagnostics, and the block exponential
+that the interaction picture steps with.
 
 Infinite-time limits are regularised by adiabatic switching exp(-eps|t|);
 the time integrals are evaluated in closed form, producing the uniform
@@ -17,28 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import CoefficientVector, WaveBasis
-from .propagator import PropagatorKernel, conjugation_partner
-
-H_PLAIN = "H"
-H_PRIME = "Hprime"
-H_DOUBLE_PRIME = "Hdoubleprime"
-
-
-def variant_scale(variant: str, ctx) -> float:
-    """Free-part scale: 1 for H, q**-zeta for H', q**zeta for H''."""
-    if variant == H_PLAIN:
-        return 1.0
-    if variant == H_PRIME:
-        return float(ctx.q ** -ctx.zeta)
-    if variant == H_DOUBLE_PRIME:
-        return float(ctx.q ** ctx.zeta)
-    raise ValueError(f"unknown Hamiltonian variant {variant!r}")
-
-
-def variant_basis(basis: WaveBasis, variant: str) -> WaveBasis:
-    """The free basis of the variant's s*H0: the modes, weights, lattice, ctx and
-    momentum labels of ``basis``, with the energies E' = s p**2/2m."""
-    return replace(basis, energies=variant_scale(variant, basis.ctx) * basis.energies)
+from .propagator import conjugation_partner
 
 
 @dataclass(eq=False)
@@ -133,6 +113,13 @@ COND_LIMIT = 1e12
 RESIDUAL_ULPS = 64
 
 
+def free_resolvent(basis: WaveBasis, energy, eps: float) -> np.ndarray:
+    """The free resolvent R0(E + i eps) = 1/(E - E_p + i eps) on the energies E_p of
+    ``basis``: one entry per mode p for a scalar E, and R0[p, k] at E[k] for an array."""
+    z = np.asarray(energy, dtype=float) + 1j * eps
+    return 1.0 / (z - basis.energies.reshape(-1, *(1,) * z.ndim))
+
+
 def lippmann_schwinger_solve(
     v: Potential | Hamiltonian, basis: WaveBasis, energy, eps: float,
     diagnostics: dict | None = None,
@@ -161,9 +148,9 @@ def lippmann_schwinger_solve(
     if not 0 < abs(eps) < np.inf:
         raise ValueError(f"eps must be finite and nonzero: {eps!r}")
     h = v.on(basis)
-    vm, m, ep = h.v, basis.size, basis.energies
-    z = np.broadcast_to(np.asarray(energy, dtype=float), (m,)) + 1j * eps
-    r0 = 1.0 / (z[None, :] - ep[:, None])  # R0[p, k] at the energy of column k
+    vm, m = h.v, basis.size
+    energy = np.broadcast_to(np.asarray(energy, dtype=float), (m,))
+    z, r0 = energy + 1j * eps, free_resolvent(basis, energy, eps)  # R0[p, k] at z[k]
     lam, w, w_inv, kappa = h.eigen
     # an overflowing or infinite bound is refused below, not warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -209,7 +196,9 @@ def born_radius(v: Potential | Hamiltonian, basis: WaveBasis, energy: float, eps
     """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
-    r0 = 1.0 / (energy - basis.energies + 1j * eps)
+    if not np.isfinite(energy):
+        raise ValueError(f"energy must be finite: {energy!r}")
+    r0 = free_resolvent(basis, energy, eps)
     return float(np.max(np.abs(np.linalg.eigvals(v.on(basis).v * r0[None, :]))))
 
 
@@ -239,14 +228,13 @@ def _guarded_ls_column(vm: np.ndarray, r0: np.ndarray, rhs: np.ndarray) -> np.nd
 
 def born_wavefunction(
     phi: CoefficientVector, v: Potential | Hamiltonian, order: int,
-    times: np.ndarray | None = None,
-) -> list[CoefficientVector]:
-    """Order-N Born series in the energy basis, closed-form time integrals.
+) -> CoefficientVector:
+    """Order-N Born series of the t = 0 scattering state in the energy basis.
 
-    Each incoming mode q contributes the iteration (R0(E_q) V)^n with
-    uniform denominators 1/(E_q - E_p + i eps) and evolves with its own
-    phase exp(-i E_q t), so order 0 is the free solution and the series is
-    linear in ``phi``.
+    Each incoming mode q contributes the iteration (R0(E_q) V)^n with the
+    uniform denominators 1/(E_q - E_p + i eps) of the closed-form time
+    integrals, so order 0 is the incoming state and the series is linear in
+    ``phi``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -254,60 +242,21 @@ def born_wavefunction(
     h = v.on(basis)
     if h.epsilon <= 0 and order > 0:
         raise ValueError("adiabatic epsilon must be positive for the Born series")
-    vm, e = h.v, basis.energies
+    vm = h.v
     modes = np.nonzero(np.abs(phi.values) > 0)[0]
     c = np.zeros((modes.size, basis.size), dtype=complex)  # row k: the series of modes[k]
     c[np.arange(modes.size), modes] = phi.values[modes]
     for row, jq in zip(c, modes):
-        m = (1.0 / (e[jq] - e + 1j * h.epsilon))[:, None] * vm
+        m = free_resolvent(basis, basis.energies[jq], h.epsilon)[:, None] * vm
         term = row
         for _ in range(order):
             term = m @ term
             row += term
-    return [CoefficientVector(basis, (np.exp(-1j * e[modes] * t)[:, None] * c).sum(axis=0),
-                              time=float(t))
-            for t in np.asarray([0.0] if times is None else times, dtype=float)]
+    return CoefficientVector(basis, c.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
-# Interacting Green's functions
-
-@dataclass(eq=False)
-class FullGreen:
-    kernel: PropagatorKernel
-    hamiltonian: Hamiltonian
-    order: int | None  # None means exact
-
-
-def full_green(
-    v: Potential | Hamiltonian, basis: WaveBasis, order: int | None,
-    t_source: float, t_target: float,
-) -> FullGreen:
-    """Retarded interacting kernel G = K + (-i) int K V G dt.
-
-    Iterating generates the interacting evolution; ``order`` truncates the
-    expansion in powers of V (each iterated time integral is evaluated
-    exactly through a block matrix exponential), while ``order=None``
-    gives the full evolution W exp(-i lam dt) W^-1 from the eigenbasis of
-    H0 + V.
-    """
-    h = v.on(basis)
-    dt = t_target - t_source
-    if dt < 0:
-        mat_modes = np.zeros_like(h.v)
-    elif order is None:
-        lam, w, w_inv, _ = h.eigen
-        mat_modes = (w * np.exp(-1j * lam * dt)) @ w_inv
-    else:
-        mat_modes = _dyson_blocks(basis.energies, h.v, -1j, 0.0, dt, order).sum(axis=0)
-    u = basis.vectors
-    mat = u @ mat_modes @ u.conj().T
-    kern = PropagatorKernel(
-        basis=basis, variant="K1prime", t_source=t_source,
-        t_target=t_target, matrix=mat, tilde=False, causality="retarded",
-    )
-    return FullGreen(kernel=kern, hamiltonian=h, order=order)
-
+# The block exponential of the interaction picture
 
 def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: float,
                   order: int) -> np.ndarray:
@@ -343,23 +292,6 @@ def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: floa
         f = (sel @ prod).view(complex).reshape(nb, m, m)
     f[0] = np.diag(np.exp(-1j * h * e))
     return f
-
-
-def green_residual(g: FullGreen) -> float:
-    """|| i d_t G - (H0 + V) G ||_F of an exact-order kernel off the source
-    slice, with i d_t G = theta(dt) W lam exp(-i lam dt) W^-1 analytic through
-    the decomposition ``full_green`` made."""
-    dt = g.kernel.t_target - g.kernel.t_source
-    if g.order is not None or dt == 0:
-        raise ValueError("residual check requires the exact kernel off the source slice")
-    h, basis = g.hamiltonian, g.kernel.basis
-    u = basis.vectors
-    lhs = u @ (h.matrix @ (u.conj().T @ (basis.weights[:, None] * g.kernel.matrix)))  # H G
-    rhs = 0.0  # on the causal zero side
-    if dt > 0:
-        lam, w, w_inv, _ = h.eigen
-        rhs = u @ ((w * (lam * np.exp(-1j * lam * dt))) @ w_inv) @ u.conj().T
-    return float(np.linalg.norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel and the weighted kernel
 product over both branches, the residual matrix from dense H0 and d_t K
-kernels, the matrix-exponential interacting Green's function, the dense block
-exponential of the Dyson terms, the per-(evaluation, source) kernel loop of the
-inhomogeneous solve, and the per-column dense Lippmann-Schwinger solve of the
-on-shell S-matrix.  The scalar ones evaluate one entry at a time: the q-exponential
-series in Python complex arithmetic, and the CSV writers, which hand
-``csv.writer`` each value formatted by hand as repr(float(x)).
+kernels, the dense block exponential of the Dyson terms, and the per-column
+dense Lippmann-Schwinger solve of the on-shell S-matrix.  The scalar ones
+evaluate one entry at a time: the q-exponential series in Python complex
+arithmetic, and the CSV writers, which hand ``csv.writer`` each value formatted
+by hand as repr(float(x)).
 """
 
 import cmath
@@ -18,34 +17,23 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from braidline import free_propagator, make_advanced, make_retarded
 from braidline.propagator import ADVANCED, RETARDED, heaviside
-from braidline.scattering import variant_scale
 
 
 def derivative_matrix(lattice, ctx):
     """Matrix of the Jackson difference quotient on the lattice.
 
     Row i realises (f(x_i) - f(s x_i)) / ((1 - s) x_i) with s the context's
-    shift factor.  Where s*x falls off the lattice the shifted term is
-    zero-filled.
+    shift factor: s x_i is the next point inward on the branch of x_i.  The two
+    innermost points have none, so their shifted term is zero-filled.
     """
     s = ctx.shift_factor
-    n = lattice.size
-    idx, ok = lattice.shift_map(1)
+    n, half = lattice.size, lattice.size // 2
     denom = (1.0 - s) * lattice.points
-    d = np.zeros((n, n))
-    d[np.arange(n), np.arange(n)] = 1.0 / denom
-    rows = np.arange(n)[ok]
-    d[rows, idx[ok]] -= 1.0 / denom[ok]
+    d = np.diag(1.0 / denom)
+    rows = np.r_[0:half - 1, half + 1:n]  # the negative branch runs inward, the positive outward
+    d[rows, rows + np.where(rows < half, 1, -1)] -= 1.0 / denom[rows]
     return d
-
-
-def expm_green(v, basis, variant, dt):
-    """The exact retarded interacting Green's function in the energy basis,
-    theta(dt) expm(-i (scale*H0 + V) dt)."""
-    h = np.diag(variant_scale(variant, basis.ctx) * basis.energies) + v.on(basis).v
-    return expm(-1j * h * dt) if dt >= 0 else np.zeros_like(h)
 
 
 def dense_dyson_blocks(e, w, c, rate, h, order):
@@ -58,14 +46,15 @@ def dense_dyson_blocks(e, w, c, rate, h, order):
     return expm(h * big)[:m].reshape(m, nb, m).transpose(1, 0, 2)
 
 
-def dense_smatrix(v, basis, eps, variant, time_sign, tilde):
+def dense_smatrix(v, basis, eps, time_sign, tilde):
     """The on-shell S-matrix from one dense solve of (I - V R0(E_k + i sigma eps)) t
-    = V e_k per column k.  sigma is the family's time sign, flipped for a tilde
-    partner, which also takes conj(V); column k is placed as
-    S[:, k] = e_k - sigma 2 pi i delta_eps(E - E_k) t, as row k for a tilde partner."""
+    = V e_k per column k, on the energies of ``basis``.  sigma is the family's time
+    sign, flipped for a tilde partner, which also takes conj(V); column k is placed
+    as S[:, k] = e_k - sigma 2 pi i delta_eps(E - E_k) t, as row k for a tilde
+    partner."""
     sigma = -time_sign if tilde else time_sign
     vm = np.conj(v.on(basis).v) if tilde else v.on(basis).v
-    e = variant_scale(variant, basis.ctx) * basis.energies
+    e = basis.energies
     s = np.eye(basis.size, dtype=complex)
     for k in range(basis.size):
         r0 = 1.0 / (e[k] - e + 1j * sigma * eps)
@@ -76,26 +65,6 @@ def dense_smatrix(v, basis, eps, variant, time_sign, tilde):
         else:
             s[:, k] -= sigma * 2j * np.pi * lor * t
     return s
-
-
-def pairwise_inhomogeneous(sources, basis, variant, times, t_eval, advanced=False):
-    """psi(t) = -+ i sum_s trap_s (K_+- rho_s)(t; s), one causal kernel per
-    (evaluation time, source time) pair, over a uniform source grid."""
-    times = np.asarray(times, dtype=float)
-    dt = float(times[1] - times[0]) if times.size > 1 else 1.0
-    trap = np.full(times.size, dt)
-    if times.size > 1:
-        trap[0] = trap[-1] = 0.5 * dt
-    sign = 1j if advanced else -1j
-    out = []
-    for t in np.asarray(t_eval, dtype=float):
-        acc = np.zeros(basis.lattice.size, dtype=complex)
-        for wgt, ts, rho in zip(trap, times, sources):
-            bare = free_propagator(basis, variant, ts, t)
-            causal = make_advanced(bare) if advanced else make_retarded(bare)
-            acc += wgt * causal.apply(rho).values
-        out.append(sign * acc)
-    return np.array(out)
 
 
 def dense_kernel(basis, f):

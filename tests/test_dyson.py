@@ -13,22 +13,15 @@ from braidline import (
     braided_line,
     build_hamiltonian_basis,
     crossing_transform,
-    dyson_evolution,
-    from_interaction_picture,
     gaussian_potential,
-    interaction_coefficients,
     make_lattice,
     ode_evolution,
     smatrix_from_evolution,
-    to_interaction_picture,
     unitarity_defect,
 )
-from braidline import checks, cli, dyson, scattering
-from braidline.basis import CoefficientVector
-from braidline.dyson import TOL_FLOOR, evolve
-from braidline.scattering import (
-    S_FAMILIES, _dyson_blocks, full_green, smatrix_momentum, variant_basis, variant_scale,
-)
+from braidline import checks, cli, dyson
+from braidline.dyson import TOL_FLOOR
+from braidline.scattering import S_FAMILIES, _dyson_blocks, smatrix_momentum
 from oracles import dense_dyson_blocks
 
 Q = 0.9
@@ -61,19 +54,22 @@ def test_hamiltonian_at_phases_and_envelope(basis, h):
     # on H and on H'', whose phases carry the scaled energies q**zeta E_p
     t = 0.8
     bare = h.v
-    for variant in ("H", "Hdoubleprime"):
-        vt = Hamiltonian(variant_basis(basis, variant), bare, epsilon=SWITCH).at(t)
-        e = variant_scale(variant, basis.ctx) * basis.energies
-        phase = np.exp(1j * e * t)
+    for s in (1.0, 1.0 / Q):
+        vb = replace(basis, energies=s * basis.energies)
+        vt = Hamiltonian(vb, bare, epsilon=SWITCH).at(t)
+        phase = np.exp(1j * vb.energies * t)
         expect = (phase[:, None] * bare * np.conj(phase)[None, :]) * np.exp(-SWITCH * t)
-        assert np.max(np.abs(vt - expect)) < 1e-13, variant
+        assert np.max(np.abs(vt - expect)) < 1e-13, s
 
 
-def test_evolution_identity_cases(h):
+def test_evolution_identity_cases(basis, h):
+    # an empty window, and a window over which nothing is coupled
     u = ode_evolution(h, 0.5, 0.5, 1e-8)
     assert np.max(np.abs(u.matrix - np.eye(u.matrix.shape[0]))) == 0.0
-    u0 = dyson_evolution(h, -1.0, 1.0, 0)
+    free = Hamiltonian(basis, np.zeros((basis.size, basis.size)), epsilon=SWITCH)
+    u0 = ode_evolution(free, -1.0, 1.0, 1e-8)
     assert np.max(np.abs(u0.matrix - np.eye(u0.matrix.shape[0]))) == 0.0
+    assert u0.diagnostics["coupled_modes"] == 0
 
 
 def test_ode_unitarity_drift(h):
@@ -124,57 +120,27 @@ def test_diagonal_potential_closed_form(basis):
     assert np.max(np.abs(u.matrix - exact)) < 1e-9
 
 
-def test_dyson_order_truncation_scaling(basis):
-    # || U_dyson(2) - U_ode || shrinks like strength**3; the potential is
-    # confined to the lowest modes so the reference solve stays cheap
-    bare = gaussian_potential(basis.lattice, strength=0.05, width=1.0,
-                              epsilon=SWITCH).on(basis).v
-    block = np.zeros_like(bare)
-    block[:12, :12] = bare[:12, :12]
-    errs = []
-    for lam in (1.0, 0.5, 0.25):
-        hl = Hamiltonian(basis, lam * block, epsilon=SWITCH)
-        u2 = dyson_evolution(hl, -1.0, 1.0, 2)
-        ue = ode_evolution(hl, -1.0, 1.0, 1e-10)
-        errs.append(np.linalg.norm(u2.matrix - ue.matrix))
-    slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(np.abs(slopes - 3.0) < 0.3)
-
-
-def _packed_full_space(h, t_from, t_to, tol, order=None):
+def _packed_full_space(h, t_from, t_to, tol):
     """The integration the coupled-mode driver replaced: every one of the
-    m x m entries, complex matrices packed as real/imaginary halves.
-    ``order=None`` evolves U, else the Dyson hierarchy up to ``order``."""
+    m x m entries of U, complex matrices packed as real/imaginary halves."""
     m = h.basis.size
     nm = m * m
     coeff, left = (-1j, True) if h.basis.ctx.geometry == "G1" else (1j, False)
-    levels = 1 if order is None else order
-    rtol = (tol if order is None else tol / order) * 1e-2
+    rtol = tol * 1e-2
 
-    def unpack(y, k):
-        return (y[2 * k * nm: (2 * k + 1) * nm].reshape(m, m)
-                + 1j * y[(2 * k + 1) * nm: (2 * k + 2) * nm].reshape(m, m))
+    def unpack(y):
+        return y[:nm].reshape(m, m) + 1j * y[nm:].reshape(m, m)
 
     def rhs_real(t, y):
-        vt = h.at(t)
-        out = np.zeros_like(y)
-        prev = unpack(y, 0) if order is None else np.eye(m, dtype=complex)
-        for k in range(levels):
-            d = coeff * (vt @ prev) if left else coeff * (prev @ vt)
-            out[2 * k * nm: (2 * k + 1) * nm] = d.real.ravel()
-            out[(2 * k + 1) * nm: (2 * k + 2) * nm] = d.imag.ravel()
-            prev = unpack(y, k)
-        return out
+        vt, u = h.at(t), unpack(y)
+        d = coeff * (vt @ u) if left else coeff * (u @ vt)
+        return np.concatenate([d.real.ravel(), d.imag.ravel()])
 
-    y0 = np.zeros(2 * nm * levels)
-    if order is None:
-        y0[:nm] = np.eye(m).ravel()
+    y0 = np.zeros(2 * nm)
+    y0[:nm] = np.eye(m).ravel()
     sol = solve_ivp(rhs_real, (t_from, t_to), y0, method="DOP853", rtol=rtol, atol=rtol)
     assert sol.success
-    y = sol.y[:, -1]
-    if order is None:
-        return unpack(y, 0)
-    return np.eye(m) + sum(unpack(y, k) for k in range(order))
+    return unpack(sol.y[:, -1])
 
 
 @pytest.mark.parametrize("crossed", [False, True], ids=["G1", "G2"])
@@ -192,13 +158,12 @@ def test_coupled_modes_match_full_space_oracle(ctx, crossed):
     outside = np.ones(b.size, dtype=bool)
     outside[[1, 3, 4, 9, 17]] = False
     outside = outside[:, None] | outside[None, :]
-    for fast, order in ((ode_evolution(hc, -1.0, 1.0, 1e-10), None),
-                        (dyson_evolution(hc, -1.0, 1.0, 2), 2)):
-        ref = _packed_full_space(hc, -1.0, 1.0, 1e-10, order)
-        assert np.max(np.abs(fast.matrix - ref)) < 1e-9
-        assert np.array_equal(fast.matrix[outside], np.eye(b.size)[outside])
-        assert fast.diagnostics["coupled_modes"] == 5
-        assert fast.geometry == c.geometry
+    fast = ode_evolution(hc, -1.0, 1.0, 1e-10)
+    assert b.ctx.geometry == ("G2" if crossed else "G1")
+    ref = _packed_full_space(hc, -1.0, 1.0, 1e-10)
+    assert np.max(np.abs(fast.matrix - ref)) < 1e-9
+    assert np.array_equal(fast.matrix[outside], np.eye(b.size)[outside])
+    assert fast.diagnostics["coupled_modes"] == 5
 
 
 @pytest.mark.parametrize("crossed", [False, True], ids=["G1", "G2"])
@@ -221,75 +186,40 @@ def test_substeps_match_full_space_oracle(ctx, crossed):
 
 
 def test_dyson_first_order_oracle(basis, h):
-    # order 1 is the identity minus i times the plain time integral of V_I,
-    # on H and on H'', whose phases carry the scaled energies
+    # the first-order term of U is minus i times the plain time integral of V_I, on H
+    # and on H'', whose phases carry the scaled energies; U(lam V) - U(-lam V) is twice
+    # that term times lam, up to lam**3
     ts = np.linspace(-1.0, 1.0, 4001)
-    for variant in ("H", "Hdoubleprime"):
-        e = variant_scale(variant, basis.ctx) * basis.energies
+    lam = 1e-4
+    for s in (1.0, 1.0 / Q):
+        vb = replace(basis, energies=s * basis.energies)
+        e = vb.energies
 
         def v_i(t):
             phase = np.exp(1j * e * t)
             return np.outer(phase, phase.conj()) * h.v * np.exp(-SWITCH * abs(t))
 
-        hb = Hamiltonian(variant_basis(basis, variant), h.v, epsilon=SWITCH)
-        u1 = dyson_evolution(hb, -1.0, 1.0, 1)
+        plus, minus = (ode_evolution(Hamiltonian(vb, sign * lam * h.v, epsilon=SWITCH),
+                                     -1.0, 1.0, 1e-14).matrix for sign in (1.0, -1.0))
         acc = sum(v_i(t) for t in ts) - 0.5 * (v_i(ts[0]) + v_i(ts[-1]))
-        expect = np.eye(basis.size) - 1j * (ts[1] - ts[0]) * acc
-        assert np.max(np.abs(u1.matrix - expect)) < 1e-6, variant
-
-
-def test_picture_change_roundtrip(basis):
-    rng = np.random.default_rng(21)
-    vals = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    for variant in ("H", "Hprime"):
-        psi = CoefficientVector(variant_basis(basis, variant), vals, time=0.7)
-        there = to_interaction_picture(psi)
-        back = from_interaction_picture(there)
-        assert np.max(np.abs(back.values - vals)) < 1e-13
-        # the free phase of the variant's scaled energies is the one removed
-        e = variant_scale(variant, basis.ctx) * basis.energies
-        assert np.max(np.abs(there.values - np.exp(1j * e * 0.7) * vals)) < 1e-13
-        # isometry
-        assert np.linalg.norm(there.values) == pytest.approx(np.linalg.norm(vals))
-
-
-def test_free_state_coefficients_constant(basis):
-    from braidline import expand, project
-
-    c = np.zeros(basis.size, dtype=complex)
-    c[3] = 1.0
-    c[8] = 0.5
-    states = []
-    base = CoefficientVector(basis, c, time=0.0)
-    for t in (0.0, 0.4, 1.1):
-        f = expand(base, t)
-        states.append(project(f, basis))
-    times, rows = interaction_coefficients(states)
-    assert np.allclose(times, [0.0, 0.4, 1.1])
-    assert np.max(np.abs(rows - rows[0])) < 1e-12
-
-
-def test_evolve_respects_time_stamps(basis, h):
-    u = ode_evolution(h, -1.0, 1.0, 1e-8)
-    psi = CoefficientVector(basis, np.eye(basis.size)[0], time=-1.0)
-    out = evolve(u, psi)
-    assert out.time == 1.0
-    bad = CoefficientVector(basis, np.eye(basis.size)[0], time=0.0)
-    with pytest.raises(ValueError):
-        evolve(u, bad)
+        expect = -1j * (ts[1] - ts[0]) * acc
+        assert np.max(np.abs((plus - minus) / (2 * lam) - expect)) < 1e-6, s
 
 
 def test_crossed_geometry_right_action(ctx):
+    # G2 evolution acts from the right: U(1, -1) = U(0.3, -1) U(1, 0.3), the
+    # reversed order of the G1 group law
     c2 = crossing_transform(ctx)
     lat2 = make_lattice(c2.q)
     b2 = build_hamiltonian_basis(lat2, MASS, c2)
-    v = gaussian_potential(lat2, strength=0.05, width=1.0, epsilon=SWITCH)
-    u = ode_evolution(v.on(b2), -1.0, 1.0, 1e-8)
-    assert u.geometry == "G2"
-    assert u.unitarity_drift() <= 1e-8
-    psi = CoefficientVector(b2, np.eye(b2.size)[0], time=-1.0)
-    out = evolve(u, psi)
-    assert np.max(np.abs(out.values - psi.values @ u.matrix)) == 0.0
+    assert b2.ctx.geometry == "G2"
+    h2 = gaussian_potential(lat2, strength=0.05, width=1.0, epsilon=SWITCH).on(b2)
+    tol = 1e-9
+    whole = ode_evolution(h2, -1.0, 1.0, tol)
+    assert whole.unitarity_drift() <= 1e-8
+    first, second = ode_evolution(h2, -1.0, 0.3, tol), ode_evolution(h2, 0.3, 1.0, tol)
+    assert np.linalg.norm(first.matrix @ second.matrix - whole.matrix) <= 10 * tol
+    assert np.linalg.norm(second.matrix @ first.matrix - whole.matrix) > 1e3 * tol
 
 
 def test_long_window_stays_unitary(basis):
@@ -379,9 +309,8 @@ def test_smatrix_interaction_free_past_overlap(basis):
     v = Hamiltonian(basis, vm, epsilon=eps)
     horizon = np.log(1e8) / eps
     u = ode_evolution(v, -horizon, -horizon, 1e-8)
-    psi = CoefficientVector(basis, np.eye(basis.size)[2], time=-horizon)
-    out = evolve(u, psi)
-    assert abs(np.vdot(psi.values, out.values)) == pytest.approx(1.0, abs=1e-6)
+    psi = np.eye(basis.size)[2]
+    assert abs(np.vdot(psi, u.matrix @ psi)) == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +372,12 @@ def test_block_exponential_matches_dense_on_real_steps(monkeypatch, tmp_path, co
 
 
 def test_block_exponential_matches_dense_for_full_green(monkeypatch, basis, h):
-    calls = _block_calls(monkeypatch, scattering, lambda: full_green(h, basis, 3, 0.1, 0.4))
+    # the unswitched evolution of the full Green's function, exp(-i H0 dt) U_I: one step
+    # on every mode at rate 0
+    h0 = replace(h, epsilon=0.0)
+    calls = _block_calls(monkeypatch, dyson, lambda: ode_evolution(h0, 0.1, 0.4, 1e-10))
     (e, w, c, rate, dt, order), = calls
-    assert (rate, order, e.size) == (0.0, 3, basis.size)
+    assert (rate, dt, e.size) == (0.0, 0.4 - 0.1, basis.size)
     assert_blocks_match_oracle(e, w, c, rate, dt, order)
 
 
@@ -512,10 +444,8 @@ def test_block_exponential_refuses_non_finite_input(basis, h):
     bad = h.v.copy()
     bad[1, 2] = np.nan
     hb = Hamiltonian(basis, bad, epsilon=SWITCH)
-    with pytest.raises(np.linalg.LinAlgError, match="bound"):
-        dyson_evolution(hb, -1.0, 1.0, 2)
-    with pytest.raises(np.linalg.LinAlgError, match="bound"):
-        full_green(hb, basis, 2, 0.0, 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="inf needs inf steps"):
+        ode_evolution(hb, -1.0, 1.0, 1e-8)
     e, w = basis.energies[:4], h.v[:4, :4]
     with pytest.raises(np.linalg.LinAlgError, match="bound"):
         _dyson_blocks(e, w, -1j, SWITCH, np.inf, 2)

@@ -6,7 +6,6 @@ import pytest
 
 from braidline import propagator
 from braidline import (
-    LatticeFunction,
     braided_line,
     build_hamiltonian_basis,
     build_qexp_basis,
@@ -15,20 +14,17 @@ from braidline import (
     crossing_transform,
     delta_kernel,
     free_propagator,
-    full_green,
-    gaussian_potential,
     make_advanced,
     make_retarded,
     make_lattice,
     schrodinger_residual,
-    solve_inhomogeneous,
     source_term,
 )
 from braidline import basis as basis_mod
 from braidline.basis import _scaled_gram as scaled_gram
 from braidline.basis import branch_product, spectral_block, spectral_kernel
 from braidline.propagator import VARIANTS, heaviside
-from oracles import dense_kernel, full_residual_matrix, pairwise_inhomogeneous, weighted_product
+from oracles import dense_kernel, full_residual_matrix, weighted_product
 
 Q = 0.9
 MASS = 1.0
@@ -48,11 +44,6 @@ def basis(ctx):
 def basis_g2(ctx):
     c2 = crossing_transform(ctx)
     return build_hamiltonian_basis(make_lattice(c2.q), MASS, c2)
-
-
-@pytest.fixture(scope="module")
-def weak_v(basis):
-    return gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=0.05)
 
 
 def pick_basis(variant, basis, basis_g2):
@@ -153,15 +144,14 @@ def test_branch_product_matches_weighted_oracle(q, j_max, geometry):
             assert not got[:half, half:].any() and not got[half:, :half].any()
 
 
-def test_branch_product_dense_and_partial_operands(basis, weak_v):
+def test_branch_product_dense_and_partial_operands(basis):
     # dense operands take every block product; a cross-branch-only operand and
     # an all-zero one are exact too
-    w, half = basis.weights, basis.size // 2
-    green = full_green(weak_v, basis, None, 0.0, 0.4).kernel.matrix
-    assert green[:half, half:].any()
-    check_product(green, w, green)
+    w, half, n = basis.weights, basis.size // 2, basis.size
     rng = np.random.default_rng(11)
-    real = rng.normal(size=(basis.size, basis.size))
+    green = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    check_product(green, w, green)
+    real = rng.normal(size=(n, n))
     check_product(real, w, green)
     check_product(green, w, real)
     cross = np.zeros_like(green)
@@ -348,6 +338,18 @@ def test_kernel_and_compose_traced_peaks():
     assert peak <= 1.39 * unit, peak / unit
 
 
+def test_spectral_kernel_refuses_f_that_differs_within_a_pair(basis):
+    # only a function of the energy gives the mirrored kernel with zero cross-branch
+    # blocks; an f whose +-p pair (modes 2k, 2k + 1) disagrees is refused, not built wrong
+    f = np.exp(-1j * basis.energies * 0.7)
+    f[5] *= 1.5  # mode 5 leaves its partner, mode 4
+    with pytest.raises(ValueError, match="pair"):
+        spectral_kernel(basis, f)
+    f[4] = f[5]
+    want = dense_kernel(basis, f)
+    assert np.max(np.abs(spectral_kernel(basis, f) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_spectral_kernel_refuses_complex_basis(basis):
     qb, _ = build_qexp_basis(basis.lattice, MASS, basis.ctx, np.linspace(0.3, 2.0, 8), 60)
     with pytest.raises(ValueError):
@@ -384,24 +386,22 @@ def test_composition_checks(basis):
 
 
 def test_apply_evolves_coefficients(basis):
+    # the kernel under the weighted contraction, (K f)(x) = sum_y K[x, y] w(y) f(y)
     rng = np.random.default_rng(5)
-    f = LatticeFunction(basis.lattice, rng.normal(size=50) + 0j, time=0.0)
-    k = free_propagator(basis, "K1prime", 0.0, 0.8)
-    out = k.apply(f)
+    f = rng.normal(size=50)
+    out = free_propagator(basis, "K1prime", 0.0, 0.8).matrix @ (basis.weights * f)
     # spectral oracle: evolve mode coefficients directly
-    c = basis.vectors.conj().T @ (basis.weights * f.values)
+    c = basis.vectors.conj().T @ (basis.weights * f)
     expect = basis.vectors @ (np.exp(-1j * basis.energies * 0.8) * c)
-    assert np.max(np.abs(out.values - expect)) < 1e-10
-    assert out.time == 0.8
+    assert np.max(np.abs(out - expect)) < 1e-10
 
 
 def test_norm_preservation(basis):
     rng = np.random.default_rng(6)
-    f = LatticeFunction(basis.lattice, rng.normal(size=50) + 1j * rng.normal(size=50))
-    k = free_propagator(basis, "K1star", -0.4, 1.3)
-    out = k.apply(f)
-    n_in = np.sum(basis.weights * np.abs(f.values) ** 2)
-    n_out = np.sum(basis.weights * np.abs(out.values) ** 2)
+    f = rng.normal(size=50) + 1j * rng.normal(size=50)
+    out = free_propagator(basis, "K1star", -0.4, 1.3).matrix @ (basis.weights * f)
+    n_in = np.sum(basis.weights * np.abs(f) ** 2)
+    n_out = np.sum(basis.weights * np.abs(out) ** 2)
     assert n_out == pytest.approx(n_in, rel=1e-11)
 
 
@@ -553,55 +553,3 @@ def test_crossing_transported_kernel(basis, basis_g2):
     k1 = free_propagator(basis, "K1prime", 0.0, 0.5)
     k2 = free_propagator(basis_g2, "K2", 0.0, 0.5)
     assert np.max(np.abs(k1.matrix - k2.matrix)) < 1e-10
-
-
-def test_inhomogeneous_solution_quadrature_order(basis):
-    # the trapezoidal time quadrature converges at second order; the
-    # source lives in the lowest modes so the grid resolves every
-    # relevant evolution phase
-    rng = np.random.default_rng(9)
-    coeff = np.zeros(basis.size)
-    coeff[:6] = rng.normal(size=6)
-    profile = (basis.vectors @ coeff).real
-
-    def solve(n_steps):
-        times = np.linspace(0.0, 1.0, n_steps + 1)
-        sources = [
-            LatticeFunction(basis.lattice, profile * np.sin(2.0 * t), time=t)
-            for t in times
-        ]
-        out = solve_inhomogeneous(sources, basis, "K1prime", times, np.array([1.0]))
-        return out[0].values
-
-    coarse = solve(16)
-    fine = solve(32)
-    finest = solve(64)
-    e1 = np.max(np.abs(coarse - finest))
-    e2 = np.max(np.abs(fine - finest))
-    assert e1 / e2 > 3.0  # ~4x per halving
-
-
-@pytest.mark.parametrize("advanced", [False, True], ids=["retarded", "advanced"])
-def test_inhomogeneous_matches_pairwise_kernels(basis, advanced):
-    # the mode projection against one causal kernel per (t, s) pair, with
-    # evaluation times before, on the edge of, inside and after the window
-    rng = np.random.default_rng(11)
-    times = np.linspace(-0.4, 0.4, 65)
-    sources = [LatticeFunction(basis.lattice, rng.normal(size=50) + 1j * rng.normal(size=50),
-                               time=t) for t in times]
-    t_eval = np.array([-0.9, -0.4, 0.1, 1.3])
-    got = solve_inhomogeneous(sources, basis, "K1prime", times, t_eval, advanced=advanced)
-    want = pairwise_inhomogeneous(sources, basis, "K1prime", times, t_eval, advanced)
-    assert [f.time for f in got] == list(t_eval)
-    assert np.max(np.abs(np.stack([f.values for f in got]) - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_inhomogeneous_requires_uniform_grid(basis):
-    times = np.array([0.0, 0.1, 0.35])
-    sources = [LatticeFunction(basis.lattice, np.zeros(50)) for _ in times]
-    with pytest.raises(ValueError):
-        solve_inhomogeneous(sources, basis, "K1prime", times, np.array([1.0]))
-    # one source per source time: a short list is refused, not truncated
-    grid = np.linspace(0.0, 0.4, 5)
-    with pytest.raises(ValueError):
-        solve_inhomogeneous(sources, basis, "K1prime", grid, np.array([1.0]))

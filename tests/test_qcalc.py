@@ -3,29 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from braidline import (
     G1,
     G2,
-    LatticeFunction,
     QContext,
     QLattice,
     braided_line,
     crossing_transform,
-    jackson_derivative,
-    jackson_integral,
-    kappa_scale,
     make_lattice,
-    q_exponential,
-    q_factorial,
-    q_number,
-    sesquilinear,
 )
+from braidline.basis import half_line_hamiltonian
+from braidline.qcalc import q_exponential, q_number
 from oracles import derivative_matrix, q_exponential_series
 
 Q = 0.9
+MASS = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -138,17 +131,6 @@ def test_lattice_base_normalised():
     assert np.allclose(a.points, b.points)
 
 
-def test_lattice_shift_map_roundtrip(lattice):
-    idx, ok = lattice.shift_map(1)
-    x = lattice.points
-    assert np.allclose(x[idx[ok]], Q * x[ok])
-    # innermost points fall off the lattice
-    assert np.count_nonzero(~ok) == 2
-    idx0, ok0 = lattice.shift_map(0)
-    assert np.all(ok0)
-    assert np.all(idx0 == np.arange(lattice.size))
-
-
 def test_lattice_validation():
     with pytest.raises(ValueError):
         make_lattice(Q, x0=-1.0)
@@ -163,7 +145,7 @@ def test_lattice_validation():
     (0.25, 1.0, -132, -64),
 ], ids=["q0.9", "crossed", "single-point", "q0.25-graded"])
 def test_lattice_matches_per_point_oracle(q, x0, j_min, j_max):
-    # each point carries its exponent j and its sign; the shift map reads them
+    # each point carries its exponent j and its sign
     base = q if q < 1.0 else 1.0 / q
     j = np.arange(j_min, j_max + 1)
     exponent = np.concatenate([j, j[::-1]])
@@ -173,15 +155,6 @@ def test_lattice_matches_per_point_oracle(q, x0, j_min, j_max):
     assert lat.size == points.size
     assert np.array_equal(lat.points, points)
     assert np.array_equal(lat.weights, (1.0 - base) * np.abs(points))
-    n_per = j.size
-    for m in range(-(lat.size + 2), lat.size + 3):
-        jj = exponent + m
-        ok = (jj >= j_min) & (jj <= j_max)
-        idx = np.where(sign < 0, jj - j_min, n_per + (j_max - jj))
-        idx[~ok] = -1
-        got_idx, got_ok = lat.shift_map(m)
-        assert got_idx.dtype == idx.dtype and np.array_equal(got_idx, idx), m
-        assert np.array_equal(got_ok, ok), m
 
 
 def test_lattice_is_its_four_parameters():
@@ -201,15 +174,6 @@ def test_q_number_closed_form():
         assert q_number(n, Q) == pytest.approx((1 - Q**n) / (1 - Q))
     assert q_number(0, Q) == 0.0
     assert q_number(1, Q) == 1.0
-
-
-def test_q_factorial_product_oracle():
-    for n in range(1, 9):
-        prod = 1.0
-        for k in range(1, n + 1):
-            prod *= q_number(k, Q)
-        assert q_factorial(n, Q) == pytest.approx(prod, rel=1e-14)
-    assert q_factorial(0, Q) == 1.0
 
 
 def test_q_number_classical_limit():
@@ -253,57 +217,65 @@ def test_q_exponential_rejects_bad_truncation():
 
 
 # ---------------------------------------------------------------------------
-# derivative and integral
+# the Jackson derivative, as the dense oracle and as H0 is built from it, and
+# the Jackson integral, as the weighted sum over the lattice
+
+def interior(lattice):
+    """The rows whose shifted point s x stays on the lattice: all but the two innermost."""
+    ok = np.ones(lattice.size, dtype=bool)
+    ok[[lattice.size // 2 - 1, lattice.size // 2]] = False
+    return ok
+
 
 def test_derivative_of_monomials(lattice, ctx):
     # D x**n = [n]_q x**(n-1) away from the zero-filled boundary
-    x = lattice.points
+    x, ok = lattice.points, interior(lattice)
+    d = derivative_matrix(lattice, ctx)
     for n in range(1, 5):
-        f = LatticeFunction(lattice, x.astype(complex) ** n)
-        df = jackson_derivative(f, ctx)
         expect = q_number(n, Q) * x ** (n - 1)
-        assert np.allclose(df.values[df.valid], expect[df.valid], rtol=1e-11)
+        assert np.allclose((d @ x ** n)[ok], expect[ok], rtol=1e-11)
 
 
 def test_derivative_flags_boundary(lattice, ctx):
-    f = LatticeFunction(lattice, np.ones(lattice.size, dtype=complex))
-    df = jackson_derivative(f, ctx)
-    assert np.count_nonzero(~df.valid) == 2
-    assert np.allclose(df.values[df.valid], 0.0)
+    # a constant has zero derivative except on the two rows with no inner neighbour
+    df = derivative_matrix(lattice, ctx) @ np.ones(lattice.size)
+    ok = interior(lattice)
+    assert np.count_nonzero(~ok) == 2
+    assert np.allclose(df[ok], 0.0)
+    assert np.all(df[~ok] != 0.0)
 
 
 @pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 200)], ids=["n50", "n802"])
 def test_derivative_matches_dense_matrix(q, j_max):
-    # the two-point stencil against the dense matrix it replaced
+    # the two-point stencil of the half-line H0, B^T B / 2m with B = W^1/2 D W^-1/2,
+    # against the same product of the dense derivative matrix on the positive branch
     ctx = braided_line(q)
     lat = make_lattice(q, j_min=-j_max, j_max=j_max)
-    rng = np.random.default_rng(3)
-    x = lat.points
-    d = derivative_matrix(lat, ctx)
-    for vals in (rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size),
-                 np.exp(-x * x).astype(complex)):
-        df = jackson_derivative(LatticeFunction(lat, vals), ctx)
-        dense = d @ vals
-        assert np.max(np.abs(df.values - dense)) <= 1e-13 * np.max(np.abs(dense))
-        _, ok = lat.shift_map(1)
-        assert np.array_equal(df.valid, ok)
+    diag, off = half_line_hamiltonian(lat, MASS, ctx)
+    sw = np.sqrt(lat.weights)
+    b = (sw[:, None] * derivative_matrix(lat, ctx)) / sw[None, :]
+    half = lat.size // 2
+    dense = (b.T @ b / (2.0 * MASS))[half:, half:]
+    assert not (b.T @ b)[:half, half:].any()  # the branches never couple
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(diag - np.diag(dense))) <= 1e-13 * scale
+    assert np.max(np.abs(off - np.diag(dense, -1))) <= 1e-13 * scale
+    assert np.array_equal(np.diag(dense, -1), np.diag(dense, 1))
+    assert not np.triu(dense, 2).any()
 
 
 def test_jackson_derivative_requires_matching_base(lattice):
     other = QContext(0.8)
-    with pytest.raises(ValueError):
-        jackson_derivative(LatticeFunction(lattice, np.ones(lattice.size)), other)
+    with pytest.raises(ValueError, match="shift factor"):
+        half_line_hamiltonian(lattice, MASS, other)
 
 
 def test_integral_geometric_series_oracle(lattice):
     # int_0^x0 t**2 dt -> x0**3 / [3]_q on the half lattice; the truncation
     # error of the tail is q**(3*(j_max+1)) relative
     x = lattice.points
-    vals = np.where(x > 0, x.astype(complex) ** 2, 0.0)
-    f = LatticeFunction(lattice, vals)
-    # restrict to the segment [0, x0]
-    f.values[np.abs(x) > 1.0] = 0.0
-    got = jackson_integral(f).real
+    vals = np.where((x > 0) & (x <= 1.0), x ** 2, 0.0)  # the segment [0, x0]
+    got = lattice.weights @ vals
     expect = 1.0 / q_number(3, Q)
     rel = abs(got - expect) / expect
     # the truncated geometric tail is exactly q**(3*(j_max - j_min + 1))
@@ -314,122 +286,24 @@ def test_integral_of_derivative_telescopes(lattice, ctx):
     # fundamental theorem on the positive half: the Jackson sum of D f
     # telescopes to the boundary values
     x = lattice.points
-    vals = np.where(x > 0, np.exp(-x), 0.0).astype(complex)
-    f = LatticeFunction(lattice, vals)
-    df = jackson_derivative(f, ctx)
-    df.values[x < 0] = 0.0
-    got = jackson_integral(df).real
+    df = derivative_matrix(lattice, ctx) @ np.where(x > 0, np.exp(-x), 0.0)
+    rows = interior(lattice) & (x > 0)
+    got = lattice.weights[rows] @ df[rows]
     pos = x[x > 0]
     # the weighted sum telescopes between the outermost point and the
-    # innermost point still referenced by a valid row
+    # innermost point still referenced by a row
     expect = np.exp(-pos.max()) - np.exp(-pos.min())
     assert got == pytest.approx(expect, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# kappa scaling
-
-def test_kappa_scale_matches_point_shift(lattice, ctx):
-    x = lattice.points
-    f = LatticeFunction(lattice, np.exp(-(x**2)).astype(complex))
-    g = kappa_scale(f, 1, ctx)
-    assert np.allclose(g.values[g.valid], np.exp(-((Q * x[g.valid]) ** 2)))
-
-
-def test_kappa_scale_inverse_shift(lattice, ctx):
-    x = lattice.points
-    f = LatticeFunction(lattice, (x.astype(complex)) ** 3)
-    g = kappa_scale(f, -1, ctx)
-    assert np.allclose(g.values[g.valid], (x[g.valid] / Q) ** 3)
-
-
-def test_kappa_scale_roundtrip_interior(lattice, ctx):
-    rng = np.random.default_rng(3)
-    f = LatticeFunction(lattice, rng.normal(size=lattice.size) + 0j)
-    back = kappa_scale(kappa_scale(f, 1, ctx), -1, ctx)
-    assert np.allclose(back.values[back.valid], f.values[back.valid])
-    # the outermost point of each branch never returns
-    assert np.count_nonzero(~back.valid) == 2
-
-
-def test_kappa_scale_rejects_incommensurate():
-    lat = make_lattice(Q)
-    odd = braided_line(0.77)
-    f = LatticeFunction(lat, np.ones(lat.size, dtype=complex))
-    with pytest.raises(ValueError):
-        kappa_scale(f, 1, odd)
-
-
-def test_kappa_scaled_integral_jacobian(lattice, ctx):
-    # int f(kappa x) d_q x = kappa**-1 int f(x) d_q x up to truncation
-    x = lattice.points
-    f = LatticeFunction(lattice, np.exp(-(x**2)).astype(complex))
-    g = kappa_scale(f, 1, ctx)
-    lhs = jackson_integral(g).real
-    # integrate f over the image of the shift only
-    idx, ok = lattice.shift_map(1)
-    fv = f.values.copy()
-    mask = np.zeros(lattice.size, dtype=bool)
-    mask[idx[ok]] = True
-    fv[~mask] = 0.0
-    rhs = jackson_integral(LatticeFunction(lattice, fv)).real / Q
+def test_kappa_scaled_integral_jacobian(lattice):
+    # int f(kappa x) d_q x = kappa**-1 int f(x) d_q x over the image of the shift: the
+    # measure Jacobian that cancels a kernel's kappa**n prefactor (see propagator.compose)
+    x, half = lattice.points, lattice.size // 2
+    f = np.exp(-x ** 2)
+    rows = np.flatnonzero(interior(lattice))
+    shifted = rows + np.where(rows < half, 1, -1)  # the point kappa x = q x
+    assert np.allclose(x[shifted], Q * x[rows])
+    lhs = lattice.weights[rows] @ f[shifted]
+    rhs = lattice.weights[shifted] @ f[shifted] / Q
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# inner product properties
-
-@st.composite
-def lattice_values(draw):
-    vals = draw(
-        st.lists(
-            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-            min_size=50,
-            max_size=50,
-        )
-    )
-    return np.array(vals)
-
-
-@given(lattice_values(), lattice_values())
-@settings(max_examples=25, deadline=None)
-def test_sesquilinear_conjugate_symmetry(a, b):
-    lat = make_lattice(Q)
-    f = LatticeFunction(lat, a)
-    g = LatticeFunction(lat, b)
-    assert sesquilinear(f, g) == pytest.approx(np.conj(sesquilinear(g, f)), abs=1e-9)
-
-
-@given(lattice_values())
-@settings(max_examples=25, deadline=None)
-def test_sesquilinear_positivity(a):
-    lat = make_lattice(Q)
-    f = LatticeFunction(lat, a)
-    norm2 = sesquilinear(f, f)
-    assert abs(norm2.imag) < 1e-9
-    assert norm2.real >= 0.0
-
-
-@given(lattice_values(), lattice_values())
-@settings(max_examples=25, deadline=None)
-def test_sesquilinear_cauchy_schwarz(a, b):
-    lat = make_lattice(Q)
-    f = LatticeFunction(lat, a)
-    g = LatticeFunction(lat, b)
-    lhs = abs(sesquilinear(f, g)) ** 2
-    rhs = sesquilinear(f, f).real * sesquilinear(g, g).real
-    assert lhs <= rhs * (1 + 1e-9) + 1e-9
-
-
-@given(lattice_values(), lattice_values(), st.floats(-5, 5), st.floats(-5, 5))
-@settings(max_examples=25, deadline=None)
-def test_derivative_linearity(a, b, ca, cb):
-    lat = make_lattice(Q)
-    ctx = braided_line(Q)
-    fa = LatticeFunction(lat, a)
-    fb = LatticeFunction(lat, b)
-    combo = LatticeFunction(lat, ca * a + cb * b)
-    d_combo = jackson_derivative(combo, ctx)
-    d_split = ca * jackson_derivative(fa, ctx).values + cb * jackson_derivative(fb, ctx).values
-    scale = max(1.0, np.max(np.abs(d_split)))
-    assert np.allclose(d_combo.values, d_split, atol=1e-7 * scale)

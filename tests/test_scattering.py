@@ -1,40 +1,41 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from braidline import (
     Hamiltonian,
     Potential,
+    PropagatorKernel,
     born_radius,
     born_wavefunction,
     braided_line,
     build_hamiltonian_basis,
+    compose,
     conjugate_smatrix,
-    full_green,
+    free_propagator,
     gaussian_potential,
     lippmann_schwinger_solve,
     make_lattice,
+    ode_evolution,
     smatrix_momentum,
     unitarity_defect,
-    variant_basis,
 )
 from braidline import scattering
 from braidline.basis import CoefficientVector
 from braidline.checks import cross_formalism_potential
-from oracles import dense_smatrix, expm_green
+from oracles import dense_smatrix
 from braidline.propagator import conjugation_partner
-from braidline.scattering import (
-    S_FAMILIES,
-    green_residual,
-    transition_probability_table,
-    variant_scale,
-)
+from braidline.scattering import S_FAMILIES, transition_probability_table
 
 Q = 0.9
 MASS = 1.0
 EPS = 0.05
-HAMILTONIANS = ("H", "Hprime", "Hdoubleprime")
+# the free-part scales of the paper's H, H' and H'': 1, q**-zeta and q**zeta, zeta = -1;
+# the basis of s*H0 is replace(basis, energies=s * basis.energies)
+SCALES = (1.0, Q, 1.0 / Q)
 
 
 @pytest.fixture(scope="module")
@@ -50,24 +51,6 @@ def basis(ctx):
 @pytest.fixture(scope="module")
 def weak_v(basis):
     return gaussian_potential(basis.lattice, strength=0.05, width=1.0, epsilon=EPS)
-
-
-def test_variant_scales(ctx, basis):
-    assert variant_scale("H", ctx) == 1.0
-    # zeta = -1 on the braided line: q**-zeta = q, q**zeta = 1/q
-    assert variant_scale("Hprime", ctx) == pytest.approx(Q)
-    assert variant_scale("Hdoubleprime", ctx) == pytest.approx(Q ** -1)
-    with pytest.raises(ValueError):
-        variant_scale("Htriple", ctx)
-    # a variant's basis shares everything but the energies, scaled bit for bit
-    for variant in HAMILTONIANS:
-        vb = variant_basis(basis, variant)
-        for name in ("vectors", "momenta", "parity", "lattice", "ctx"):
-            assert getattr(vb, name) is getattr(basis, name)
-        assert vb.mass == basis.mass
-        assert np.array_equal(vb.energies, variant_scale(variant, ctx) * basis.energies)
-    with pytest.raises(ValueError):
-        variant_basis(basis, "Htriple")
 
 
 def test_potential_matrix_is_hermitian(basis, weak_v):
@@ -87,9 +70,9 @@ def test_hamiltonian_passthrough(basis):
 
 
 def test_decomposition_is_never_reused_across_bases(basis, weak_v):
-    # a Hamiltonian decomposed on b and handed a variant basis gives the S-matrix
-    # of one built on the variant basis, bit for bit: the variant's energies differ
-    vb = variant_basis(basis, "Hprime")
+    # a Hamiltonian decomposed on b and handed a scaled basis gives the S-matrix
+    # of one built on the scaled basis, bit for bit: the scaled energies differ
+    vb = replace(basis, energies=Q * basis.energies)
     h = weak_v.on(basis)
     assert h.eigen is h.eigen  # decomposed once, then held
     for tilde in (False, True):
@@ -126,12 +109,11 @@ def test_ls_identity(basis, weak_v):
     # T = V + V R0 T with the uniform resolvent denominators, on H and H''
     energy = 1.0
     vm = weak_v.on(basis).v
-    for variant in ("H", "Hdoubleprime"):
-        vb = variant_basis(basis, variant)
+    for s in (1.0, 1.0 / Q):
+        vb = replace(basis, energies=s * basis.energies)
         t = lippmann_schwinger_solve(weak_v, vb, energy, EPS)
         rho = born_radius(weak_v, vb, energy, EPS)
-        r0 = np.diag(1.0 / (energy - variant_scale(variant, basis.ctx) * basis.energies
-                            + 1j * EPS))
+        r0 = np.diag(1.0 / (energy - s * basis.energies + 1j * EPS))
         assert np.max(np.abs(t - (vm + vm @ r0 @ t))) < 1e-12
         assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(vm @ r0))), rel=1e-12)
         assert 0.0 < rho < 0.5
@@ -182,6 +164,23 @@ def test_non_finite_eps_is_refused(basis, weak_v, eps):
             smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
 
 
+# library entries that take a lattice parameter, a time or an energy
+NON_FINITE_ENTRIES = {
+    "x0": lambda b, v, x: make_lattice(Q, x0=x),
+    "t_source": lambda b, v, x: free_propagator(b, "K1prime", x, 0.7),
+    "t_target": lambda b, v, x: free_propagator(b, "K1prime", 0.0, x),
+    "energy": lambda b, v, x: born_radius(v, b, x, EPS),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_ENTRIES))
+def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, bad):
+    # a ValueError naming the argument, not NaN kernels or numpy's own message
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite: {bad!r}$"):
+        NON_FINITE_ENTRIES[name](basis, weak_v, bad)
+
+
 def test_ls_reports_singular_system(basis):
     # a resonant rank-one potential drives I - V R0 singular
     energy = float(basis.energies[8])
@@ -190,6 +189,12 @@ def test_ls_reports_singular_system(basis):
     v = Hamiltonian(basis, vm, epsilon=EPS)
     with pytest.raises(np.linalg.LinAlgError):
         lippmann_schwinger_solve(v, basis, energy, EPS)
+    # a coupling inside the exactly degenerate pair (0, 1) makes a Jordan block,
+    # whose eigenbasis the solve refuses
+    vm = np.zeros((basis.size, basis.size), dtype=complex)
+    vm[0, 1] = 1e-3
+    with pytest.raises(np.linalg.LinAlgError, match="eigenbasis"):
+        lippmann_schwinger_solve(Hamiltonian(basis, vm, epsilon=EPS), basis, energy, EPS)
 
 
 def test_tilde_route_reports_near_singular_system(basis):
@@ -211,10 +216,10 @@ def test_born_geometric_convergence(basis, weak_v):
     phi[6] = 1.0
     inc = CoefficientVector(basis, phi)
     exact_order = 24
-    ref = born_wavefunction(inc, weak_v, exact_order)[0].values
+    ref = born_wavefunction(inc, weak_v, exact_order).values
     errs = []
     for order in (1, 2, 3, 4):
-        got = born_wavefunction(inc, weak_v, order)[0].values
+        got = born_wavefunction(inc, weak_v, order).values
         errs.append(np.max(np.abs(got - ref)))
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(ratios > 2.0)
@@ -226,35 +231,32 @@ def test_born_first_order_closed_form(basis, weak_v):
     phi = np.zeros(basis.size, dtype=complex)
     phi[jq] = 1.0
     vm = weak_v.on(basis).v
-    for variant in ("H", "Hdoubleprime"):
-        got = born_wavefunction(CoefficientVector(variant_basis(basis, variant), phi),
-                                weak_v, 1)[0].values
-        e = variant_scale(variant, basis.ctx) * basis.energies
+    for s in (1.0, 1.0 / Q):
+        vb = replace(basis, energies=s * basis.energies)
+        got = born_wavefunction(CoefficientVector(vb, phi), weak_v, 1).values
+        e = vb.energies
         expect = phi + vm[:, jq] / (e[jq] - e + 1j * EPS)
-        assert np.max(np.abs(got - expect)) < 1e-13, variant
+        assert np.max(np.abs(got - expect)) < 1e-13, s
 
 
 def test_born_order_zero_free_phase(basis, weak_v):
+    # order 0 is the incoming state itself, on H and H''
     phi = np.zeros(basis.size, dtype=complex)
     phi[4] = 1.0
-    for variant in ("H", "Hdoubleprime"):
-        inc = CoefficientVector(variant_basis(basis, variant), phi)
-        out = born_wavefunction(inc, weak_v, 0, times=np.array([0.0, 0.7]))
-        assert np.max(np.abs(out[0].values - phi)) == 0.0
-        e4 = variant_scale(variant, basis.ctx) * basis.energies[4]
-        assert np.max(np.abs(out[1].values - phi * np.exp(-1j * e4 * 0.7))) < 1e-13
+    for s in (1.0, 1.0 / Q):
+        inc = CoefficientVector(replace(basis, energies=s * basis.energies), phi)
+        out = born_wavefunction(inc, weak_v, 0)
+        assert out.basis is inc.basis and out.time == 0.0
+        assert np.array_equal(out.values, phi)
 
 
-def test_born_superposition_evolves_each_mode_with_its_own_phase(basis, weak_v):
-    # order 0 is free evolution, and the series is linear in the incoming state
-    t = 0.7
-    single = [born_wavefunction(CoefficientVector(basis, np.eye(basis.size)[q]), weak_v, 3,
-                                times=np.array([t]))[0].values for q in (4, 8)]
+def test_born_series_is_linear_in_the_incoming_state(basis, weak_v):
+    # each incoming mode iterates with its own resolvent R0(E_q), and the parts add
+    single = [born_wavefunction(CoefficientVector(basis, np.eye(basis.size)[q]), weak_v,
+                                3).values for q in (4, 8)]
     phi = np.eye(basis.size)[4] + np.eye(basis.size)[8]
-    free = born_wavefunction(CoefficientVector(basis, phi), weak_v, 0, times=np.array([t]))
-    assert np.max(np.abs(free[0].values - phi * np.exp(-1j * basis.energies * t))) < 1e-13
-    both = born_wavefunction(CoefficientVector(basis, phi), weak_v, 3, times=np.array([t]))
-    assert np.max(np.abs(both[0].values - single[0] - single[1])) < 1e-13
+    both = born_wavefunction(CoefficientVector(basis, phi), weak_v, 3)
+    assert np.max(np.abs(both.values - single[0] - single[1])) < 1e-13
 
 
 def test_born_requires_eps_for_positive_order(basis):
@@ -265,77 +267,48 @@ def test_born_requires_eps_for_positive_order(basis):
 
 
 # ---------------------------------------------------------------------------
-# interacting Green's functions
+# interacting Green's functions, from the one interacting evolution
+
+def full_green(v, basis, dt):
+    """exp(-i (H0 + V) dt) in the energy basis of ``basis``, V held constant (eps = 0):
+    the free phase times the interaction-picture evolution, exp(-i H0 dt) U_I(dt, 0)."""
+    h = replace(v.on(basis), epsilon=0.0)
+    return np.exp(-1j * basis.energies * dt)[:, None] * ode_evolution(h, 0.0, dt, 1e-12).matrix
+
 
 def test_full_green_zero_potential_is_free(basis):
     v0 = Potential(np.zeros(basis.lattice.size), epsilon=EPS)
-    g = full_green(v0, basis, None, 0.0, 0.6)
-    from braidline import free_propagator
-
+    u = basis.vectors
+    g = u @ full_green(v0, basis, 0.6) @ u.T
     k = free_propagator(basis, "K1prime", 0.0, 0.6)
-    assert np.max(np.abs(g.kernel.matrix - k.matrix)) < 1e-10
-
-
-def test_full_green_residual(basis, weak_v):
-    for b in (basis, variant_basis(basis, "Hdoubleprime")):
-        assert green_residual(full_green(weak_v, b, None, 0.0, 0.7)) < 1e-9
-
-
-def test_full_green_retarded(basis, weak_v):
-    g = full_green(weak_v, basis, None, 0.7, 0.0)
-    assert np.max(np.abs(g.kernel.matrix)) == 0.0
-    # the causal zero side solves the equation, since i d_t G carries theta too
-    assert green_residual(g) == 0.0
+    assert np.max(np.abs(g - k.matrix)) < 1e-10
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.7, 3.0])
 @pytest.mark.parametrize("hermitian", [True, False], ids=["weak_v", "gain"])
 def test_full_green_matches_expm(basis, weak_v, hermitian, dt):
-    # the eigenbasis of s*H0 + V against the matrix exponential it replaced
+    # the interacting evolution of s*H0 + V against the matrix exponential
     v = weak_v if hermitian else Potential(0.05j * np.exp(-basis.lattice.points ** 2),
                                            epsilon=EPS)
-    u, w = basis.vectors, basis.weights
-    for variant in HAMILTONIANS:
-        g = full_green(v, variant_basis(basis, variant), None, 0.0, dt)
-        modes = u.conj().T @ (w[:, None] * g.kernel.matrix * w[None, :]) @ u
-        assert np.max(np.abs(modes - expm_green(v, basis, variant, dt))) < 1e-10, variant
-
-
-def test_full_green_refuses_defective_hamiltonian(basis):
-    # a coupling inside the exactly degenerate pair (0, 1) makes a Jordan block
-    vm = np.zeros((basis.size, basis.size), dtype=complex)
-    vm[0, 1] = 1e-3
-    with pytest.raises(np.linalg.LinAlgError):
-        full_green(Hamiltonian(basis, vm, epsilon=EPS), basis, None, 0.0, 0.7)
-
-
-def test_full_green_born_orders_converge(basis, weak_v):
-    exact = full_green(weak_v, basis, None, 0.0, 0.7)
-    errs = []
-    for order in (1, 2, 4):
-        trunc = full_green(weak_v, basis, order, 0.0, 0.7)
-        errs.append(np.max(np.abs(trunc.kernel.matrix - exact.kernel.matrix)))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] < 1e-8
+    for s in SCALES:
+        vb = replace(basis, energies=s * basis.energies)
+        want = expm(-1j * (np.diag(vb.energies) + v.on(basis).v) * dt)
+        assert np.max(np.abs(full_green(v, vb, dt) - want)) < 1e-10, s
 
 
 def test_full_green_composition(basis, weak_v):
-    # the exact interacting kernel composes like the free one
-    g01 = full_green(weak_v, basis, None, 0.0, 0.4)
-    g12 = full_green(weak_v, basis, None, 0.4, 0.9)
-    direct = full_green(weak_v, basis, None, 0.0, 0.9)
-    from braidline import compose
+    # the interacting kernel on the lattice composes under the weighted product
+    # like the free one, though it couples the two branches
+    u = basis.vectors
 
-    got = compose(g01.kernel, g12.kernel)
-    assert np.max(np.abs(got.matrix - direct.kernel.matrix)) < 1e-10
+    def kernel(t0, t1):
+        g = u @ full_green(weak_v, basis, t1 - t0) @ u.T
+        return PropagatorKernel(basis, "K1prime", t0, t1, g)
 
-
-def test_green_residual_requires_exact(basis, weak_v):
-    g = full_green(weak_v, basis, 3, 0.0, 0.7)
-    with pytest.raises(ValueError):
-        green_residual(g)
-    with pytest.raises(ValueError):  # undefined on the source slice
-        green_residual(full_green(weak_v, basis, None, 0.7, 0.7))
+    got = compose(kernel(0.0, 0.4), kernel(0.4, 0.9))
+    direct = kernel(0.0, 0.9).matrix
+    assert direct[:basis.size // 2, basis.size // 2:].any()
+    assert np.max(np.abs(got.matrix - direct)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +442,16 @@ def basis102(ctx):
 def test_smatrix_matches_dense_per_column_solve(request, lattice_basis, shape):
     b = request.getfixturevalue(lattice_basis)
     v = POTENTIALS[shape](b)
-    for eps, variant in itertools.product((0.1, 0.01), ("H", "Hprime")):
-        vb = variant_basis(b, variant)
+    for eps, scale in itertools.product((0.1, 0.01), (1.0, Q)):
+        vb = replace(b, energies=scale * b.energies)
         res, bound, diagnostics = on_shell_residuals(v, vb, eps)
         assert diagnostics["direct_columns"] == 0
         assert np.all(res <= bound)
         for family, tilde in itertools.product(ONE_FAMILY_PER_SIGN, (False, True)):
             s = smatrix_momentum(v, vb, family, eps=eps, tilde=tilde)
             assert s.diagnostics["max_residual"] <= bound
-            ref = dense_smatrix(v, b, eps, variant, S_FAMILIES[family][1], tilde)
-            assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, variant, family, tilde)
+            ref = dense_smatrix(v, vb, eps, S_FAMILIES[family][1], tilde)
+            assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (eps, scale, family, tilde)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "non_hermitian"])
@@ -498,7 +471,7 @@ def test_unconverged_columns_fall_back_to_the_direct_solve(basis, weak_v, monkey
     for family, tilde in itertools.product(ONE_FAMILY_PER_SIGN, (False, True)):
         s = smatrix_momentum(weak_v, basis, family, eps=EPS, tilde=tilde)
         assert s.diagnostics["direct_columns"] > 0
-        ref = dense_smatrix(weak_v, basis, EPS, "H", S_FAMILIES[family][1], tilde)
+        ref = dense_smatrix(weak_v, basis, EPS, S_FAMILIES[family][1], tilde)
         assert np.max(np.abs(s.matrix - ref)) <= 1e-12, (family, tilde)
 
 
