@@ -188,10 +188,11 @@ def build_qexp_basis(
     return basis, report
 
 
-# Half-line size from which a complex f is split by sign: on shorter half-lines the
-# numpy calls of the split cost more than the flops it saves (the measured crossover,
-# README "Free basis").
+# Half-line sizes from which a complex f is split by sign, and from which each +-p pair is
+# summed once: on shorter half-lines the numpy calls of the split, or of the exact pairing
+# check, cost more than the flops they save (the measured crossovers, README "Free basis").
 SPLIT_MIN = 200
+PAIR_MIN = 60
 
 
 @cache
@@ -215,17 +216,24 @@ def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = Non
     rows of the real modes, written into ``out`` (default: a new array of the type of f).
     The block is exactly symmetric.
 
-    Each part g of f, the real one and a nonzero imaginary one, is split by sign:
-    P diag(g) P^T = A+ A+^T - A- A-^T, A+- the columns of P where +-g > 0 scaled by
-    sqrt(+-g).  Each ``a @ a.T`` goes to BLAS ``syrk``, half the flops of a GEMM, and numpy
-    mirrors its triangle.  On half-lines shorter than ``SPLIT_MIN`` a complex f is instead
-    one real GEMM, both parts at once on the float view, whose upper triangle is copied
-    onto the lower.  A complex basis, such as the q-exponential one, is refused."""
+    From ``PAIR_MIN`` half-line points on, if each +-p pair (modes 2k, 2k + 1) shares f and
+    its odd mode is exactly its even mode times the sign of their product at the innermost
+    point, as for (Jv, +-v)/sqrt(2), the even modes alone are summed with f doubled.  Each
+    part g of f, the real one and a nonzero imaginary one, is split by sign: P diag(g) P^T =
+    A+ A+^T - A- A-^T, A+- the columns of P where +-g > 0 scaled by sqrt(+-g).  Each
+    ``a @ a.T`` goes to BLAS ``syrk``, half the flops of a GEMM, and numpy mirrors its
+    triangle.  On half-lines shorter than ``SPLIT_MIN`` a complex f is instead one real
+    GEMM, both parts at once on the float view, whose upper triangle is copied onto the
+    lower.  A complex basis, such as the q-exponential one, is refused."""
     if np.iscomplexobj(basis.vectors):
         raise ValueError("spectral kernels need the real free basis")
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
     out = np.empty((half, half), np.result_type(pos, f)) if out is None else out
+    even, odd = pos[:, 0::2], pos[:, 1::2]
+    if (half >= PAIR_MIN and even.shape == odd.shape and (f[0::2] == f[1::2]).all()
+            and (even * np.copysign(1.0, even[0] * odd[0]) == odd).all()):
+        pos, f = even, 2.0 * f[0::2]
     parts = [(out.real, f.real)]
     if np.iscomplexobj(f) and np.count_nonzero(f.imag):
         if half < SPLIT_MIN:  # both parts in one real GEMM on the float view
@@ -272,6 +280,13 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
     return spectral_kernel(basis, np.ones(basis.size))
 
 
+def mirror_even(m: np.ndarray) -> bool:
+    """``np.array_equal(m, np.flip(m))`` (every axis reversed) on half the entries: the
+    first half of the rows against the reversed second half."""
+    n = len(m)
+    return np.array_equal(m[:(n + 1) // 2], np.flip(m[n // 2:]))
+
+
 def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ (w[:, None] * b), one block product at a time over the 2x2 partition of
     rows and columns into the mirrored half-lines.  A block product with an all-zero
@@ -282,8 +297,8 @@ def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     half = a.shape[0] // 2
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
     parts = (slice(None, half), slice(half, None))
-    even = (a.shape == b.shape == (2 * half, 2 * half) and np.array_equal(w, w[::-1])
-            and all(np.array_equal(m, m[::-1, ::-1]) for m in (a, b)))
+    even = (a.shape == b.shape == (2 * half, 2 * half)
+            and all(mirror_even(m) for m in (w, a, b)))
     for r, c in product(parts[even:], parts):
         block, empty = out[r, c], True
         for k in parts:

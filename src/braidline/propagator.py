@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .basis import WaveBasis, branch_product, spectral_block, spectral_kernel
+from .basis import WaveBasis, branch_product, mirror_even, spectral_block, spectral_kernel
 from .qcalc import G1, G2
 
 # variant name -> (family, starred, primed)
@@ -80,10 +80,11 @@ def free_propagator(
     """Spectral kernel evolving the source slice to the target slice; the modes
     are real, so a tilde kernel differs only in its phase sign."""
     _check_variant(basis, variant)
-    for name, t in (("t_source", t_source), ("t_target", t_target)):
+    lag = float(t_target) - float(t_source)
+    for name, t in (("t_source", t_source), ("t_target", t_target), ("t_target - t_source", lag)):
         if not np.isfinite(t):
             raise ValueError(f"{name} must be finite: {t!r}")
-    phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * (t_target - t_source))
+    phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * lag)
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
         matrix=spectral_kernel(basis, phase), tilde=tilde, causality=CAUSALITY_NONE,
@@ -144,8 +145,9 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     block (r, c) is h0 W_r K_rc, plus dk when r = c; on the negative rows it is
     J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  The squared
     norms are summed over the four blocks, each product one real GEMM on the float view
-    of W K, and an all-zero block of K is not multiplied.  A corrupted negative branch is
-    multiplied like any other block, so the residual sees it.
+    of W K, and an all-zero block of K is not multiplied.  For an exactly even K and W the
+    negative rows repeat the positive rows' terms bit for bit, so only those are computed.
+    A corrupted negative branch is not even, and is multiplied like any other block.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
@@ -158,8 +160,9 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
     half, w, k = len(h0), b.weights, kernel.matrix
     neg, pos = slice(None, half), slice(half, None)
-    squares = 0.0
-    for r, c in product((neg, pos), repeat=2):
+    even = mirror_even(w) and mirror_even(k)
+    terms = []
+    for r, c in product((pos,) if even else (neg, pos), (neg, pos)):
         y = dk if r == c else None
         if k[r, c].any():
             rev = slice(None, None, -1 if r == neg else 1)
@@ -168,8 +171,10 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
             if r == c:
                 y += dk
         if y is not None:
-            squares += np.vdot(y, y).real
-    return float(np.sqrt(squares))
+            terms.append(np.vdot(y, y).real)
+    if even:  # the negative rows' terms, (neg, neg) and (neg, pos), come first
+        terms = terms[::-1] + terms
+    return float(np.sqrt(sum(terms)))
 
 
 def source_term(kernel: PropagatorKernel) -> np.ndarray:

@@ -301,16 +301,21 @@ def test_smatrix_interaction_matches_momentum_route(basis):
 
 
 def test_smatrix_interaction_free_past_overlap(basis):
-    # with the switching envelope the remote past is free: starting in a
-    # single mode, the overlap with that mode at -T is 1
+    # with the switching envelope the remote past is free: over a window of length 20
+    # beyond the horizon, a coupling of 0.2 between the non-degenerate modes 2 and 4
+    # leaves mode 2 in place (without the envelope, 1 - |overlap| is 0.027 and the
+    # amplitude into mode 4 is 0.23)
     eps = 0.5
+    assert basis.energies[4] - basis.energies[2] > 1.0
     vm = np.zeros((basis.size, basis.size))
-    vm[2, 2] = 0.05
+    vm[2, 4] = vm[4, 2] = 0.2
     v = Hamiltonian(basis, vm, epsilon=eps)
     horizon = np.log(1e8) / eps
-    u = ode_evolution(v, -horizon, -horizon, 1e-8)
+    u = ode_evolution(v, -horizon - 20.0, -horizon, 1e-8)
+    assert u.diagnostics["steps"] >= 1
     psi = np.eye(basis.size)[2]
     assert abs(np.vdot(psi, u.matrix @ psi)) == pytest.approx(1.0, abs=1e-6)
+    assert abs(u.matrix[4, 2]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

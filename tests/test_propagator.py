@@ -22,7 +22,7 @@ from braidline import (
 )
 from braidline import basis as basis_mod
 from braidline.basis import _scaled_gram as scaled_gram
-from braidline.basis import branch_product, spectral_block, spectral_kernel
+from braidline.basis import branch_product, mirror_even, spectral_block, spectral_kernel
 from braidline.propagator import VARIANTS, heaviside
 from oracles import dense_kernel, full_residual_matrix, weighted_product
 
@@ -266,6 +266,104 @@ def test_spectral_kernel_is_exactly_symmetric_and_matches_dense_oracle(
         assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
 
 
+PAIR_SIZES = pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100)], ids=["n50", "n402"])
+
+
+def kernel_functions(b):
+    # real (one sign and both signs) and complex f of the energy, as the kernels use them
+    e = b.energies
+    return e, e - np.median(e), np.ones(b.size), np.exp(-1j * e * 0.7), -0.4j * e * np.exp(0.3j * e)
+
+
+def gram_columns(monkeypatch):
+    # the column count of P each sign-split update selects from: n for one mode per
+    # +-p pair, 2n for every mode
+    counts = []
+
+    def spy(pos, r, cols, out=None):
+        counts.append(pos.shape[1])
+        return scaled_gram(pos, r, cols, out)
+
+    monkeypatch.setattr(basis_mod, "_scaled_gram", spy)
+    return counts
+
+
+@PATHS
+@PAIR_SIZES
+@GEOMETRIES
+def test_paired_spectral_block_sums_one_mode_per_pair(q, j_max, geometry, split_min, monkeypatch):
+    # the free modes of a +-p pair are equal up to sign on the positive branch, so the
+    # block is the sum over the even modes with f doubled, bit for bit, and the dense
+    # product over every mode to 1e-14; a half-line shorter than PAIR_MIN sums every mode
+    monkeypatch.setattr(basis_mod, "SPLIT_MIN", split_min)
+    monkeypatch.setattr(basis_mod, "PAIR_MIN", 0)
+    b = free_basis(q, j_max, geometry)
+    half = b.size // 2  # also the number of +-p pairs
+    evens = replace(b, vectors=b.vectors[:, 0::2].copy())  # one mode per pair: none to find
+    counts = gram_columns(monkeypatch)
+    for f in kernel_functions(b):
+        got = spectral_block(b, f)
+        assert np.array_equal(got, spectral_block(evens, 2.0 * f[0::2]))
+        want = dense_kernel(b, f)[half:, half:]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert counts and set(counts) == {half}
+    monkeypatch.setattr(basis_mod, "PAIR_MIN", half + 1)
+    counts.clear()
+    spectral_block(b, kernel_functions(b)[1])
+    assert counts and set(counts) == {b.size}
+
+
+@PAIR_SIZES
+def test_spectral_block_of_an_unpaired_basis_keeps_every_mode(q, j_max, monkeypatch):
+    # one positive-branch entry of an odd mode moved by one ulp, or with its sign
+    # flipped (which leaves |P| unchanged), or the odd mode zeroed as in the C04
+    # missing-mode test, breaks its pair: the block sums every mode and is the dense
+    # product over the changed modes
+    monkeypatch.setattr(basis_mod, "PAIR_MIN", 0)
+    b = free_basis(q, j_max, 1)
+    half, row, mode = b.size // 2, b.size // 2 + 3, 7
+    clean = [spectral_block(b, f) for f in kernel_functions(b)]
+    counts = gram_columns(monkeypatch)
+    for change in ("ulp", "sign", "zero"):
+        vectors = b.vectors.copy()
+        if change == "zero":
+            vectors[:, mode] = 0.0
+        else:
+            x = vectors[row, mode]
+            vectors[row, mode] = np.nextafter(x, np.inf) if change == "ulp" else -x
+        changed = replace(b, vectors=vectors)
+        counts.clear()
+        for f, paired in zip(kernel_functions(b), clean):
+            got = spectral_block(changed, f)
+            want = dense_kernel(changed, f)[half:, half:]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            if change != "ulp":  # the paired block of the clean basis misses it
+                assert np.max(np.abs(want - paired)) > 1e-10 * np.max(np.abs(want))
+        assert counts and set(counts) == {b.size}
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (7, 7), (4, 6), (5, 3), (8,), (7,), (1, 1)])
+def test_mirror_even_agrees_with_the_full_reversal(shape):
+    # half the comparisons of np.array_equal(m, m[::-1, ::-1]) and the same answer, for
+    # even and odd, square and non-square, matrices and vectors, with NaN and -0.0
+    def reversed_(m):
+        return m[::-1, ::-1] if m.ndim == 2 else m[::-1]
+
+    rng = np.random.default_rng(sum(shape))
+    r = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    even = r + reversed_(r)
+    signed = even.real.copy()
+    signed[(0,) * len(shape)], signed[(-1,) * len(shape)] = 0.0, -0.0
+    nan = even.copy()
+    nan[(0,) * len(shape)] = nan[(-1,) * len(shape)] = np.nan
+    bumped = even.copy()
+    bumped[(-1,) * len(shape)] += 1e-12
+    for m in (r, even, even.real, signed, nan, bumped, np.zeros(shape)):
+        assert mirror_even(m) == np.array_equal(m, reversed_(m))
+    assert mirror_even(even) and mirror_even(signed) and not mirror_even(nan)
+    assert mirror_even(bumped) == (even.size == 1)
+
+
 def causal_kernels(b, variant):
     # bare, retarded and advanced kernels, plain and tilde, both ways in time (causal
     # gates open and closed)
@@ -312,6 +410,35 @@ def test_residual_sees_one_corrupted_negative_branch_entry(q, j_max, geometry):
     mat = k.matrix.copy()
     mat[i, j] *= 1.0 + 1e-6
     assert schrodinger_residual(replace(k, matrix=mat)) > 1e4 * clean
+
+
+@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 50), (0.99, 200)],
+                         ids=["n50", "n202", "n802"])
+@GEOMETRIES
+def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(
+        q, j_max, geometry, monkeypatch):
+    # an exactly even K (retarded and advanced, gates open and closed, plain and tilde,
+    # and one even dense matrix with nonzero cross-branch blocks) takes the positive rows
+    # only; its value is the full loop's to the last bit
+    b = free_basis(q, j_max, geometry)
+    n, half = b.size, b.size // 2
+    r = np.random.default_rng(j_max).normal(size=(n, 2 * n)).view(complex)
+    kernels = [k for k in causal_kernels(b, "K1" if geometry == 1 else "K2")
+               if k.causality != propagator.CAUSALITY_NONE]
+    kernels.append(replace(kernels[0], matrix=r + r[::-1, ::-1]))
+    assert kernels[-1].matrix[:half, half:].any()
+    seen = []
+
+    def spy(m):
+        seen.append(basis_mod.mirror_even(m))
+        return seen[-1]
+
+    monkeypatch.setattr(propagator, "mirror_even", spy)
+    fast = [schrodinger_residual(k) for k in kernels]
+    assert all(seen)
+    monkeypatch.setattr(propagator, "mirror_even", lambda m: False)
+    full = [schrodinger_residual(k) for k in kernels]
+    assert [x.hex() for x in fast] == [x.hex() for x in full]
 
 
 def test_residual_traced_peak_stays_near_two_kernels():

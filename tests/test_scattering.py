@@ -181,6 +181,17 @@ def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, bad):
         NON_FINITE_ENTRIES[name](basis, weak_v, bad)
 
 
+def test_overflowing_lag_is_refused_by_name(basis):
+    # two finite times whose difference overflows: a ValueError naming the lag, not
+    # exp(-iE inf), a NaN kernel
+    for t_source, t_target in ((-1e308, 1e308), (1e308, -1e308)):
+        with pytest.raises(ValueError, match=r"^t_target - t_source must be finite: -?inf$"):
+            free_propagator(basis, "K1prime", t_source, t_target)
+    big = np.float64(1.7e308)
+    with pytest.raises(ValueError, match="^t_target - t_source"):
+        free_propagator(basis, "K1prime", -big, big)
+
+
 def test_ls_reports_singular_system(basis):
     # a resonant rank-one potential drives I - V R0 singular
     energy = float(basis.energies[8])
