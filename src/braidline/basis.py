@@ -11,7 +11,7 @@ carries +p and the odd member -p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import product
@@ -22,7 +22,7 @@ import numpy as np
 from .qcalc import QContext, QLattice, q_exponential
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WaveBasis:
     ctx: QContext
     lattice: QLattice
@@ -43,12 +43,21 @@ class WaveBasis:
     def gram(self) -> np.ndarray:
         return self.vectors.conj().T @ (self.weights[:, None] * self.vectors)
 
+    @cached_property
+    def paired(self) -> bool:
+        """Whether the modes are real and, on the positive branch, each odd mode 2k + 1 is
+        exactly its even mode 2k times the sign of their product at the innermost point, as
+        for (Jv, +-v)/sqrt(2): then each +-p pair has one rank-one term, decided once."""
+        pos = self.vectors[self.lattice.size // 2:]
+        even, odd = pos[:, 0::2], pos[:, 1::2]
+        return bool(np.isrealobj(pos) and even.shape == odd.shape
+                    and (even * np.copysign(1.0, even[0] * odd[0]) == odd).all())
+
 
 @dataclass(eq=False)
 class CoefficientVector:
     basis: WaveBasis
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=complex)
@@ -188,11 +197,10 @@ def build_qexp_basis(
     return basis, report
 
 
-# Half-line sizes from which a complex f is split by sign, and from which each +-p pair is
-# summed once: on shorter half-lines the numpy calls of the split, or of the exact pairing
-# check, cost more than the flops they save (the measured crossovers, README "Free basis").
+# Half-line size from which a complex f is split by sign: on shorter half-lines the numpy
+# calls of the split cost more than the flops they save (the measured crossover, README
+# "Free basis").
 SPLIT_MIN = 200
-PAIR_MIN = 60
 
 
 @cache
@@ -216,29 +224,27 @@ def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = Non
     rows of the real modes, written into ``out`` (default: a new array of the type of f).
     The block is exactly symmetric.
 
-    From ``PAIR_MIN`` half-line points on, if each +-p pair (modes 2k, 2k + 1) shares f and
-    its odd mode is exactly its even mode times the sign of their product at the innermost
-    point, as for (Jv, +-v)/sqrt(2), the even modes alone are summed with f doubled.  Each
-    part g of f, the real one and a nonzero imaginary one, is split by sign: P diag(g) P^T =
-    A+ A+^T - A- A-^T, A+- the columns of P where +-g > 0 scaled by sqrt(+-g).  Each
-    ``a @ a.T`` goes to BLAS ``syrk``, half the flops of a GEMM, and numpy mirrors its
-    triangle.  On half-lines shorter than ``SPLIT_MIN`` a complex f is instead one real
-    GEMM, both parts at once on the float view, whose upper triangle is copied onto the
-    lower.  A complex basis, such as the q-exponential one, is refused."""
+    For a ``paired`` basis the two modes of each +-p pair have the same rank-one term, so
+    the even modes alone are summed with f[2k] + f[2k + 1].  Each part g of f, the real
+    one and a nonzero imaginary one, is split by sign: P diag(g) P^T = A+ A+^T - A- A-^T,
+    A+- the columns of P where +-g > 0 scaled by sqrt(+-g).  Each ``a @ a.T`` goes to BLAS
+    ``syrk``, half the flops of a GEMM, and numpy mirrors its triangle.  On half-lines
+    shorter than ``SPLIT_MIN`` a complex f is instead one real GEMM, both parts at once on
+    the float view, whose upper triangle is copied onto the lower.  A complex basis, such
+    as the q-exponential one, is refused."""
     if np.iscomplexobj(basis.vectors):
         raise ValueError("spectral kernels need the real free basis")
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
     out = np.empty((half, half), np.result_type(pos, f)) if out is None else out
-    even, odd = pos[:, 0::2], pos[:, 1::2]
-    if (half >= PAIR_MIN and even.shape == odd.shape and (f[0::2] == f[1::2]).all()
-            and (even * np.copysign(1.0, even[0] * odd[0]) == odd).all()):
-        pos, f = even, 2.0 * f[0::2]
+    if basis.paired:
+        pos, f = pos[:, 0::2], f[0::2] + f[1::2]
     parts = [(out.real, f.real)]
     if np.iscomplexobj(f) and np.count_nonzero(f.imag):
         if half < SPLIT_MIN:  # both parts in one real GEMM on the float view
             fp = np.multiply(f[:, None], pos.T, order="C")
             np.matmul(pos, fp.view(float), out=out.view(float))
+            del fp  # released before the mirror copies the transposed block
             np.copyto(out, out.T, where=_strict_lower(half))
             return out
         parts.append((out.imag, f.imag))

@@ -44,18 +44,6 @@ class QContext:
         return G1 if self.q < 1.0 else G2
 
     @property
-    def kappa(self) -> float:
-        return self.q
-
-    @property
-    def zeta(self) -> int:
-        return -1 if self.geometry == G1 else 1
-
-    @property
-    def barred(self) -> bool:
-        return self.geometry == G2
-
-    @property
     def shift_factor(self) -> float:
         """Scaling applied to the argument by the difference quotient.
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,6 +142,24 @@ def test_crossed_basis_same_spectrum(lattice, ctx, basis):
     assert np.max(np.abs(np.sort(b2.energies) - np.sort(basis.energies))) < 1e-10
 
 
+@pytest.mark.parametrize("crossed", [False, True], ids=["G1", "G2"])
+@pytest.mark.parametrize("j_max", [2, 12, 50, 100, 200])
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+def test_every_built_basis_is_paired(q, j_max, crossed):
+    # on the positive branch the odd mode of each +-p pair is its even mode times one
+    # sign, bit for bit, (Jv, +-v)/sqrt(2), at every deformation, size and geometry
+    c = crossing_transform(braided_line(q)) if crossed else braided_line(q)
+    b = build_hamiltonian_basis(make_lattice(c.q, j_min=-j_max, j_max=j_max), MASS, c)
+    assert b.paired
+
+
+def test_basis_fields_cannot_be_rebound(basis):
+    # the pairing is decided once per basis, so no field may change under it
+    # (dataclasses.replace builds a new basis, which decides afresh)
+    with pytest.raises(FrozenInstanceError):
+        basis.vectors = basis.vectors.copy()
+
+
 def test_build_rejects_degenerate_input(lattice, ctx):
     with pytest.raises(ValueError):
         build_hamiltonian_basis(lattice, -1.0, ctx)
@@ -223,6 +241,7 @@ def test_qexp_basis_diagnostics(lattice, ctx):
     qb, report = build_qexp_basis(lattice, MASS, ctx, grid, n_trunc=60)
     assert report["n_modes"] + len(report["rejected_momenta"]) == grid.size
     assert report["gram_defect"] >= 0.0
+    assert not qb.paired  # complex modes
     gram = qb.gram()
     assert np.max(np.abs(gram - np.eye(qb.size))) < 1e-10
 

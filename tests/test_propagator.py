@@ -294,12 +294,12 @@ def gram_columns(monkeypatch):
 def test_paired_spectral_block_sums_one_mode_per_pair(q, j_max, geometry, split_min, monkeypatch):
     # the free modes of a +-p pair are equal up to sign on the positive branch, so the
     # block is the sum over the even modes with f doubled, bit for bit, and the dense
-    # product over every mode to 1e-14; a half-line shorter than PAIR_MIN sums every mode
+    # product over every mode to 1e-14, at every lattice size
     monkeypatch.setattr(basis_mod, "SPLIT_MIN", split_min)
-    monkeypatch.setattr(basis_mod, "PAIR_MIN", 0)
     b = free_basis(q, j_max, geometry)
     half = b.size // 2  # also the number of +-p pairs
     evens = replace(b, vectors=b.vectors[:, 0::2].copy())  # one mode per pair: none to find
+    assert b.paired and not evens.paired
     counts = gram_columns(monkeypatch)
     for f in kernel_functions(b):
         got = spectral_block(b, f)
@@ -307,19 +307,14 @@ def test_paired_spectral_block_sums_one_mode_per_pair(q, j_max, geometry, split_
         want = dense_kernel(b, f)[half:, half:]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert counts and set(counts) == {half}
-    monkeypatch.setattr(basis_mod, "PAIR_MIN", half + 1)
-    counts.clear()
-    spectral_block(b, kernel_functions(b)[1])
-    assert counts and set(counts) == {b.size}
 
 
 @PAIR_SIZES
 def test_spectral_block_of_an_unpaired_basis_keeps_every_mode(q, j_max, monkeypatch):
     # one positive-branch entry of an odd mode moved by one ulp, or with its sign
     # flipped (which leaves |P| unchanged), or the odd mode zeroed as in the C04
-    # missing-mode test, breaks its pair: the block sums every mode and is the dense
-    # product over the changed modes
-    monkeypatch.setattr(basis_mod, "PAIR_MIN", 0)
+    # missing-mode test, breaks its pair: the rebuilt basis is not paired, and the
+    # block sums every mode and is the dense product over the changed modes
     b = free_basis(q, j_max, 1)
     half, row, mode = b.size // 2, b.size // 2 + 3, 7
     clean = [spectral_block(b, f) for f in kernel_functions(b)]
@@ -332,6 +327,7 @@ def test_spectral_block_of_an_unpaired_basis_keeps_every_mode(q, j_max, monkeypa
             x = vectors[row, mode]
             vectors[row, mode] = np.nextafter(x, np.inf) if change == "ulp" else -x
         changed = replace(b, vectors=vectors)
+        assert b.paired and not changed.paired
         counts.clear()
         for f, paired in zip(kernel_functions(b), clean):
             got = spectral_block(changed, f)
@@ -453,9 +449,14 @@ def test_residual_traced_peak_stays_near_two_kernels():
 
 def test_kernel_and_compose_traced_peaks():
     # at N = 402: a free kernel holds its output and at most the scaled columns of
-    # one sign and one half-line product (1.28 complex N x N matrices, 1.25 measured);
+    # one sign and one half-line product (1.28 complex N x N matrices, 1.19 measured);
     # compose holds its output and one weighted operand block, with each first block
-    # product written into the output (1.39, 1.35 measured)
+    # product written into the output (1.39, 1.35 measured).  At N = 394, the largest
+    # size on the GEMM path, diag(f) P^T is released before the mirror copies the
+    # transposed block (1.40, 1.36 measured; 1.50 with both held)
+    b = free_basis(0.99, 98, 1)
+    peak = traced_peak(lambda: free_propagator(b, "K1", 0.0, 0.7))
+    assert peak <= 1.40 * b.size ** 2 * 16, peak / (b.size ** 2 * 16)
     b = free_basis(0.99, 100, 1)
     unit = b.size ** 2 * 16
     k01, k12 = (free_propagator(b, "K1", t0, t1) for t0, t1 in ((0.0, 0.3), (0.3, 0.7)))

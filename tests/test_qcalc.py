@@ -36,10 +36,7 @@ def lattice():
 
 def test_braided_line_parameters(ctx):
     assert ctx.q == Q
-    assert ctx.kappa == Q
-    assert ctx.zeta == -1
     assert ctx.geometry == G1
-    assert not ctx.barred
 
 
 def test_context_rejects_bad_q():
@@ -54,19 +51,13 @@ def test_context_rejects_bad_q():
 def test_crossing_transform_values(ctx):
     c2 = crossing_transform(ctx)
     assert c2.q == pytest.approx(1.0 / Q)
-    assert c2.kappa == pytest.approx(1.0 / Q)
-    assert c2.zeta == 1
     assert c2.geometry == G2
-    assert c2.barred
 
 
 def test_crossing_transform_is_involution(ctx):
     back = crossing_transform(crossing_transform(ctx))
     assert back.q == pytest.approx(ctx.q)
-    assert back.kappa == pytest.approx(ctx.kappa)
-    assert back.zeta == ctx.zeta
     assert back.geometry == ctx.geometry
-    assert back.barred == ctx.barred
 
 
 def test_shift_factor_by_geometry(ctx):
@@ -76,17 +67,14 @@ def test_shift_factor_by_geometry(ctx):
 
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.9, 0.99, 0.999, 1 - 2.0**-52])
 def test_context_is_derived_from_q(q):
-    # the five values a context once stored, built by the formulas that set them:
-    # the braided line, then each crossing inverts q and kappa and flips the rest
-    q_, kappa, zeta, geometry, barred = q, q, -1, G1, False
+    # the values a context derives from q, built by the formulas that set them: the
+    # braided line, then each crossing inverts q and flips the geometry
+    q_, geometry = q, G1
     ctx = braided_line(q)
     for _ in range(3):
         shift = q_ if geometry == G1 else 1.0 / q_
-        assert (ctx.q, ctx.kappa, ctx.zeta, ctx.geometry, ctx.barred, ctx.shift_factor) \
-            == (q_, kappa, zeta, geometry, barred, shift)
-        assert type(ctx.zeta) is int and type(ctx.barred) is bool
-        q_, kappa, zeta = 1.0 / q_, 1.0 / kappa, -zeta
-        geometry, barred = G2 if geometry == G1 else G1, not barred
+        assert (ctx.q, ctx.geometry, ctx.shift_factor) == (q_, geometry, shift)
+        q_, geometry = 1.0 / q_, G2 if geometry == G1 else G1
         ctx = crossing_transform(ctx)
 
 
