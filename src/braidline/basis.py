@@ -29,8 +29,12 @@ class WaveBasis:
     mass: float
     energies: np.ndarray  # (M,)
     momenta: np.ndarray  # (M,) signed labels
-    vectors: np.ndarray  # (N, M), columns orthonormal under the weights; real for H0
+    vectors: np.ndarray  # (N, M) real, columns orthonormal under the weights
     parity: np.ndarray  # (M,) +-1
+
+    def __post_init__(self) -> None:
+        if not np.isrealobj(self.vectors):
+            raise ValueError(f"vectors must be real, not {self.vectors.dtype}")
 
     @property
     def size(self) -> int:
@@ -41,16 +45,16 @@ class WaveBasis:
         return self.lattice.weights
 
     def gram(self) -> np.ndarray:
-        return self.vectors.conj().T @ (self.weights[:, None] * self.vectors)
+        return self.vectors.T @ (self.weights[:, None] * self.vectors)
 
     @cached_property
     def paired(self) -> bool:
-        """Whether the modes are real and, on the positive branch, each odd mode 2k + 1 is
-        exactly its even mode 2k times the sign of their product at the innermost point, as
-        for (Jv, +-v)/sqrt(2): then each +-p pair has one rank-one term, decided once."""
+        """Whether, on the positive branch, each odd mode 2k + 1 is exactly its even mode 2k
+        times the sign of their product at the innermost point, as for (Jv, +-v)/sqrt(2):
+        then each +-p pair has one rank-one term, decided once."""
         pos = self.vectors[self.lattice.size // 2:]
         even, odd = pos[:, 0::2], pos[:, 1::2]
-        return bool(np.isrealobj(pos) and even.shape == odd.shape
+        return bool(even.shape == odd.shape
                     and (even * np.copysign(1.0, even[0] * odd[0]) == odd).all())
 
 
@@ -152,19 +156,14 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
                      momenta=momenta, vectors=vectors, parity=parity)
 
 
-def build_qexp_basis(
-    lattice: QLattice,
-    mass: float,
-    ctx: QContext,
-    momentum_grid: np.ndarray,
-    n_trunc: int,
-) -> tuple[WaveBasis, dict]:
-    """Diagnostic basis from truncated q-exponential plane waves.
+def build_qexp_basis(lattice: QLattice, ctx: QContext, momentum_grid: np.ndarray,
+                     n_trunc: int) -> dict:
+    """Diagnostic report on the truncated q-exponential plane waves exp_q(i p x).
 
-    Rows are Gram-normalised truncated series exp_q(i p x).  The returned
-    report carries the pre-orthonormalisation Gram defect and the momenta
-    rejected by the series convergence diagnostic.  This basis is a
-    diagnostic companion, not the default.
+    The momenta whose series pass the convergence diagnostic give one normalised
+    column each.  The report carries the Gram defect ||G - I||_F of those columns,
+    the rejected momenta and the mode count.  A family with no momentum left, or
+    with a numerically singular Gram matrix, is refused.
     """
     momentum_grid = np.asarray(momentum_grid, dtype=float)
     series = q_exponential(1j * np.outer(lattice.points, momentum_grid), ctx.q, n_trunc)
@@ -178,23 +177,10 @@ def build_qexp_basis(
     norms = np.sqrt(np.real(np.sum(w[:, None] * np.abs(v) ** 2, axis=0)))
     v = v / norms[None, :]
     gram = v.conj().T @ (w[:, None] * v)
-    defect = float(np.linalg.norm(gram - np.eye(gram.shape[0])))
-    # Loewdin orthonormalisation keeps the result as close as possible
-    # to the raw series vectors.
-    evals, evecs = np.linalg.eigh(gram)
-    if np.min(evals) <= 1e-12:
+    if np.linalg.eigvalsh(gram).min() <= 1e-12:
         raise ValueError("q-exponential family is numerically degenerate")
-    gram_inv_half = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    v_orth = v @ gram_inv_half
-    p_arr = momentum_grid[ok]
-    basis = WaveBasis(
-        ctx=ctx, lattice=lattice, mass=mass,
-        energies=p_arr ** 2 / (2.0 * mass), momenta=p_arr,
-        vectors=v_orth, parity=np.zeros_like(p_arr),
-    )
-    report = {"gram_defect": defect, "rejected_momenta": momentum_grid[~ok].tolist(),
-              "n_modes": p_arr.size}
-    return basis, report
+    return {"gram_defect": float(np.linalg.norm(gram - np.eye(gram.shape[0]))),
+            "rejected_momenta": momentum_grid[~ok].tolist(), "n_modes": v.shape[1]}
 
 
 # Half-line size from which a complex f is split by sign: on shorter half-lines the numpy
@@ -230,10 +216,7 @@ def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = Non
     A+- the columns of P where +-g > 0 scaled by sqrt(+-g).  Each ``a @ a.T`` goes to BLAS
     ``syrk``, half the flops of a GEMM, and numpy mirrors its triangle.  On half-lines
     shorter than ``SPLIT_MIN`` a complex f is instead one real GEMM, both parts at once on
-    the float view, whose upper triangle is copied onto the lower.  A complex basis, such
-    as the q-exponential one, is refused."""
-    if np.iscomplexobj(basis.vectors):
-        raise ValueError("spectral kernels need the real free basis")
+    the float view, whose upper triangle is copied onto the lower."""
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
     out = np.empty((half, half), np.result_type(pos, f)) if out is None else out

@@ -328,12 +328,9 @@ def cmd_basis(scene: Scene, out: str, qexp: bool) -> int:
     if qexp:
         grid = np.linspace(0.3, 2.0, 8)
         try:
-            _, qexp_report = build_qexp_basis(basis.lattice, basis.mass, basis.ctx, grid,
-                                              n_trunc=60)
+            report["qexp"] = build_qexp_basis(basis.lattice, basis.ctx, grid, n_trunc=60)
         except ValueError as exc:  # every momentum rejected, or a degenerate family
             raise ConfigError("qexp", f"--qexp diagnostic unavailable: {exc}")
-        report["qexp"] = {k: qexp_report[k]
-                          for k in ("gram_defect", "n_modes", "rejected_momenta")}
     write_report(os.path.join(out, "basis_report.json"), scene.cfg, report)
     return 0
 
@@ -460,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         if name == "basis":
             p.add_argument("--qexp", action="store_true",
-                           help="include the q-exponential diagnostic basis")
+                           help="include the q-exponential plane-wave diagnostic")
         if name == "verify":
             p.add_argument("--only", default=None, help="run a single named check")
     return parser

@@ -1,6 +1,5 @@
 """Potentials, the free resolvent, Born series, Lippmann-Schwinger solver,
-momentum-basis S-matrices and unitarity diagnostics, and the block exponential
-that the interaction picture steps with.
+momentum-basis S-matrices and unitarity diagnostics.
 
 Infinite-time limits are regularised by adiabatic switching exp(-eps|t|);
 the time integrals are evaluated in closed form, producing the uniform
@@ -11,7 +10,6 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -19,6 +17,16 @@ import numpy as np
 
 from .basis import CoefficientVector, WaveBasis
 from .propagator import conjugation_partner
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as an array, refused (ValueError naming ``name`` and the first bad entry)
+    if any entry is NaN or infinite."""
+    x = np.asarray(x)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite: {bad[0].item()!r}")
+    return x
 
 
 @dataclass(eq=False)
@@ -36,7 +44,8 @@ class Potential:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.asarray(_finite("values", self.values), dtype=complex)
+        _finite("strength", self.strength)
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
@@ -45,7 +54,7 @@ class Potential:
         if self.values.shape != (basis.lattice.size,):
             raise ValueError("potential values must match the lattice")
         u = basis.vectors
-        vm = u.conj().T @ ((basis.weights * self.strength * self.values)[:, None] * u)
+        vm = u.T @ ((basis.weights * self.strength * self.values)[:, None] * u)
         return Hamiltonian(basis, vm, self.epsilon, not np.any(self.values.imag))
 
 
@@ -99,6 +108,7 @@ def gaussian_potential(lattice, strength: float, width: float = 1.0,
                        center: float = 0.0, epsilon: float = 0.0) -> Potential:
     if not gaussian_width_ok(width):
         raise ValueError(f"width must be positive with 2 * width**2 a normal float: {width!r}")
+    _finite("center", center)
     with np.errstate(over="ignore"):
         vals = np.exp(-np.square(lattice.points - center) / (2.0 * np.square(width)))
     return Potential(values=vals, epsilon=epsilon, strength=strength)
@@ -149,7 +159,7 @@ def lippmann_schwinger_solve(
         raise ValueError(f"eps must be finite and nonzero: {eps!r}")
     h = v.on(basis)
     vm, m = h.v, basis.size
-    energy = np.broadcast_to(np.asarray(energy, dtype=float), (m,))
+    energy = np.broadcast_to(np.asarray(_finite("energy", energy), dtype=float), (m,))
     z, r0 = energy + 1j * eps, free_resolvent(basis, energy, eps)  # R0[p, k] at z[k]
     lam, w, w_inv, kappa = h.eigen
     # an overflowing or infinite bound is refused below, not warned about
@@ -196,9 +206,7 @@ def born_radius(v: Potential | Hamiltonian, basis: WaveBasis, energy: float, eps
     """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
-    if not np.isfinite(energy):
-        raise ValueError(f"energy must be finite: {energy!r}")
-    r0 = free_resolvent(basis, energy, eps)
+    r0 = free_resolvent(basis, _finite("energy", energy), eps)
     return float(np.max(np.abs(np.linalg.eigvals(v.on(basis).v * r0[None, :]))))
 
 
@@ -253,45 +261,6 @@ def born_wavefunction(
             term = m @ term
             row += term
     return CoefficientVector(basis, c.sum(axis=0))
-
-
-# ---------------------------------------------------------------------------
-# The block exponential of the interaction picture
-
-def _dyson_blocks(e: np.ndarray, w: np.ndarray, c: complex, rate: float, h: float,
-                  order: int) -> np.ndarray:
-    """The (0, k) blocks, k = 0..order, of exp(h M), stacked on axis 0.
-
-    M is block-bidiagonal: diagonal blocks D_k = -i diag(e) - k*rate, superdiagonal
-    blocks c*w.  Block k is exactly the k-th Dyson term of U' = (-i diag(e) + c exp(-rate
-    tau) w) U on [0, h] (C. Van Loan, IEEE TAC 23, 1978), free phases exact at any step.
-    M is never formed; a bound on |h M|_1 that is not finite raises LinAlgError."""
-    m, nb = e.size, order + 1
-    bound = abs(float(h)) * float(np.abs(e).max(initial=0.0) + order * abs(rate)
-                                  + abs(c) * np.abs(w).sum(axis=0).max(initial=0.0))
-    if not bound < np.inf:  # NaN included
-        raise np.linalg.LinAlgError(f"block exponential bound |h M|_1 <= {bound:.3e} is not finite")
-    s = max(0, math.frexp(bound / 2.0)[1])  # x = |h M|_1 / 2^s < 2
-    hs, x, p = math.ldexp(h, -s), math.ldexp(bound, -s), 0
-    d, cw = hs * (-1j * e - rate * np.arange(nb)[:, None]), hs * c * w
-    # Taylor terms of the first block row R, (R M)_k = R_k D_k + R_(k-1) c w, to the least
-    # degree p with x^(p+1) / (p+1)! <= 2^-54; as x < 2 the omitted tail is <= 2^-53
-    f = term = np.eye(m, dtype=complex) * (np.arange(nb) == 0)[:, None, None]
-    while x ** (p + 1) / math.factorial(p + 1) > 2.0 ** -54:
-        p += 1
-        term = np.concatenate([term[:1] * d[0], term[1:] * d[1:, None, :] + term[:-1] @ cw]) / p
-        f = f + term
-    # block (r, r+k) = exp(-r rate h) block (0, k): each squaring is F_k <- sum_(j<=k)
-    # exp(-j rate h') F_j F_(k-j), one batched matmul, with block 0 reset to the exact
-    # exp(-i e h') (A. H. Al-Mohy and N. J. Higham, SIAM J. Matrix Anal. Appl. 31, 2009)
-    k, j = np.tril_indices(nb)
-    for i in range(s):
-        f[0] = np.diag(np.exp(-1j * math.ldexp(hs, i) * e))
-        prod = (f[j] @ f[k - j]).reshape(j.size, -1).view(float)
-        sel = (k == np.arange(nb)[:, None]) * np.exp(-rate * math.ldexp(hs, i) * j)
-        f = (sel @ prod).view(complex).reshape(nb, m, m)
-    f[0] = np.diag(np.exp(-1j * h * e))
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def derivative_matrix(lattice, ctx):
 def dense_dyson_blocks(e, w, c, rate, h, order):
     """The (0, k) blocks, k = 0..order, of one dense expm(h M) of the whole
     block-bidiagonal matrix M: diagonal blocks -i diag(e) - k*rate, superdiagonal
-    blocks c*w.  The reference for ``scattering._dyson_blocks``."""
+    blocks c*w.  The reference for ``dyson._dyson_blocks``."""
     m, nb = e.size, order + 1
     big = (np.diag(np.tile(-1j * e, nb) - rate * np.repeat(np.arange(nb), m))
            + np.kron(np.eye(nb, k=1), c * w))

@@ -20,8 +20,8 @@ from braidline import (
     unitarity_defect,
 )
 from braidline import checks, cli, dyson
-from braidline.dyson import TOL_FLOOR
-from braidline.scattering import S_FAMILIES, _dyson_blocks, smatrix_momentum
+from braidline.dyson import TOL_FLOOR, _dyson_blocks
+from braidline.scattering import S_FAMILIES, smatrix_momentum
 from oracles import dense_dyson_blocks
 
 Q = 0.9

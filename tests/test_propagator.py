@@ -8,7 +8,6 @@ from braidline import propagator
 from braidline import (
     braided_line,
     build_hamiltonian_basis,
-    build_qexp_basis,
     compose,
     conjugate_kernel,
     crossing_transform,
@@ -476,14 +475,6 @@ def test_spectral_kernel_refuses_f_that_differs_within_a_pair(basis):
     f[4] = f[5]
     want = dense_kernel(basis, f)
     assert np.max(np.abs(spectral_kernel(basis, f) - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_spectral_kernel_refuses_complex_basis(basis):
-    qb, _ = build_qexp_basis(basis.lattice, MASS, basis.ctx, np.linspace(0.3, 2.0, 8), 60)
-    with pytest.raises(ValueError):
-        spectral_kernel(qb, np.ones(qb.size))
-    with pytest.raises(ValueError):
-        delta_kernel(qb)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

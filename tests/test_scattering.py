@@ -164,21 +164,32 @@ def test_non_finite_eps_is_refused(basis, weak_v, eps):
             smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
 
 
-# library entries that take a lattice parameter, a time or an energy
-NON_FINITE_ENTRIES = {
-    "x0": lambda b, v, x: make_lattice(Q, x0=x),
-    "t_source": lambda b, v, x: free_propagator(b, "K1prime", x, 0.7),
-    "t_target": lambda b, v, x: free_propagator(b, "K1prime", 0.0, x),
-    "energy": lambda b, v, x: born_radius(v, b, x, EPS),
-}
+# library entries that take a lattice parameter, a time, an energy or a potential:
+# (the argument the refusal names, the call)
+NON_FINITE_ENTRIES = [
+    pytest.param("x0", lambda b, v, x: make_lattice(Q, x0=x), id="x0"),
+    pytest.param("t_source", lambda b, v, x: free_propagator(b, "K1prime", x, 0.7), id="t_source"),
+    pytest.param("t_target", lambda b, v, x: free_propagator(b, "K1prime", 0.0, x), id="t_target"),
+    pytest.param("energy", lambda b, v, x: born_radius(v, b, x, EPS), id="energy"),
+    pytest.param("energy", lambda b, v, x: lippmann_schwinger_solve(v, b, x, EPS),
+                 id="ls_energy"),
+    pytest.param("energy", lambda b, v, x: lippmann_schwinger_solve(
+        v, b, np.where(np.arange(b.size) == 3, x, 1.0), EPS), id="ls_energies"),
+    pytest.param("values", lambda b, v, x: Potential(np.full(b.lattice.size, x)), id="values"),
+    pytest.param("values", lambda b, v, x: Potential(
+        np.where(np.arange(b.lattice.size) == 7, x, 0.5)), id="one_value"),
+    pytest.param("strength", lambda b, v, x: gaussian_potential(b.lattice, x), id="strength"),
+    pytest.param("center", lambda b, v, x: gaussian_potential(b.lattice, 0.05, center=x),
+                 id="center"),
+]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", sorted(NON_FINITE_ENTRIES))
-def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, bad):
-    # a ValueError naming the argument, not NaN kernels or numpy's own message
+@pytest.mark.parametrize("name, call", NON_FINITE_ENTRIES)
+def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, call, bad):
+    # a ValueError naming the argument, not NaN values, T = V or numpy's own message
     with pytest.raises(ValueError, match=f"^{name} must be .*finite: {bad!r}$"):
-        NON_FINITE_ENTRIES[name](basis, weak_v, bad)
+        call(basis, weak_v, bad)
 
 
 def test_overflowing_lag_is_refused_by_name(basis):
