@@ -14,12 +14,21 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .qcalc import QContext, QLattice, q_exponential
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as an array, refused (ValueError naming ``name`` and the first bad entry)
+    if any entry is NaN or infinite."""
+    x = np.asarray(x)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite: {bad[0].item()!r}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +73,7 @@ class CoefficientVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.asarray(_finite("values", self.values), dtype=complex)
         if self.values.shape != (self.basis.size,):
             raise ValueError("value count must equal mode count")
 
@@ -121,8 +130,8 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     """
     if lattice.size < 4:
         raise ValueError("lattice must have at least 4 points")
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < mass < np.inf:
+        raise ValueError(f"mass must be positive and finite: {mass!r}")
     w = lattice.weights
     if np.any(w <= 0):
         raise ValueError("degenerate weight matrix")
@@ -205,10 +214,9 @@ def _scaled_gram(pos: np.ndarray, r: np.ndarray, cols: np.ndarray,
     return np.matmul(a, a.T, out=out)
 
 
-def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def spectral_block(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
     """The x, y > 0 block P diag(f) P^T of ``spectral_kernel(basis, f)``, P the positive-branch
-    rows of the real modes, written into ``out`` (default: a new array of the type of f).
-    The block is exactly symmetric.
+    rows of the real modes, a new array of the type of f.  The block is exactly symmetric.
 
     For a ``paired`` basis the two modes of each +-p pair have the same rank-one term, so
     the even modes alone are summed with f[2k] + f[2k + 1].  Each part g of f, the real
@@ -219,7 +227,7 @@ def spectral_block(basis: WaveBasis, f: np.ndarray, out: np.ndarray | None = Non
     the float view, whose upper triangle is copied onto the lower."""
     half = basis.lattice.size // 2
     pos, f = basis.vectors[half:], np.asarray(f)
-    out = np.empty((half, half), np.result_type(pos, f)) if out is None else out
+    out = np.empty((half, half), np.result_type(pos, f))
     if basis.paired:
         pos, f = pos[:, 0::2], f[0::2] + f[1::2]
     parts = [(out.real, f.real)]
@@ -249,16 +257,21 @@ def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
     """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy.
 
     The free modes are real and H0 never couples the mirrored half-lines, so the
-    kernel is one positive-branch block, built in place and mirrored onto the
-    negative branch, with exact zeros across the branches.  That holds only when
-    each +-p pair (modes 2k and 2k + 1) shares f_p; any other f is refused.  The
-    kernel has the type of f."""
+    kernel is one positive-branch block, mirrored onto the negative branch, with
+    exact zeros across the branches.  That holds only when each +-p pair (modes 2k
+    and 2k + 1) shares f_p; any other f is refused.  The kernel has the type of f."""
     f = np.asarray(f)
     if not np.array_equal(f[0::2], f[1::2], equal_nan=True):
         raise ValueError("spectral_kernel needs f(E_p): each +-p pair of modes must share f_p")
-    half = basis.lattice.size // 2
-    out = np.zeros((2 * half, 2 * half), np.result_type(basis.vectors, f))
-    block = spectral_block(basis, f, out=out[half:, half:])
+    return mirror_block(spectral_block(basis, f))
+
+
+def mirror_block(block: np.ndarray) -> np.ndarray:
+    """The N x N kernel whose x, y > 0 block is ``block``: J block J on x, y < 0, J the
+    point reversal, and exact +0 across the branches."""
+    half = len(block)
+    out = np.zeros((2 * half, 2 * half), block.dtype)
+    out[half:, half:] = block
     out[:half, :half] = block[::-1, ::-1]
     return out
 
@@ -267,41 +280,3 @@ def delta_kernel(basis: WaveBasis) -> np.ndarray:
     """Completeness kernel Delta(x, y) = sum_p u_p(x) u_p(y); Delta @ diag(w) = identity,
     so it reproduces any lattice function under the weighted contraction."""
     return spectral_kernel(basis, np.ones(basis.size))
-
-
-def mirror_even(m: np.ndarray) -> bool:
-    """``np.array_equal(m, np.flip(m))`` (every axis reversed) on half the entries: the
-    first half of the rows against the reversed second half."""
-    n = len(m)
-    return np.array_equal(m[:(n + 1) // 2], np.flip(m[n // 2:]))
-
-
-def branch_product(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ (w[:, None] * b), one block product at a time over the 2x2 partition of
-    rows and columns into the mirrored half-lines.  A block product with an all-zero
-    factor is skipped, and the first product of each output block is written straight
-    into it.  If square a, b and w are exactly even under the point reversal J, as free
-    kernels are, J(a w b)J = (JaJ)(JwJ)(JbJ) = a w b, so only the positive-branch rows
-    are multiplied and mirrored onto the negative ones."""
-    half = a.shape[0] // 2
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, w, b))
-    parts = (slice(None, half), slice(half, None))
-    even = (a.shape == b.shape == (2 * half, 2 * half)
-            and all(mirror_even(m) for m in (w, a, b)))
-    for r, c in product(parts[even:], parts):
-        block, empty = out[r, c], True
-        for k in parts:
-            x, y = a[r, k], b[k, c]
-            if not (x.any() and y.any()):
-                continue
-            y = w[k, None] * y
-            if empty:
-                np.matmul(x, y, out=block)
-                empty = False
-            else:
-                block += x @ y
-        if empty:
-            block[...] = 0.0
-    if even:
-        out[:half] = out[half:][::-1, ::-1]
-    return out

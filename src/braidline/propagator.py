@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .basis import WaveBasis, branch_product, mirror_even, spectral_block, spectral_kernel
+from .basis import WaveBasis, mirror_block, spectral_block
 from .qcalc import G1, G2
 
 # variant name -> (family, starred, primed)
@@ -45,13 +45,38 @@ def heaviside(t: float) -> float:
 
 @dataclass(eq=False)
 class PropagatorKernel:
+    """A kernel K[x, y], stored as its N x N ``matrix`` or, for a free kernel, as its
+    positive-branch ``block`` B alone (``matrix=None``): K is then B on x, y > 0, J B J on
+    x, y < 0 (J the point reversal) and +0 across the branches, and ``matrix`` is built on
+    first read, read-only, with B a view into it.  A kernel given a matrix (positionally,
+    or by ``replace(k, matrix=m)``) keeps it as it is and has no block."""
+
     basis: WaveBasis
     variant: str
     t_source: float
     t_target: float
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     tilde: bool = False
     causality: str = CAUSALITY_NONE
+    block: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.matrix is not None:
+            self.block = None
+        elif self.block is None:
+            raise ValueError("a kernel needs its matrix or its positive-branch block")
+        else:
+            del self.matrix  # built by __getattr__ on first read
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # called for missing attributes only, such as the unread matrix of a block kernel
+        if name != "matrix" or vars(self).get("block") is None:
+            raise AttributeError(name)
+        half = len(self.block)
+        self.matrix = mirror_block(self.block)
+        self.matrix.flags.writeable = False
+        self.block = self.matrix[half:, half:]
+        return self.matrix
 
 
 def _phase_sign(tilde: bool) -> float:
@@ -87,17 +112,24 @@ def free_propagator(
     phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * lag)
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
-        matrix=spectral_kernel(basis, phase), tilde=tilde, causality=CAUSALITY_NONE,
+        matrix=None, tilde=tilde, causality=CAUSALITY_NONE, block=spectral_block(basis, phase),
     )
 
 
+def _derived(kernel: PropagatorKernel, op, **changes) -> PropagatorKernel:
+    """``kernel`` with ``changes`` and ``op`` applied to what it stores: the block of a
+    block kernel, which stays one, or the matrix of a dense kernel."""
+    if kernel.block is not None:
+        return replace(kernel, matrix=None, block=op(kernel.block), **changes)
+    return replace(kernel, matrix=op(kernel.matrix), **changes)
+
+
 def make_retarded(kernel: PropagatorKernel) -> PropagatorKernel:
-    """Multiply by theta(t_target - t_source): share the bare matrix, or exact zeros."""
+    """Multiply by theta(t_target - t_source): share the bare kernel, or exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
     theta = heaviside(kernel.t_target - kernel.t_source)
-    matrix = kernel.matrix if theta else np.zeros_like(kernel.matrix)
-    return replace(kernel, matrix=matrix, causality=RETARDED)
+    return _derived(kernel, (lambda m: m) if theta else np.zeros_like, causality=RETARDED)
 
 
 def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
@@ -105,10 +137,9 @@ def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
     make_retarded: the bare kernel's conjugate (the free modes are real), or exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
-    if not heaviside(kernel.t_source - kernel.t_target):
-        return replace(kernel, matrix=np.zeros(kernel.matrix.shape, dtype=complex),
-                       causality=ADVANCED)
-    return replace(kernel, matrix=np.conj(kernel.matrix), causality=ADVANCED)
+    gate = np.conj if heaviside(kernel.t_source - kernel.t_target) else (
+        lambda m: np.zeros(m.shape, dtype=complex))
+    return _derived(kernel, gate, causality=ADVANCED)
 
 
 def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
@@ -116,7 +147,8 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
 
     The starred variants' kappa-scaled intermediate coordinate needs no
     factor: the kernel prefactor kappa**n cancels the measure Jacobian
-    kappa**-n, leaving the plain weighted product.
+    kappa**-n, leaving the plain weighted product: the half-size B2 W+ B1 of two
+    block kernels, a block kernel, or else the dense K2 W K1.
     """
     if k1.basis is not k2.basis and k1.basis.lattice != k2.basis.lattice:
         raise ValueError("basis mismatch")
@@ -124,12 +156,16 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
         raise ValueError("variant mismatch")
     if k1.t_target != k2.t_source:
         raise ValueError("intermediate times do not match")
-    mat = branch_product(k2.matrix, k1.basis.weights, k1.matrix)
+    w = k1.basis.weights
+    if k1.block is not None and k2.block is not None:
+        matrix, block = None, k2.block @ (w[len(w) // 2:, None] * k1.block)
+    else:
+        matrix, block = k2.matrix @ (w[:, None] * k1.matrix), None
     causality = k1.causality if k1.causality == k2.causality else CAUSALITY_NONE
     return PropagatorKernel(
         basis=k1.basis, variant=k1.variant,
         t_source=k1.t_source, t_target=k2.t_target,
-        matrix=mat, tilde=k1.tilde, causality=causality,
+        matrix=matrix, tilde=k1.tilde, causality=causality, block=block,
     )
 
 
@@ -143,11 +179,11 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     H0 and i d_t K never couple the mirrored half-lines: each is one positive-branch
     block, h0 and dk, and its reversal J h0 J, J dk J on the negative branch.  Residual
     block (r, c) is h0 W_r K_rc, plus dk when r = c; on the negative rows it is
-    J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  The squared
-    norms are summed over the four blocks, each product one real GEMM on the float view
-    of W K, and an all-zero block of K is not multiplied.  For an exactly even K and W the
-    negative rows repeat the positive rows' terms bit for bit, so only those are computed.
-    A corrupted negative branch is not even, and is multiplied like any other block.
+    J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  Each product
+    is one real GEMM on the float view of W K.  A block kernel has one such term, on the
+    positive rows, which its negative rows repeat bit for bit, so it is counted twice.  A
+    dense kernel sums the squared norms over its four blocks, and an all-zero block of K
+    is not multiplied.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
@@ -158,22 +194,24 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     h0 = spectral_block(b, s * e)  # s H0
     # i d_t K: i d_t on exp(s i E dt) brings down -s E
     dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
-    half, w, k = len(h0), b.weights, kernel.matrix
-    neg, pos = slice(None, half), slice(half, None)
-    even = mirror_even(w) and mirror_even(k)
+    half, w = len(h0), b.weights
+
+    def squared_norm(w_r, k_rc, diagonal):
+        y = (h0 @ np.multiply(w_r[:, None], k_rc, dtype=complex).view(float)).view(complex)
+        if diagonal:
+            y += dk
+        return np.vdot(y, y).real
+
+    if kernel.block is not None:
+        return float(np.sqrt(2.0 * squared_norm(w[half:], kernel.block, True)))
+    k, neg, pos = kernel.matrix, slice(None, half), slice(half, None)
     terms = []
-    for r, c in product((pos,) if even else (neg, pos), (neg, pos)):
-        y = dk if r == c else None
+    for r, c in product((neg, pos), (neg, pos)):
         if k[r, c].any():
             rev = slice(None, None, -1 if r == neg else 1)
-            wk = np.multiply(w[r][rev, None], k[r, c][rev, rev], dtype=complex)
-            y = (h0 @ wk.view(float)).view(complex)
-            if r == c:
-                y += dk
-        if y is not None:
-            terms.append(np.vdot(y, y).real)
-    if even:  # the negative rows' terms, (neg, neg) and (neg, pos), come first
-        terms = terms[::-1] + terms
+            terms.append(squared_norm(w[r][rev], k[r, c][rev, rev], r == c))
+        elif r == c:
+            terms.append(np.vdot(dk, dk).real)
     return float(np.sqrt(sum(terms)))
 
 
@@ -192,12 +230,8 @@ def conjugate_kernel(kernel: PropagatorKernel) -> PropagatorKernel:
     reflections are internal to the partner's definition).  The map is an
     involution.
     """
-    return PropagatorKernel(
-        basis=kernel.basis, variant=conjugation_partner(VARIANTS, kernel.variant),
-        t_source=kernel.t_source, t_target=kernel.t_target,
-        matrix=np.conj(kernel.matrix), tilde=not kernel.tilde,
-        causality=kernel.causality,
-    )
+    return _derived(kernel, np.conj, variant=conjugation_partner(VARIANTS, kernel.variant),
+                    tilde=not kernel.tilde)
 
 
 def conjugation_partner(table: dict, name: str) -> str:

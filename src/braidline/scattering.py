@@ -15,18 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import CoefficientVector, WaveBasis
+from .basis import CoefficientVector, WaveBasis, _finite
 from .propagator import conjugation_partner
-
-
-def _finite(name: str, x) -> np.ndarray:
-    """``x`` as an array, refused (ValueError naming ``name`` and the first bad entry)
-    if any entry is NaN or infinite."""
-    x = np.asarray(x)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite: {bad[0].item()!r}")
-    return x
 
 
 @dataclass(eq=False)
@@ -71,7 +61,7 @@ class Hamiltonian:
     hermitian: bool | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=complex)
+        v = np.asarray(_finite("v", self.v), dtype=complex)
         if v.shape != (self.basis.size, self.basis.size):
             raise ValueError("matrix size must match the mode count")
         if not 0 <= self.epsilon < np.inf:

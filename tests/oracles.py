@@ -87,7 +87,7 @@ def full_residual_matrix(kernel):
 
 def weighted_product(a, w, b):
     """a @ (w[:, None] * b) as one dense product over both branches: the reference
-    for ``basis.branch_product``."""
+    for ``propagator.compose``."""
     return a @ (w[:, None] * b)
 
 

@@ -108,8 +108,8 @@ def test_c04_and_source_jump_detect_a_missing_mode(scene):
 @pytest.mark.parametrize("j_max", [12, 50], ids=["n50", "n202"])
 def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkeypatch):
     # a 1e-6 relative error in only the negative-branch block of the first kernel
-    # a check builds breaks the kernel's mirror symmetry, so the products take the
-    # full loop and see it: far above the clean value, which at N=202 already
+    # a check builds, given as a corrupted full matrix, takes the dense path of the
+    # products, which see it: far above the clean value, which at N=202 already
     # exceeds the absolute bound
     cfg = load_config(None)
     cfg["lattice"].update(j_min=-j_max, j_max=j_max)
@@ -120,7 +120,9 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
     def corrupt_first(b, *args, **kwargs):
         kern = free_propagator(b, *args, **kwargs)
         if not built:
-            kern.matrix[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
+            mat = kern.matrix.copy()
+            mat[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
+            kern = dataclasses.replace(kern, matrix=mat)
         built.append(kern)
         return kern
 

@@ -446,9 +446,13 @@ def test_block_exponential_matches_dense_random(seed, m, order, phase, coupling,
 
 
 def test_block_exponential_refuses_non_finite_input(basis, h):
+    # a non-finite V is refused by name when H is built; finite entries whose norm
+    # overflows need infinitely many steps, which the evolution refuses
     bad = h.v.copy()
     bad[1, 2] = np.nan
-    hb = Hamiltonian(basis, bad, epsilon=SWITCH)
+    with pytest.raises(ValueError, match=r"^v must be finite: \(nan\+0j\)$"):
+        Hamiltonian(basis, bad, epsilon=SWITCH)
+    hb = Hamiltonian(basis, np.full_like(h.v, 1e308), epsilon=SWITCH)
     with pytest.raises(np.linalg.LinAlgError, match="inf needs inf steps"):
         ode_evolution(hb, -1.0, 1.0, 1e-8)
     e, w = basis.energies[:4], h.v[:4, :4]

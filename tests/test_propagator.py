@@ -21,8 +21,8 @@ from braidline import (
 )
 from braidline import basis as basis_mod
 from braidline.basis import _scaled_gram as scaled_gram
-from braidline.basis import branch_product, mirror_even, spectral_block, spectral_kernel
-from braidline.propagator import VARIANTS, heaviside
+from braidline.basis import spectral_block, spectral_kernel
+from braidline.propagator import VARIANTS, PropagatorKernel, heaviside
 from oracles import dense_kernel, full_residual_matrix, weighted_product
 
 Q = 0.9
@@ -112,77 +112,101 @@ def test_spectral_kernel_matches_dense_oracle(q, j_max, geometry):
     variant = "K1prime" if geometry == 1 else "K2"
     for dt in (0.0, 0.7, -2.5):
         for tilde in (False, True):
+            phase = np.exp((1.0 if tilde else -1.0) * 1j * e * dt)
             k = free_propagator(b, variant, 0.0, dt, tilde=tilde).matrix
-            check(k, dense_kernel(b, np.exp((1j if tilde else -1j) * e * dt)))
+            check(k, dense_kernel(b, phase))
+            # built on first read from the block alone: read-only, and the mirrored
+            # spectral kernel bit for bit
+            assert np.array_equal(k, spectral_kernel(b, phase))
+            with pytest.raises(ValueError, match="read-only"):
+                k[half, half] = 0.0
     # H0 and its action on the target leg of a kernel, as the residual forms it
     h0 = spectral_kernel(b, e)
     check(h0, dense_kernel(b, e))
     check(h0 @ (b.weights[:, None] * k), dense_kernel(b, e) @ (b.weights[:, None] * k))
 
 
-def check_product(a, w, b):
-    got, want = branch_product(a, w, b), weighted_product(a, w, b)
+# free bases at N = 50, 202 and 802 in both geometries
+BLOCK_SIZES = pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 50), (0.99, 200)],
+                                      ids=["n50", "n202", "n802"])
+
+
+def kernel_forms(b, variant, t0, t1):
+    # the kernel from t0 to t1 as every form composes and takes a residual: bare,
+    # retarded, advanced and conjugated, plain and tilde (conjugation toggles the
+    # tilde and prime flags; the gates are open or closed by the sign of t1 - t0)
+    forms = {}
+    for tilde in (False, True):
+        bare = free_propagator(b, variant, t0, t1, tilde=tilde)
+        forms.update({("bare", tilde): bare, ("retarded", tilde): make_retarded(bare),
+                      ("advanced", tilde): make_advanced(bare),
+                      ("conjugated", tilde): conjugate_kernel(bare)})
+    return forms
+
+
+def dense(k):
+    # the same kernel given as a full matrix: it takes the dense path
+    return replace(k, matrix=k.matrix.copy())
+
+
+@BLOCK_SIZES
+@GEOMETRIES
+def test_block_compose_matches_dense_product(q, j_max, geometry):
+    # two block kernels, each form with gates open and closed, compose to a block
+    # kernel: one half-size product that agrees with the dense product of the
+    # materialised matrices, and with the weighted oracle, to 1e-14 of max|K|, with
+    # exact +0 across the branches; compose reads neither operand's matrix
+    b = free_basis(q, j_max, geometry)
+    half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
+    for t0, t1, t2 in ((-0.4, 0.3, 1.1), (1.1, 0.3, -0.4)):
+        earlier, later = kernel_forms(b, variant, t0, t1), kernel_forms(b, variant, t1, t2)
+        for form, k01 in earlier.items():
+            k12 = later[form]
+            got = compose(k01, k12)
+            assert got.block is not None and "matrix" not in vars(k01) | vars(k12)
+            want = weighted_product(k12.matrix, w, k01.matrix)
+            assert np.array_equal(compose(dense(k01), dense(k12)).matrix, want)
+            assert got.matrix.dtype == want.dtype == complex
+            assert np.max(np.abs(got.matrix - want)) <= 1e-14 * np.max(np.abs(want)), form
+            assert plus_zeros(got.matrix[:half, half:]) and plus_zeros(got.matrix[half:, :half])
+            assert got.causality == k01.causality and got.tilde == k01.tilde
+
+
+def check_dense_compose(basis, a, b):
+    # kernels given as full matrices compose by the plain weighted product
+    got = compose(PropagatorKernel(basis, "K1", 0.0, 0.5, b),
+                  PropagatorKernel(basis, "K1", 0.5, 1.0, a)).matrix
+    want = weighted_product(a, basis.weights, b)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     return got
 
 
-@SIZES
-@GEOMETRIES
-def test_branch_product_matches_weighted_oracle(q, j_max, geometry):
-    # the per-branch-block product against the dense one over both branches,
-    # as compose (complex x complex) and the residual (real H0 x complex) form it
-    b = free_basis(q, j_max, geometry)
-    half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
-    h0 = spectral_kernel(b, b.energies)
-    for tilde in (False, True):
-        k01 = free_propagator(b, variant, -0.4, 0.3, tilde=tilde).matrix
-        k12 = free_propagator(b, variant, 0.3, 1.1, tilde=tilde).matrix
-        for a, k in ((k12, k01), (h0, k01)):
-            got = check_product(a, w, k)
-            assert not got[:half, half:].any() and not got[half:, :half].any()
-
-
-def test_branch_product_dense_and_partial_operands(basis):
-    # dense operands take every block product; a cross-branch-only operand and
-    # an all-zero one are exact too
-    w, half, n = basis.weights, basis.size // 2, basis.size
+def test_dense_compose_with_partial_operands(basis):
+    # dense operands, real and complex, a cross-branch-only operand, an all-zero one and
+    # a free kernel with one changed negative-branch entry compose to the oracle; a
+    # kernel given neither a matrix nor a block is refused
+    half, n = basis.size // 2, basis.size
     rng = np.random.default_rng(11)
     green = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    check_product(green, w, green)
+    check_dense_compose(basis, green, green)
     real = rng.normal(size=(n, n))
-    check_product(real, w, green)
-    check_product(green, w, real)
+    check_dense_compose(basis, real, green)
+    check_dense_compose(basis, green, real)
     cross = np.zeros_like(green)
     cross[:half, half:] = green[:half, half:]
     kern = free_propagator(basis, "K1", 0.0, 0.6).matrix
-    for a, b in ((cross, kern), (kern, cross), (cross, cross), (real, cross)):
-        check_product(a, w, b)
+    changed = kern.copy()
+    changed[half - 4, half - 9] += 0.5
+    for a, b in ((cross, kern), (kern, cross), (cross, cross), (real, cross),
+                 (changed, kern), (kern, changed)):
+        check_dense_compose(basis, a, b)
     zero = make_retarded(free_propagator(basis, "K1", 0.6, 0.0)).matrix
     assert not zero.any()
     for a, b in ((zero, kern), (kern, zero), (real, zero)):
-        assert not check_product(a, w, b).any()
-
-
-def test_branch_product_mirrors_parity_even_operands(basis):
-    # exactly J-even operands (J the point reversal) give an exactly even product;
-    # one changed negative-branch entry takes the full loop, and both match the oracle
-    w, half = basis.weights, basis.size // 2
-    r = np.random.default_rng(12).normal(size=(basis.size, basis.size))
-    even = r + r[::-1, ::-1]
-    kern = free_propagator(basis, "K1", -0.2, 0.5).matrix
-    for a, b in ((even, kern), (kern, even), (even, even), (kern, kern)):
-        got = check_product(a, w, b)
-        assert np.array_equal(got, got[::-1, ::-1])
-        for i in range(2):
-            pair = [a.copy(), b.copy()]
-            pair[i][half - 4, half - 9] += 0.5
-            got = check_product(pair[0], w, pair[1])
-            assert not np.array_equal(got, got[::-1, ::-1])
-    w_odd = w.copy()
-    w_odd[2] *= 1.5
-    got = check_product(kern, w_odd, kern)
-    assert not np.array_equal(got, got[::-1, ::-1])
+        assert not check_dense_compose(basis, a, b).any()
+    with pytest.raises(ValueError, match="needs its matrix or its positive-branch block"):
+        PropagatorKernel(basis, "K1", 0.0, 0.5, None)
 
 
 def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2):
@@ -337,28 +361,6 @@ def test_spectral_block_of_an_unpaired_basis_keeps_every_mode(q, j_max, monkeypa
         assert counts and set(counts) == {b.size}
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (7, 7), (4, 6), (5, 3), (8,), (7,), (1, 1)])
-def test_mirror_even_agrees_with_the_full_reversal(shape):
-    # half the comparisons of np.array_equal(m, m[::-1, ::-1]) and the same answer, for
-    # even and odd, square and non-square, matrices and vectors, with NaN and -0.0
-    def reversed_(m):
-        return m[::-1, ::-1] if m.ndim == 2 else m[::-1]
-
-    rng = np.random.default_rng(sum(shape))
-    r = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    even = r + reversed_(r)
-    signed = even.real.copy()
-    signed[(0,) * len(shape)], signed[(-1,) * len(shape)] = 0.0, -0.0
-    nan = even.copy()
-    nan[(0,) * len(shape)] = nan[(-1,) * len(shape)] = np.nan
-    bumped = even.copy()
-    bumped[(-1,) * len(shape)] += 1e-12
-    for m in (r, even, even.real, signed, nan, bumped, np.zeros(shape)):
-        assert mirror_even(m) == np.array_equal(m, reversed_(m))
-    assert mirror_even(even) and mirror_even(signed) and not mirror_even(nan)
-    assert mirror_even(bumped) == (even.size == 1)
-
-
 def causal_kernels(b, variant):
     # bare, retarded and advanced kernels, plain and tilde, both ways in time (causal
     # gates open and closed)
@@ -407,39 +409,29 @@ def test_residual_sees_one_corrupted_negative_branch_entry(q, j_max, geometry):
     assert schrodinger_residual(replace(k, matrix=mat)) > 1e4 * clean
 
 
-@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 50), (0.99, 200)],
-                         ids=["n50", "n202", "n802"])
+@BLOCK_SIZES
 @GEOMETRIES
-def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(
-        q, j_max, geometry, monkeypatch):
-    # an exactly even K (retarded and advanced, gates open and closed, plain and tilde,
-    # and one even dense matrix with nonzero cross-branch blocks) takes the positive rows
-    # only; its value is the full loop's to the last bit
+def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max, geometry):
+    # a block kernel (retarded, advanced and conjugated, gates open and closed, plain
+    # and tilde) takes its positive rows only, counted twice; its value is the dense
+    # four-block loop's on the same kernel given as a full matrix, to the last bit, and
+    # stays so once its matrix has been read and its block is a view into it
     b = free_basis(q, j_max, geometry)
-    n, half = b.size, b.size // 2
-    r = np.random.default_rng(j_max).normal(size=(n, 2 * n)).view(complex)
-    kernels = [k for k in causal_kernels(b, "K1" if geometry == 1 else "K2")
-               if k.causality != propagator.CAUSALITY_NONE]
-    kernels.append(replace(kernels[0], matrix=r + r[::-1, ::-1]))
-    assert kernels[-1].matrix[:half, half:].any()
-    seen = []
-
-    def spy(m):
-        seen.append(basis_mod.mirror_even(m))
-        return seen[-1]
-
-    monkeypatch.setattr(propagator, "mirror_even", spy)
-    fast = [schrodinger_residual(k) for k in kernels]
-    assert all(seen)
-    monkeypatch.setattr(propagator, "mirror_even", lambda m: False)
-    full = [schrodinger_residual(k) for k in kernels]
-    assert [x.hex() for x in fast] == [x.hex() for x in full]
+    variant = "K1" if geometry == 1 else "K2"
+    for t0, t1 in ((0.0, 0.7), (0.7, 0.0)):
+        for form, k in kernel_forms(b, variant, t0, t1).items():
+            if form[0] == "bare":
+                continue
+            fast = schrodinger_residual(k)
+            full = schrodinger_residual(dense(k))
+            assert k.block.base is k.matrix and dense(k).block is None
+            assert fast.hex() == full.hex() == schrodinger_residual(k).hex(), form
 
 
 def test_residual_traced_peak_stays_near_two_kernels():
-    # H0 and d_t K are one positive-branch block each and K is multiplied block by
-    # block, so no N x N matrix is made: one call at N = 402 allocates at most 1.00
-    # complex N x N matrices at its peak (0.98 measured)
+    # H0, d_t K and a free K are one positive-branch block each, so no N x N matrix is
+    # made: one call at N = 402 allocates at most 1.00 complex N x N matrices at its
+    # peak (0.88 measured)
     b = free_basis(0.99, 100, 1)
     k = make_retarded(free_propagator(b, "K1", 0.0, 0.7))
     peak = traced_peak(lambda: schrodinger_residual(k))
@@ -447,22 +439,26 @@ def test_residual_traced_peak_stays_near_two_kernels():
 
 
 def test_kernel_and_compose_traced_peaks():
-    # at N = 402: a free kernel holds its output and at most the scaled columns of
-    # one sign and one half-line product (1.28 complex N x N matrices, 1.19 measured);
-    # compose holds its output and one weighted operand block, with each first block
-    # product written into the output (1.39, 1.35 measured).  At N = 394, the largest
-    # size on the GEMM path, diag(f) P^T is released before the mirror copies the
-    # transposed block (1.40, 1.36 measured; 1.50 with both held)
+    # a free kernel is its positive-branch block: at N = 402 it holds the block and at most
+    # the scaled columns of one sign and one half-line product (0.47 complex N x N
+    # matrices, 0.44 measured), and at N = 394, the largest size on the GEMM path, the
+    # block and diag(f) P^T (0.65, 0.61 measured).  Reading its matrix adds the one N x N
+    # array (1.26, 1.25 measured).  compose of two kernels whose matrices were never read
+    # holds one weighted operand block and the product block, and makes no N x N array
+    # (0.53, 0.50 measured)
     b = free_basis(0.99, 98, 1)
     peak = traced_peak(lambda: free_propagator(b, "K1", 0.0, 0.7))
-    assert peak <= 1.40 * b.size ** 2 * 16, peak / (b.size ** 2 * 16)
+    assert peak <= 0.65 * b.size ** 2 * 16, peak / (b.size ** 2 * 16)
     b = free_basis(0.99, 100, 1)
     unit = b.size ** 2 * 16
     k01, k12 = (free_propagator(b, "K1", t0, t1) for t0, t1 in ((0.0, 0.3), (0.3, 0.7)))
     peak = traced_peak(lambda: free_propagator(b, "K1", 0.0, 0.7))
-    assert peak <= 1.28 * unit, peak / unit
+    assert peak <= 0.47 * unit, peak / unit
+    peak = traced_peak(lambda: free_propagator(b, "K1", 0.0, 0.7).matrix)
+    assert peak <= 1.26 * unit, peak / unit
     peak = traced_peak(lambda: compose(k01, k12))
-    assert peak <= 1.39 * unit, peak / unit
+    assert peak <= 0.53 * unit, peak / unit
+    assert "matrix" not in vars(k01) | vars(k12) | vars(compose(k01, k12))
 
 
 def test_spectral_kernel_refuses_f_that_differs_within_a_pair(basis):

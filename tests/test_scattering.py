@@ -164,10 +164,11 @@ def test_non_finite_eps_is_refused(basis, weak_v, eps):
             smatrix_momentum(weak_v, basis, "S2minus", eps=eps, tilde=tilde)
 
 
-# library entries that take a lattice parameter, a time, an energy or a potential:
-# (the argument the refusal names, the call)
+# library entries that take a lattice parameter, a mass, a time, an energy, a potential
+# or incoming amplitudes: (the argument the refusal names, the call)
 NON_FINITE_ENTRIES = [
     pytest.param("x0", lambda b, v, x: make_lattice(Q, x0=x), id="x0"),
+    pytest.param("mass", lambda b, v, x: build_hamiltonian_basis(b.lattice, x, b.ctx), id="mass"),
     pytest.param("t_source", lambda b, v, x: free_propagator(b, "K1prime", x, 0.7), id="t_source"),
     pytest.param("t_target", lambda b, v, x: free_propagator(b, "K1prime", 0.0, x), id="t_target"),
     pytest.param("energy", lambda b, v, x: born_radius(v, b, x, EPS), id="energy"),
@@ -181,6 +182,13 @@ NON_FINITE_ENTRIES = [
     pytest.param("strength", lambda b, v, x: gaussian_potential(b.lattice, x), id="strength"),
     pytest.param("center", lambda b, v, x: gaussian_potential(b.lattice, 0.05, center=x),
                  id="center"),
+    pytest.param("v", lambda b, v, x: Hamiltonian(b, np.full((b.size, b.size), x)), id="v"),
+    pytest.param("v", lambda b, v, x: Hamiltonian(b, np.where(np.eye(b.size), x, 0.0)),
+                 id="v_diagonal"),
+    pytest.param("values", lambda b, v, x: born_wavefunction(
+        CoefficientVector(b, np.full(b.size, x)), v, 2), id="amplitudes"),
+    pytest.param("values", lambda b, v, x: CoefficientVector(
+        b, np.where(np.arange(b.size) == 3, x, 1.0)), id="one_amplitude"),
 ]
 
 
