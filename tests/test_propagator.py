@@ -126,7 +126,7 @@ def test_spectral_kernel_matches_dense_oracle(q, j_max, geometry):
     check(h0 @ (b.weights[:, None] * k), dense_kernel(b, e) @ (b.weights[:, None] * k))
 
 
-# free bases at N = 50, 202 and 802 in both geometries
+# free bases at N = 50, 202 and 802 in both geometries, for the residual
 BLOCK_SIZES = pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 50), (0.99, 200)],
                                       ids=["n50", "n202", "n802"])
 
@@ -149,13 +149,13 @@ def dense(k):
     return replace(k, matrix=k.matrix.copy())
 
 
-@BLOCK_SIZES
+@SIZES
 @GEOMETRIES
-def test_block_compose_matches_dense_product(q, j_max, geometry):
+def test_branch_product_matches_weighted_oracle(q, j_max, geometry):
     # two block kernels, each form with gates open and closed, compose to a block
-    # kernel: one half-size product that agrees with the dense product of the
-    # materialised matrices, and with the weighted oracle, to 1e-14 of max|K|, with
-    # exact +0 across the branches; compose reads neither operand's matrix
+    # kernel: one product of the positive-branch blocks that agrees with the dense
+    # product of the materialised matrices, and with the weighted oracle, to 1e-14 of
+    # max|K|, with exact +0 across the branches; compose reads neither operand's matrix
     b = free_basis(q, j_max, geometry)
     half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
     for t0, t1, t2 in ((-0.4, 0.3, 1.1), (1.1, 0.3, -0.4)):
