@@ -12,7 +12,7 @@ the conjugation flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -45,38 +45,41 @@ def heaviside(t: float) -> float:
 
 @dataclass(eq=False)
 class PropagatorKernel:
-    """A kernel K[x, y], stored as its N x N ``matrix`` or, for a free kernel, as its
-    positive-branch ``block`` B alone (``matrix=None``): K is then B on x, y > 0, J B J on
-    x, y < 0 (J the point reversal) and +0 across the branches, and ``matrix`` is built on
-    first read, read-only, with B a view into it.  A kernel given a matrix (positionally,
-    or by ``replace(k, matrix=m)``) keeps it as it is and has no block."""
+    """A kernel K[x, y] that stores one array: its N x N matrix or, for a free kernel,
+    its half x half positive-branch block B, made read-only.  K is then B on x, y > 0,
+    J B J on x, y < 0 (J the point reversal) and +0 across the branches.  ``matrix`` is
+    K as an N x N array, built from B on every read of a block kernel and read-only, so
+    it lives only as long as its reader keeps it."""
 
     basis: WaveBasis
     variant: str
     t_source: float
     t_target: float
-    matrix: np.ndarray | None
+    stored: np.ndarray = field(repr=False)
     tilde: bool = False
     causality: str = CAUSALITY_NONE
-    block: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.matrix is not None:
-            self.block = None
-        elif self.block is None:
-            raise ValueError("a kernel needs its matrix or its positive-branch block")
-        else:
-            del self.matrix  # built by __getattr__ on first read
+        n = self.basis.lattice.size
+        if np.shape(self.stored) not in ((n, n), (n // 2, n // 2)):
+            raise ValueError(f"a kernel stores its {n} x {n} matrix or its {n // 2} x {n // 2} "
+                             f"positive-branch block, not an array of shape "
+                             f"{np.shape(self.stored)}")
+        if self.block is not None:
+            self.stored.flags.writeable = False
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # called for missing attributes only, such as the unread matrix of a block kernel
-        if name != "matrix" or vars(self).get("block") is None:
-            raise AttributeError(name)
-        half = len(self.block)
-        self.matrix = mirror_block(self.block)
-        self.matrix.flags.writeable = False
-        self.block = self.matrix[half:, half:]
-        return self.matrix
+    @property
+    def block(self) -> np.ndarray | None:
+        """The positive-branch block B of a block kernel; None for a dense one."""
+        return self.stored if len(self.stored) < self.basis.lattice.size else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.block is None:
+            return self.stored
+        out = mirror_block(self.stored)
+        out.flags.writeable = False
+        return out
 
 
 def _phase_sign(tilde: bool) -> float:
@@ -112,16 +115,8 @@ def free_propagator(
     phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * lag)
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
-        matrix=None, tilde=tilde, causality=CAUSALITY_NONE, block=spectral_block(basis, phase),
+        stored=spectral_block(basis, phase), tilde=tilde, causality=CAUSALITY_NONE,
     )
-
-
-def _derived(kernel: PropagatorKernel, op, **changes) -> PropagatorKernel:
-    """``kernel`` with ``changes`` and ``op`` applied to what it stores: the block of a
-    block kernel, which stays one, or the matrix of a dense kernel."""
-    if kernel.block is not None:
-        return replace(kernel, matrix=None, block=op(kernel.block), **changes)
-    return replace(kernel, matrix=op(kernel.matrix), **changes)
 
 
 def make_retarded(kernel: PropagatorKernel) -> PropagatorKernel:
@@ -129,7 +124,8 @@ def make_retarded(kernel: PropagatorKernel) -> PropagatorKernel:
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
     theta = heaviside(kernel.t_target - kernel.t_source)
-    return _derived(kernel, (lambda m: m) if theta else np.zeros_like, causality=RETARDED)
+    stored = kernel.stored if theta else np.zeros_like(kernel.stored)
+    return replace(kernel, stored=stored, causality=RETARDED)
 
 
 def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
@@ -137,9 +133,9 @@ def make_advanced(kernel: PropagatorKernel) -> PropagatorKernel:
     make_retarded: the bare kernel's conjugate (the free modes are real), or exact zeros."""
     if kernel.causality != CAUSALITY_NONE:
         raise ValueError("kernel already causal")
-    gate = np.conj if heaviside(kernel.t_source - kernel.t_target) else (
-        lambda m: np.zeros(m.shape, dtype=complex))
-    return _derived(kernel, gate, causality=ADVANCED)
+    stored = np.conj(kernel.stored) if heaviside(kernel.t_source - kernel.t_target) else (
+        np.zeros(kernel.stored.shape, dtype=complex))
+    return replace(kernel, stored=stored, causality=ADVANCED)
 
 
 def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
@@ -158,14 +154,14 @@ def compose(k1: PropagatorKernel, k2: PropagatorKernel) -> PropagatorKernel:
         raise ValueError("intermediate times do not match")
     w = k1.basis.weights
     if k1.block is not None and k2.block is not None:
-        matrix, block = None, k2.block @ (w[len(w) // 2:, None] * k1.block)
+        stored = k2.block @ (w[len(w) // 2:, None] * k1.block)
     else:
-        matrix, block = k2.matrix @ (w[:, None] * k1.matrix), None
+        stored = k2.matrix @ (w[:, None] * k1.matrix)
     causality = k1.causality if k1.causality == k2.causality else CAUSALITY_NONE
     return PropagatorKernel(
         basis=k1.basis, variant=k1.variant,
         t_source=k1.t_source, t_target=k2.t_target,
-        matrix=matrix, tilde=k1.tilde, causality=causality, block=block,
+        stored=stored, tilde=k1.tilde, causality=causality,
     )
 
 
@@ -182,8 +178,7 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  Each product
     is one real GEMM on the float view of W K.  A block kernel has one such term, on the
     positive rows, which its negative rows repeat bit for bit, so it is counted twice.  A
-    dense kernel sums the squared norms over its four blocks, and an all-zero block of K
-    is not multiplied.
+    dense kernel sums the squared norms over its four blocks.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
@@ -207,11 +202,8 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     k, neg, pos = kernel.matrix, slice(None, half), slice(half, None)
     terms = []
     for r, c in product((neg, pos), (neg, pos)):
-        if k[r, c].any():
-            rev = slice(None, None, -1 if r == neg else 1)
-            terms.append(squared_norm(w[r][rev], k[r, c][rev, rev], r == c))
-        elif r == c:
-            terms.append(np.vdot(dk, dk).real)
+        rev = slice(None, None, -1 if r == neg else 1)
+        terms.append(squared_norm(w[r][rev], k[r, c][rev, rev], r == c))
     return float(np.sqrt(sum(terms)))
 
 
@@ -230,8 +222,8 @@ def conjugate_kernel(kernel: PropagatorKernel) -> PropagatorKernel:
     reflections are internal to the partner's definition).  The map is an
     involution.
     """
-    return _derived(kernel, np.conj, variant=conjugation_partner(VARIANTS, kernel.variant),
-                    tilde=not kernel.tilde)
+    return replace(kernel, stored=np.conj(kernel.stored),
+                   variant=conjugation_partner(VARIANTS, kernel.variant), tilde=not kernel.tilde)
 
 
 def conjugation_partner(table: dict, name: str) -> str:

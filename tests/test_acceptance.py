@@ -122,7 +122,7 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
         if not built:
             mat = kern.matrix.copy()
             mat[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
-            kern = dataclasses.replace(kern, matrix=mat)
+            kern = dataclasses.replace(kern, stored=mat)
         built.append(kern)
         return kern
 

@@ -146,30 +146,44 @@ def kernel_forms(b, variant, t0, t1):
 
 def dense(k):
     # the same kernel given as a full matrix: it takes the dense path
-    return replace(k, matrix=k.matrix.copy())
+    return replace(k, stored=k.matrix.copy())
+
+
+def matrix_builds(monkeypatch):
+    # counts the N x N matrices built from a block, one per read of a block kernel's matrix
+    builds = []
+
+    def spy(block):
+        builds.append(len(block))
+        return basis_mod.mirror_block(block)
+
+    monkeypatch.setattr(propagator, "mirror_block", spy)
+    return builds
 
 
 @SIZES
 @GEOMETRIES
-def test_branch_product_matches_weighted_oracle(q, j_max, geometry):
+def test_branch_product_matches_weighted_oracle(q, j_max, geometry, monkeypatch):
     # two block kernels, each form with gates open and closed, compose to a block
     # kernel: one product of the positive-branch blocks that agrees with the dense
     # product of the materialised matrices, and with the weighted oracle, to 1e-14 of
     # max|K|, with exact +0 across the branches; compose reads neither operand's matrix
     b = free_basis(q, j_max, geometry)
     half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
+    builds = matrix_builds(monkeypatch)
     for t0, t1, t2 in ((-0.4, 0.3, 1.1), (1.1, 0.3, -0.4)):
         earlier, later = kernel_forms(b, variant, t0, t1), kernel_forms(b, variant, t1, t2)
         for form, k01 in earlier.items():
             k12 = later[form]
             got = compose(k01, k12)
-            assert got.block is not None and "matrix" not in vars(k01) | vars(k12)
+            assert got.block is not None and not builds
             want = weighted_product(k12.matrix, w, k01.matrix)
             assert np.array_equal(compose(dense(k01), dense(k12)).matrix, want)
             assert got.matrix.dtype == want.dtype == complex
             assert np.max(np.abs(got.matrix - want)) <= 1e-14 * np.max(np.abs(want)), form
             assert plus_zeros(got.matrix[:half, half:]) and plus_zeros(got.matrix[half:, :half])
             assert got.causality == k01.causality and got.tilde == k01.tilde
+            builds.clear()
 
 
 def check_dense_compose(basis, a, b):
@@ -185,7 +199,7 @@ def check_dense_compose(basis, a, b):
 def test_dense_compose_with_partial_operands(basis):
     # dense operands, real and complex, a cross-branch-only operand, an all-zero one and
     # a free kernel with one changed negative-branch entry compose to the oracle; a
-    # kernel given neither a matrix nor a block is refused
+    # kernel given neither a full matrix nor a half-line block is refused
     half, n = basis.size // 2, basis.size
     rng = np.random.default_rng(11)
     green = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -205,8 +219,9 @@ def test_dense_compose_with_partial_operands(basis):
     assert not zero.any()
     for a, b in ((zero, kern), (kern, zero), (real, zero)):
         assert not check_dense_compose(basis, a, b).any()
-    with pytest.raises(ValueError, match="needs its matrix or its positive-branch block"):
-        PropagatorKernel(basis, "K1", 0.0, 0.5, None)
+    for stored in (None, green[:-1], green[:half, :half + 1], green[:half + 1, :half + 1]):
+        with pytest.raises(ValueError, match="stores its"):
+            PropagatorKernel(basis, "K1", 0.0, 0.5, stored)
 
 
 def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2):
@@ -389,7 +404,7 @@ def test_residual_matches_dense_oracle(q, j_max, geometry):
         scale = np.linalg.norm(dense_kernel(b, b.energies) @ (b.weights[:, None] * k.matrix))
         assert abs(schrodinger_residual(k) - want) <= 1e-15 * scale
         assert want <= 1e-14 * scale
-        probe = replace(k, matrix=dense)
+        probe = replace(k, stored=dense)
         want = np.linalg.norm(full_residual_matrix(probe))
         assert abs(schrodinger_residual(probe) - want) <= 1e-14 * want
 
@@ -406,7 +421,7 @@ def test_residual_sees_one_corrupted_negative_branch_entry(q, j_max, geometry):
     i, j = np.random.default_rng(j_max + geometry).integers(b.size // 2, size=2)
     mat = k.matrix.copy()
     mat[i, j] *= 1.0 + 1e-6
-    assert schrodinger_residual(replace(k, matrix=mat)) > 1e4 * clean
+    assert schrodinger_residual(replace(k, stored=mat)) > 1e4 * clean
 
 
 @BLOCK_SIZES
@@ -415,7 +430,7 @@ def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max,
     # a block kernel (retarded, advanced and conjugated, gates open and closed, plain
     # and tilde) takes its positive rows only, counted twice; its value is the dense
     # four-block loop's on the same kernel given as a full matrix, to the last bit, and
-    # stays so once its matrix has been read and its block is a view into it
+    # reading its matrix leaves the kernel as it was
     b = free_basis(q, j_max, geometry)
     variant = "K1" if geometry == 1 else "K2"
     for t0, t1 in ((0.0, 0.7), (0.7, 0.0)):
@@ -424,7 +439,7 @@ def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max,
                 continue
             fast = schrodinger_residual(k)
             full = schrodinger_residual(dense(k))
-            assert k.block.base is k.matrix and dense(k).block is None
+            assert k.block is not None and dense(k).block is None
             assert fast.hex() == full.hex() == schrodinger_residual(k).hex(), form
 
 
@@ -438,7 +453,7 @@ def test_residual_traced_peak_stays_near_two_kernels():
     assert peak <= 1.00 * b.size ** 2 * 16, peak / (b.size ** 2 * 16)
 
 
-def test_kernel_and_compose_traced_peaks():
+def test_kernel_and_compose_traced_peaks(monkeypatch):
     # a free kernel is its positive-branch block: at N = 402 it holds the block and at most
     # the scaled columns of one sign and one half-line product (0.47 complex N x N
     # matrices, 0.44 measured), and at N = 394, the largest size on the GEMM path, the
@@ -458,7 +473,8 @@ def test_kernel_and_compose_traced_peaks():
     assert peak <= 1.26 * unit, peak / unit
     peak = traced_peak(lambda: compose(k01, k12))
     assert peak <= 0.53 * unit, peak / unit
-    assert "matrix" not in vars(k01) | vars(k12) | vars(compose(k01, k12))
+    builds = matrix_builds(monkeypatch)
+    assert compose(k01, k12).block is not None and not builds
 
 
 def test_spectral_kernel_refuses_f_that_differs_within_a_pair(basis):
@@ -584,6 +600,23 @@ def test_advanced_is_time_reflection(basis):
     assert np.max(np.abs(bwd.matrix - fwd.matrix)) < 1e-12
 
 
+def test_block_kernel_stays_a_block_under_replace_and_repr(basis, monkeypatch):
+    # changing any other field keeps what a kernel stores, so a block kernel stays one
+    # and no N x N matrix is built; its block is read-only, shared by the kernels made
+    # from it, and each read of the matrix builds a new read-only array
+    builds = matrix_builds(monkeypatch)
+    k = free_propagator(basis, "K1", 0.0, 0.6)
+    for other in (replace(k, tilde=True), replace(k, t_target=0.7), make_retarded(k)):
+        assert other.block is k.block
+    assert "stored" not in repr(k) and not builds
+    with pytest.raises(ValueError, match="read-only"):
+        k.block[0, 0] = 0.0
+    first, second = k.matrix, k.matrix
+    assert builds == [basis.size // 2] * 2 and first is not second
+    assert np.array_equal(first, second) and not first.flags.writeable
+    assert not k.block.flags.writeable
+
+
 def test_causal_gate_gives_bare_values_or_exact_zeros(basis):
     bare = free_propagator(basis, "K1", 0.1, 0.9)
     assert np.array_equal(make_retarded(bare).matrix, bare.matrix)
@@ -605,7 +638,7 @@ def test_cross_branch_entry_is_not_skipped(basis):
     assert schrodinger_residual(k) < 1e-10
     mat = k.matrix.copy()
     mat[half - 3, half + 5] = 1e-6
-    stray = replace(k, matrix=mat)
+    stray = replace(k, stored=mat)
     assert schrodinger_residual(stray) > 1e-10
     later = free_propagator(basis, "K1", 0.7, 1.2)
     got = compose(stray, later).matrix
