@@ -57,14 +57,28 @@ class WaveBasis:
         return self.vectors.T @ (self.weights[:, None] * self.vectors)
 
     @cached_property
-    def paired(self) -> bool:
-        """Whether, on the positive branch, each odd mode 2k + 1 is exactly its even mode 2k
-        times the sign of their product at the innermost point, as for (Jv, +-v)/sqrt(2):
-        then each +-p pair has one rank-one term, decided once."""
+    def pair_signs(self) -> np.ndarray | None:
+        """The signs d_k with, on the positive branch, each odd mode 2k + 1 exactly its even
+        mode 2k times d_k, the sign of their product at the innermost point, as for
+        (Jv, +-v)/sqrt(2); None when any entry differs.  Decided once."""
         pos = self.vectors[self.lattice.size // 2:]
         even, odd = pos[:, 0::2], pos[:, 1::2]
-        return bool(even.shape == odd.shape
-                    and (even * np.copysign(1.0, even[0] * odd[0]) == odd).all())
+        if even.shape != odd.shape:
+            return None
+        d = np.copysign(1.0, even[0] * odd[0])
+        return d if (even * d == odd).all() else None
+
+    @property
+    def paired(self) -> bool:
+        """Whether ``pair_signs`` exist: then each +-p pair has one rank-one term."""
+        return self.pair_signs is not None
+
+    @cached_property
+    def even_modes(self) -> WaveBasis:
+        """The even modes 0, 2, 4, ... alone: the basis a parity sector is solved on."""
+        return WaveBasis(ctx=self.ctx, lattice=self.lattice, mass=self.mass,
+                         energies=self.energies[0::2], momenta=self.momenta[0::2],
+                         vectors=self.vectors[:, 0::2], parity=self.parity[0::2])
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .qcalc import G1
-from .scattering import Hamiltonian, SMatrix, S_FAMILIES
+from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _both_parities
 
 # the benchmark's tracer counts V_I(t) evaluations as InteractionPotential.at
 InteractionPotential = Hamiltonian
@@ -28,7 +28,7 @@ class EvolutionOperator:
     matrix: np.ndarray
     t_from: float
     t_to: float
-    # order (K), steps, tail and coupled_modes; see _integrate
+    # order (K), steps, tail and coupled_modes, see _integrate, and parity_sectors
     diagnostics: dict = field(default_factory=dict)
 
     def unitarity_drift(self) -> float:
@@ -135,11 +135,18 @@ def _integrate(h: Hamiltonian, t_from: float, t_to: float, tol: float) -> tuple[
 def ode_evolution(
     h: Hamiltonian, t_from: float, t_to: float, tol: float,
 ) -> EvolutionOperator:
-    """U(t_to, t_from) to ``tol`` >= ``TOL_FLOOR``: sub-steps of the block exponential."""
+    """U(t_to, t_from) to ``tol`` >= ``TOL_FLOOR``: sub-steps of the block exponential.
+    A ``Hamiltonian.sector`` is evolved once on its half, placed on both parities
+    (diagnostics ``parity_sectors``; the others are then the half's)."""
     if not TOL_FLOOR <= tol < np.inf:
         raise ValueError(f"tol must be positive, finite and >= TOL_FLOOR ({TOL_FLOOR!r}): {tol!r}")
+    if h.sector is not None:
+        half, s = h.sector
+        u, diag = _integrate(half, t_from, t_to, tol)
+        return EvolutionOperator(_both_parities(u, s), t_from, t_to,
+                                 {**diag, "parity_sectors": True})
     u, diag = _integrate(h, t_from, t_to, tol)
-    return EvolutionOperator(u, t_from, t_to, diag)
+    return EvolutionOperator(u, t_from, t_to, {**diag, "parity_sectors": False})
 
 
 def smatrix_from_evolution(h: Hamiltonian, u: EvolutionOperator, family: str) -> SMatrix:

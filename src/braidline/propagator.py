@@ -172,13 +172,14 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     bare kernels the +H0 equation, advanced and tilde kernels each flip the
     sign once.  Must be called off the source slice.
 
-    H0 and i d_t K never couple the mirrored half-lines: each is one positive-branch
-    block, h0 and dk, and its reversal J h0 J, J dk J on the negative branch.  Residual
-    block (r, c) is h0 W_r K_rc, plus dk when r = c; on the negative rows it is
-    J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in brackets.  Each product
-    is one real GEMM on the float view of W K.  A block kernel has one such term, on the
-    positive rows, which its negative rows repeat bit for bit, so it is counted twice.  A
-    dense kernel sums the squared norms over its four blocks.
+    As |s| = 1 the norm is || H0 W K + s i d_t K ||.  H0 and i d_t K never couple the
+    mirrored half-lines: each is one positive-branch block, h0 (one ``syrk`` on the
+    nonnegative energies) and dk = s i d_t K, and its reversal J h0 J, J dk J on the
+    negative branch.  Residual block (r, c) is h0 W_r K_rc, plus dk when r = c; on the
+    negative rows it is J (h0 J W_r K_rc J + dk) J, whose norm is that of the term in
+    brackets.  Each product is one real GEMM on the float view of W K.  A block kernel has
+    one such term, on the positive rows, which its negative rows repeat bit for bit, so it
+    is counted twice.  A dense kernel sums the squared norms over its four blocks.
     """
     if kernel.t_target == kernel.t_source:
         raise ValueError("residual undefined on the source slice")
@@ -186,9 +187,9 @@ def schrodinger_residual(kernel: PropagatorKernel) -> float:
     theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
     s = _phase_sign(kernel.tilde) * (-1.0 if kernel.causality == ADVANCED else 1.0)
     b, e = kernel.basis, kernel.basis.energies
-    h0 = spectral_block(b, s * e)  # s H0
-    # i d_t K: i d_t on exp(s i E dt) brings down -s E
-    dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    h0 = spectral_block(b, e)
+    # s i d_t K: i d_t on exp(s i E dt) brings down -s E, and s s = 1
+    dk = spectral_block(b, -theta * e * np.exp(s * 1j * e * dt))
     half, w = len(h0), b.weights
 
     def squared_norm(w_r, k_rc, diagonal):

@@ -40,12 +40,39 @@ class Potential:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
 
     def on(self, basis: WaveBasis) -> Hamiltonian:
-        """H0 + V with V in the energy basis: V_{pp'} = <u_p, V u_{p'}>."""
+        """H0 + V with V in the energy basis: V_{pp'} = <u_p, V u_{p'}>.
+
+        On a ``paired`` basis with w V exactly mirrored, V(x) = V(-x), V has exact zeros
+        between the parities and its even block is the half-line sum
+        V_ee = 2 P^T diag(w V)_+ P, P the positive-branch rows of the even modes; the odd
+        block is D V_ee D, D the basis's ``pair_signs``."""
         if self.values.shape != (basis.lattice.size,):
             raise ValueError("potential values must match the lattice")
-        u = basis.vectors
-        vm = u.T @ ((basis.weights * self.strength * self.values)[:, None] * u)
-        return Hamiltonian(basis, vm, self.epsilon, not np.any(self.values.imag))
+        u, wv = basis.vectors, basis.weights * self.strength * self.values
+        hermitian = not np.any(self.values.imag)
+        if basis.paired and np.array_equal(wv, wv[::-1]):
+            half = len(u) // 2
+            vm = _both_parities(half_line_v(u[half:, 0::2], wv[half:]), basis.pair_signs)
+        else:
+            vm = u.T @ (wv[:, None] * u)
+        return Hamiltonian(basis, vm, self.epsilon, hermitian)
+
+
+def half_line_v(p: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """2 P^T diag(wv) P: the even block of a mirror-even V from the positive branch, one real
+    product for a real wv."""
+    if not np.any(wv.imag):
+        wv = wv.real
+    return 2.0 * (p.T @ (wv[:, None] * p))
+
+
+def _both_parities(block: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The mode-space matrix with ``block`` on the even modes, D block D on the odd ones
+    (D = diag(signs)) and exact zeros between the parities."""
+    out = np.zeros((2 * len(block),) * 2, dtype=block.dtype)
+    out[0::2, 0::2] = block
+    out[1::2, 1::2] = signs[:, None] * block * signs
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +106,35 @@ class Hamiltonian:
         return np.diag(self.basis.energies) + self.v
 
     @cached_property
+    def sector(self) -> tuple[Hamiltonian, np.ndarray] | None:
+        """(H_e, s) when H is two copies of one half-size H_e, decided exactly, else None.
+
+        H_e is H on the basis's ``even_modes``.  It holds when the basis is ``paired``,
+        each +-p pair has one energy, V is exactly zero between the parities, and the odd
+        block of V is the even one with the signs s applied on both sides, bit for bit: s
+        all ones or the basis's ``pair_signs`` D.  Then H_oo = S H_e S (S = diag(s)), and
+        every solve on H is the one on H_e placed on both parities."""
+        b, v = self.basis, self.v
+        d = b.pair_signs
+        if (d is None or not np.array_equal(b.energies[0::2], b.energies[1::2])
+                or np.any(v[0::2, 1::2]) or np.any(v[1::2, 0::2])):
+            return None
+        even, odd = v[0::2, 0::2], v[1::2, 1::2]
+        for s in (np.ones_like(d), d):
+            if np.array_equal(odd, s[:, None] * even * s):
+                half = Hamiltonian(b.even_modes, np.ascontiguousarray(even), self.epsilon,
+                                   self.hermitian)
+                return half, s
+        return None
+
+    @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``."""
+        """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``.  A ``sector``
+        Hamiltonian decomposes its half and places W and W^-1 on both parities."""
+        if self.sector is not None:
+            half, s = self.sector
+            lam, w, w_inv, kappa = half.eigen
+            return np.repeat(lam, 2), _both_parities(w, s), _both_parities(w_inv, s), kappa
         return _eigen(self.matrix, self.hermitian)
 
     def at(self, t: float) -> np.ndarray:
@@ -143,13 +197,23 @@ def lippmann_schwinger_solve(
     (1 + |V|_F kappa(W) / min|z - lam|) on cond(I - V R0) is checked
     against COND_LIMIT: ill-conditioned systems raise LinAlgError, never
     silently regularised.  ``diagnostics``, if given, receives the worst
-    bound, the refinement steps, the worst column residual and the direct solves.
+    bound, the refinement steps, the worst column residual, the direct solves
+    and ``parity_sectors``: whether H was a ``Hamiltonian.sector`` with each pair
+    of column energies equal, solved once at half size and placed on both parities
+    (the other entries are then those of the half-size solve).
     """
     if not 0 < abs(eps) < np.inf:
         raise ValueError(f"eps must be finite and nonzero: {eps!r}")
     h = v.on(basis)
     vm, m = h.v, basis.size
     energy = np.broadcast_to(np.asarray(_finite("energy", energy), dtype=float), (m,))
+    if h.sector is not None and np.array_equal(energy[0::2], energy[1::2]):
+        half, s = h.sector
+        t = _both_parities(lippmann_schwinger_solve(half, half.basis, energy[0::2], eps,
+                                                    diagnostics), s)
+        if diagnostics is not None:
+            diagnostics["parity_sectors"] = True
+        return t
     z, r0 = energy + 1j * eps, free_resolvent(basis, energy, eps)  # R0[p, k] at z[k]
     lam, w, w_inv, kappa = h.eigen
     # an overflowing or infinite bound is refused below, not warned about
@@ -188,7 +252,8 @@ def lippmann_schwinger_solve(
         err[direct] = residual_norms(t)[1][direct]
     if diagnostics is not None:
         diagnostics.update(condition_bound=worst_bound, refinement_steps=steps,
-                           max_residual=float(err.max()), direct_columns=int(direct.size))
+                           max_residual=float(err.max()), direct_columns=int(direct.size),
+                           parity_sectors=False)
     return t
 
 
@@ -196,8 +261,11 @@ def born_radius(v: Potential | Hamiltonian, basis: WaveBasis, energy: float, eps
     """Spectral radius rho of the Born iteration operator V R0(E + i eps)."""
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
+    h = v.on(basis)
+    if h.sector is not None:  # each parity has the spectrum of its half
+        return born_radius(h.sector[0], h.sector[0].basis, energy, eps)
     r0 = free_resolvent(basis, _finite("energy", energy), eps)
-    return float(np.max(np.abs(np.linalg.eigvals(v.on(basis).v * r0[None, :]))))
+    return float(np.max(np.abs(np.linalg.eigvals(h.v * r0[None, :]))))
 
 
 def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -240,6 +308,13 @@ def born_wavefunction(
     h = v.on(basis)
     if h.epsilon <= 0 and order > 0:
         raise ValueError("adiabatic epsilon must be positive for the Born series")
+    if h.sector is not None:  # each parity's series on the half, its part placed back
+        half, s = h.sector
+        out = np.empty(basis.size, dtype=complex)
+        for sl, sign in ((slice(0, None, 2), 1.0), (slice(1, None, 2), s)):
+            part = CoefficientVector(half.basis, sign * phi.values[sl])
+            out[sl] = sign * born_wavefunction(part, half, order).values
+        return CoefficientVector(basis, out)
     vm = h.v
     modes = np.nonzero(np.abs(phi.values) > 0)[0]
     c = np.zeros((modes.size, basis.size), dtype=complex)  # row k: the series of modes[k]
@@ -292,14 +367,21 @@ def smatrix_momentum(
     from the advanced T for -1, as U(T, -T) and its inverse in the interaction
     picture.  A tilde partner solves the conjugated equations on its own:
     H0 + conj(V), decomposed afresh with the Hermitian flag of V, sigma
-    flipped and the transposed placement.
+    flipped and the transposed placement.  A ``Hamiltonian.sector`` is solved on
+    its half and placed on both parities (diagnostics ``parity_sectors``).
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
-    sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
     e, h = basis.energies, v.on(basis)
+    if h.sector is not None:
+        half, s = h.sector
+        out = smatrix_momentum(half, half.basis, family, eps, tilde)
+        out.matrix = _both_parities(out.matrix, s)
+        out.diagnostics["parity_sectors"] = True
+        return out
+    sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
     diagnostics: dict = {}
     t_mat = lippmann_schwinger_solve(replace(h, v=np.conj(h.v)) if tilde else h, basis, e,
                                      sigma * eps, diagnostics)

@@ -3,7 +3,7 @@
 The dense ones build the full operator the library avoids: the N x N Jackson
 derivative matrix, the dense complex spectral kernel and the weighted kernel
 product over both branches, the residual matrix from dense H0 and d_t K
-kernels, the dense block exponential of the Dyson terms, and the per-column
+kernels (and the residual's earlier signed-H0 form), the dense block exponential of the Dyson terms, and the per-column
 dense Lippmann-Schwinger solve of the on-shell S-matrix.  The scalar ones
 evaluate one entry at a time: the q-exponential series in Python complex
 arithmetic, and the CSV writers, which hand ``csv.writer`` each value formatted
@@ -12,11 +12,13 @@ by hand as repr(float(x)).
 
 import cmath
 import csv
+import itertools
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
+from braidline.basis import spectral_block
 from braidline.propagator import ADVANCED, RETARDED, heaviside
 
 
@@ -83,6 +85,34 @@ def full_residual_matrix(kernel):
     b, e = kernel.basis, kernel.basis.energies
     h0_k = dense_kernel(b, s * e) @ (b.weights[:, None] * kernel.matrix)
     return h0_k + dense_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
+
+
+def signed_h0_residual(kernel):
+    """``propagator.schrodinger_residual`` as it was formed with the sign s of the phase on
+    H0, || s H0 W K + i d_t K ||: s H0 from the energies s E, so an s = -1 kernel took the
+    negative-energy split.  The reference its value is pinned to, bit for bit."""
+    dt = kernel.t_target - kernel.t_source
+    theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
+    s = (1.0 if kernel.tilde else -1.0) * (-1.0 if kernel.causality == ADVANCED else 1.0)
+    b, e = kernel.basis, kernel.basis.energies
+    h0 = spectral_block(b, s * e)
+    dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    half, w = len(h0), b.weights
+
+    def squared_norm(w_r, k_rc, diagonal):
+        y = (h0 @ np.multiply(w_r[:, None], k_rc, dtype=complex).view(float)).view(complex)
+        if diagonal:
+            y += dk
+        return np.vdot(y, y).real
+
+    if kernel.block is not None:
+        return float(np.sqrt(2.0 * squared_norm(w[half:], kernel.block, True)))
+    k, neg, pos = kernel.matrix, slice(None, half), slice(half, None)
+    terms = []
+    for r, c in itertools.product((neg, pos), (neg, pos)):
+        rev = slice(None, None, -1 if r == neg else 1)
+        terms.append(squared_norm(w[r][rev], k[r, c][rev, rev], r == c))
+    return float(np.sqrt(sum(terms)))
 
 
 def weighted_product(a, w, b):

@@ -23,7 +23,7 @@ from braidline import basis as basis_mod
 from braidline.basis import _scaled_gram as scaled_gram
 from braidline.basis import spectral_block, spectral_kernel
 from braidline.propagator import VARIANTS, PropagatorKernel, heaviside
-from oracles import dense_kernel, full_residual_matrix, weighted_product
+from oracles import dense_kernel, full_residual_matrix, signed_h0_residual, weighted_product
 
 Q = 0.9
 MASS = 1.0
@@ -441,6 +441,19 @@ def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max,
             full = schrodinger_residual(dense(k))
             assert k.block is not None and dense(k).block is None
             assert fast.hex() == full.hex() == schrodinger_residual(k).hex(), form
+
+
+@pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100), (0.99, 200)],
+                         ids=["n50", "n402", "n802"])
+def test_residual_is_the_signed_h0_form_bit_for_bit(q, j_max):
+    # H0 from the nonnegative energies with the sign s on d_t K gives the norm of the old
+    # s H0 W K + i d_t K to the last bit, for bare, retarded and advanced kernels, plain
+    # and tilde, gates open and closed, as blocks and as full matrices
+    b = free_basis(q, j_max, 1)
+    for k in causal_kernels(b, "K1"):
+        for form in (k, dense(k)):
+            assert schrodinger_residual(form).hex() == signed_h0_residual(form).hex(), (
+                k.causality, k.tilde, k.t_target)
 
 
 def test_residual_traced_peak_stays_near_two_kernels():

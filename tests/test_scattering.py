@@ -509,6 +509,7 @@ def test_smatrix_diagnostics(basis, weak_v):
     s = smatrix_momentum(weak_v, basis, "S2minus", eps=EPS)
     d = s.diagnostics
     assert set(d) == {"condition_bound", "refinement_steps", "max_residual",
-                      "direct_columns"}
+                      "direct_columns", "parity_sectors"}
+    assert d["parity_sectors"] is True  # the Gaussian at centre 0 is mirror-even
     assert 1.0 <= d["condition_bound"] <= scattering.COND_LIMIT
     assert conjugate_smatrix(s).diagnostics == d
