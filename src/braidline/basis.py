@@ -68,6 +68,14 @@ class WaveBasis:
         d = np.copysign(1.0, even[0] * odd[0])
         return d if (even * d == odd).all() else None
 
+    @cached_property
+    def delta_block(self) -> np.ndarray:
+        """The positive-branch block of ``delta_kernel``, P P^T, built once per frozen basis
+        and read-only: every equal-time kernel and every ``delta_kernel`` shares it."""
+        block = spectral_block(self, np.ones(self.size))
+        block.flags.writeable = False
+        return block
+
     @property
     def paired(self) -> bool:
         """Whether ``pair_signs`` exist: then each +-p pair has one rank-one term."""
@@ -292,5 +300,6 @@ def mirror_block(block: np.ndarray) -> np.ndarray:
 
 def delta_kernel(basis: WaveBasis) -> np.ndarray:
     """Completeness kernel Delta(x, y) = sum_p u_p(x) u_p(y); Delta @ diag(w) = identity,
-    so it reproduces any lattice function under the weighted contraction."""
-    return spectral_kernel(basis, np.ones(basis.size))
+    so it reproduces any lattice function under the weighted contraction.  A new float64
+    N x N array, mirrored from the basis's shared ``delta_block``."""
+    return mirror_block(basis.delta_block)

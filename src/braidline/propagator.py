@@ -47,9 +47,11 @@ def heaviside(t: float) -> float:
 class PropagatorKernel:
     """A kernel K[x, y] that stores one array: its N x N matrix or, for a free kernel,
     its half x half positive-branch block B, made read-only.  K is then B on x, y > 0,
-    J B J on x, y < 0 (J the point reversal) and +0 across the branches.  ``matrix`` is
-    K as an N x N array, built from B on every read of a block kernel and read-only, so
-    it lives only as long as its reader keeps it."""
+    J B J on x, y < 0 (J the point reversal) and +0 across the branches.  The B of a
+    ``free_propagator`` kernel is complex, except at equal times: there it is the
+    basis's float64 ``delta_block``.  ``matrix`` is K as an N x N array of B's type,
+    built from B on every read of a block kernel and read-only, so it lives only as long
+    as its reader keeps it."""
 
     basis: WaveBasis
     variant: str
@@ -106,16 +108,18 @@ def free_propagator(
     tilde: bool = False,
 ) -> PropagatorKernel:
     """Spectral kernel evolving the source slice to the target slice; the modes
-    are real, so a tilde kernel differs only in its phase sign."""
+    are real, so a tilde kernel differs only in its phase sign.  An equal-time kernel,
+    whose phase is exactly 1+0j, stores ``basis.delta_block`` itself: real, shared, no copy."""
     _check_variant(basis, variant)
     lag = float(t_target) - float(t_source)
     for name, t in (("t_source", t_source), ("t_target", t_target), ("t_target - t_source", lag)):
         if not np.isfinite(t):
             raise ValueError(f"{name} must be finite: {t!r}")
-    phase = np.exp(_phase_sign(tilde) * 1j * basis.energies * lag)
+    stored = basis.delta_block if lag == 0 else spectral_block(
+        basis, np.exp(_phase_sign(tilde) * 1j * basis.energies * lag))
     return PropagatorKernel(
         basis=basis, variant=variant, t_source=t_source, t_target=t_target,
-        stored=spectral_block(basis, phase), tilde=tilde, causality=CAUSALITY_NONE,
+        stored=stored, tilde=tilde, causality=CAUSALITY_NONE,
     )
 
 

@@ -226,13 +226,16 @@ def test_dense_compose_with_partial_operands(basis):
 
 def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2):
     # a complex f with an all-zero imaginary part takes the updates of a real f
-    # and keeps the complex type
+    # and keeps the complex type; the equal-time kernel, whose phase is exactly 1+0j,
+    # is instead the basis's own real delta block
     for b in (basis, basis_g2):
         for f in (b.energies, np.ones(b.size)):
             got = spectral_kernel(b, f.astype(complex))
             assert got.dtype == complex
             assert np.array_equal(got, spectral_kernel(b, f))
-        assert free_propagator(b, "K1" if b is basis else "K2", 0.4, 0.4).matrix.dtype == complex
+        k = free_propagator(b, "K1" if b is basis else "K2", 0.4, 0.4)
+        assert k.block is b.delta_block and k.block.dtype == np.float64
+        assert np.array_equal(k.block, spectral_block(b, np.ones(b.size, complex)).real)
 
 
 def traced_peak(call):
@@ -488,6 +491,98 @@ def test_kernel_and_compose_traced_peaks(monkeypatch):
     assert peak <= 0.53 * unit, peak / unit
     builds = matrix_builds(monkeypatch)
     assert compose(k01, k12).block is not None and not builds
+
+
+def holed_basis(b):
+    # mode 3 zeroed, as in the C04 missing-mode test: not paired, so every mode is summed
+    vectors = b.vectors.copy()
+    vectors[:, 3] = 0.0
+    return replace(b, vectors=vectors)
+
+
+def block_builds(monkeypatch):
+    # the bases each spectral block is built for, through either module's name
+    builds = []
+
+    def spy(b, f):
+        builds.append(b)
+        return spectral_block(b, f)
+
+    monkeypatch.setattr(basis_mod, "spectral_block", spy)
+    monkeypatch.setattr(propagator, "spectral_block", spy)
+    return builds
+
+
+@BLOCK_SIZES
+@GEOMETRIES
+@pytest.mark.parametrize("holed", [False, True], ids=["paired", "holed"])
+def test_delta_block_is_built_once_and_is_the_old_kernel_bit_for_bit(
+        q, j_max, geometry, holed, monkeypatch):
+    # four equal-time kernels and four delta kernels on one basis build the delta block
+    # once; each is that block, which is the old real delta kernel and the real part of
+    # the complex one (whose imaginary part is +0) bit for bit, paired or not
+    b = free_basis(q, j_max, geometry)
+    b = holed_basis(b) if holed else b
+    assert b.paired != holed
+    variants = sorted(v for v in VARIANTS if VARIANTS[v][0] == geometry)
+    old_real = spectral_kernel(b, np.ones(b.size))
+    old_complex = spectral_kernel(b, np.ones(b.size, complex))
+    builds = block_builds(monkeypatch)
+    deltas = [delta_kernel(b) for _ in range(4)]
+    assert not b.delta_block.flags.writeable  # read-only before any kernel stores it
+    kernels = [free_propagator(b, v, t, t, tilde=v.endswith("star"))
+               for v, t in zip(variants, (0.4, 0.0, -1.3, 2.5))]
+    assert builds == [b]
+    for got in [k.matrix for k in kernels] + deltas:
+        assert got.dtype == np.float64
+        assert np.array_equal(got, old_real) and np.array_equal(got, old_complex.real)
+    assert plus_zeros(old_complex.imag)
+    assert all(k.block is b.delta_block for k in kernels)
+    with pytest.raises(ValueError, match="read-only"):
+        b.delta_block[0, 0] = 0.0
+
+
+def test_equal_time_kernel_allocates_no_block_once_the_delta_block_exists():
+    # at N = 802 the kernel shares the basis's delta block: one call allocates the kernel
+    # object alone (under 1 kB measured), far below one float64 half x half block
+    b = free_basis(0.99, 200, 1)
+    half = b.size // 2
+    assert b.delta_block.nbytes == half * half * 8
+    peak = traced_peak(lambda: free_propagator(b, "K1", 0.3, 0.3))
+    assert peak < half * half * 8 // 100, peak
+
+
+@BLOCK_SIZES
+@GEOMETRIES
+def test_equal_time_kernel_composes_reflects_and_conjugates_as_a_real_block(q, j_max, geometry):
+    # the float64 delta block on either side of compose, or on both, gives the weighted
+    # product of the matrices; the advanced and conjugated forms are the same real block,
+    # the latter equal to the tilde partner built directly; the residual refuses the
+    # source slice; and nothing writes the shared block
+    b = free_basis(q, j_max, geometry)
+    variant = "K1prime" if geometry == 1 else "K2"
+    coincident = free_propagator(b, variant, 0.5, 0.5)
+    before = b.delta_block.copy()
+    for k01, k12 in ((coincident, free_propagator(b, variant, 0.5, 1.2)),
+                     (free_propagator(b, variant, -0.2, 0.5), coincident),
+                     (coincident, coincident)):
+        got = compose(k01, k12)
+        want = weighted_product(k12.matrix, b.weights, k01.matrix)
+        assert got.block is not None and got.matrix.dtype == want.dtype
+        assert np.max(np.abs(got.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+    assert compose(coincident, coincident).block.dtype == np.float64
+    advanced = make_advanced(coincident)
+    assert advanced.block.dtype == np.float64
+    assert np.array_equal(advanced.matrix, delta_kernel(b))
+    assert make_retarded(coincident).block is b.delta_block
+    conj = conjugate_kernel(coincident)
+    partner = free_propagator(b, conj.variant, 0.5, 0.5, tilde=True)
+    assert conj.tilde and conj.block.dtype == np.float64 and partner.block is b.delta_block
+    assert np.array_equal(conj.matrix, partner.matrix)
+    for k in (coincident, make_retarded(coincident), advanced, conj):
+        with pytest.raises(ValueError, match="source slice"):
+            schrodinger_residual(k)
+    assert np.array_equal(b.delta_block, before)
 
 
 def test_spectral_kernel_refuses_f_that_differs_within_a_pair(basis):
