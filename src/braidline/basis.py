@@ -237,8 +237,10 @@ def _scaled_gram(pos: np.ndarray, r: np.ndarray, cols: np.ndarray,
 
 
 def spectral_block(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
-    """The x, y > 0 block P diag(f) P^T of ``spectral_kernel(basis, f)``, P the positive-branch
-    rows of the real modes, a new array of the type of f.  The block is exactly symmetric.
+    """The x, y > 0 block P diag(f) P^T of the kernel sum_p u_p(x) f_p u_p(y), P the
+    positive-branch rows of the real modes, a new array of the type of f.  The block is
+    exactly symmetric.  H0 never couples the mirrored half-lines, so for f a function of
+    the energy ``mirror_block`` of it is the whole kernel.
 
     For a ``paired`` basis the two modes of each +-p pair have the same rank-one term, so
     the even modes alone are summed with f[2k] + f[2k + 1].  Each part g of f, the real
@@ -273,19 +275,6 @@ def spectral_block(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
             a = pos * np.sqrt(g)
             np.matmul(a, a.T, out=part)
     return out
-
-
-def spectral_kernel(basis: WaveBasis, f: np.ndarray) -> np.ndarray:
-    """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy.
-
-    The free modes are real and H0 never couples the mirrored half-lines, so the
-    kernel is one positive-branch block, mirrored onto the negative branch, with
-    exact zeros across the branches.  That holds only when each +-p pair (modes 2k
-    and 2k + 1) shares f_p; any other f is refused.  The kernel has the type of f."""
-    f = np.asarray(f)
-    if not np.array_equal(f[0::2], f[1::2], equal_nan=True):
-        raise ValueError("spectral_kernel needs f(E_p): each +-p pair of modes must share f_p")
-    return mirror_block(spectral_block(basis, f))
 
 
 def mirror_block(block: np.ndarray) -> np.ndarray:

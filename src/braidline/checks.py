@@ -26,9 +26,12 @@ CHECK_EPS = 0.05  # the adiabatic switching rate of every check scene
 
 
 def boundary_defect(b: WaveBasis, variant: str, t: float) -> float:
-    """Distance max |K(t, t) diag(w) - I| of the coincident kernel from the Jackson delta."""
-    return float(np.max(np.abs(free_propagator(b, variant, t, t).matrix * b.weights
-                               - np.eye(b.size))))
+    """Distance max |K(t, t) diag(w) - I| of the coincident kernel from the Jackson delta,
+    taken on the positive-branch blocks: the negative branch repeats them mirrored, with
+    mirrored weights, and the cross-branch entries are +0 on both sides."""
+    half = b.size // 2
+    return float(np.max(np.abs(free_propagator(b, variant, t, t).block * b.weights[half:]
+                               - np.eye(half))))
 
 
 def born_errors(weak: Potential, basis: WaveBasis, orders) -> tuple[list[float], float]:
@@ -64,6 +67,9 @@ def cross_formalism_potential(basis: WaveBasis) -> Hamiltonian:
 # ---------------------------------------------------------------------------
 # the checks
 
+# The kernel checks compare positive-branch blocks: every kernel is one, mirrored onto the
+# negative branch with +0 across the branches, so each maximum is that of the N x N forms.
+
 def _check_composition(scene):
     worst = 0.0
     rng = np.random.default_rng(42)
@@ -75,7 +81,7 @@ def _check_composition(scene):
                 got = compose(free_propagator(b, variant, t0, t1),
                               free_propagator(b, variant, t1, t2))
                 direct = free_propagator(b, variant, t0, t2)
-                worst = max(worst, float(np.max(np.abs(got.matrix - direct.matrix))))
+                worst = max(worst, float(np.max(np.abs(got.block - direct.block))))
     return worst, 1e-12
 
 
@@ -92,7 +98,7 @@ def _check_residual(scene):
         retarded = schrodinger_residual(make_retarded(free_propagator(b, variant, 0.0, t)))
         advanced = schrodinger_residual(make_advanced(free_propagator(b, variant, t, 0.0)))
         coincident = make_retarded(free_propagator(b, variant, t, t))
-        jump = float(np.max(np.abs(1j * coincident.matrix - source_term(coincident))))
+        jump = float(np.max(np.abs(1j * coincident.block - source_term(coincident))))
         worst = max(worst, retarded, advanced, jump)
     return worst, 1e-10
 
@@ -103,7 +109,7 @@ def _check_conjugation(scene):
     for b, (variant, *_) in scene.geometries:
         ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
         partner = free_propagator(b, ck.variant, -0.2, t, tilde=True)
-        worst = max(worst, float(np.max(np.abs(ck.matrix - partner.matrix))))
+        worst = max(worst, float(np.max(np.abs(ck.block - partner.block))))
     # a family selects only its time sign and its tilde partner solves with the
     # opposite one, so one plain/tilde pair covers both resolvents; the tilde
     # partner decomposes H0 + conj(V) itself, so the two solves stay independent
@@ -139,7 +145,7 @@ def _check_crossing(scene):
     t = scene.cfg["time_target"]
     k1 = free_propagator(scene.basis, "K1prime", 0.0, t)
     k2 = free_propagator(scene.basis2, "K2", 0.0, t)
-    return float(np.max(np.abs(k1.matrix - k2.matrix))), 1e-10
+    return float(np.max(np.abs(k1.block - k2.block))), 1e-10
 
 
 def _check_unitarity_negative_control(scene):

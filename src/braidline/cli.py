@@ -25,7 +25,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis, delta_kernel,
+from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis,
                     half_line_hamiltonian)
 from .checks import CHECKS, boundary_defect, run_check
 from .dyson import TOL_FLOOR, ode_evolution, smatrix_from_evolution
@@ -318,8 +318,10 @@ def cmd_basis(scene: Scene, out: str, qexp: bool) -> int:
                  np.column_stack([basis.energies, basis.momenta, basis.parity]),
                  "{},%s,%s,%s\r\n".format)
     gram_defect = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
+    # on the positive-branch block, which the negative branch mirrors
+    half = basis.size // 2
     comp_defect = float(np.max(np.abs(
-        delta_kernel(basis) * basis.weights[None, :] - np.eye(basis.size))))
+        basis.delta_block * basis.weights[None, half:] - np.eye(half))))
     report = {
         "modes": basis.size,
         "gram_defect": gram_defect,

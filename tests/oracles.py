@@ -1,13 +1,16 @@
 """Reference implementations the library's fast paths are tested against.
 
-The dense ones build the full operator the library avoids: the N x N Jackson
-derivative matrix, the dense complex spectral kernel and the weighted kernel
-product over both branches, the residual matrix from dense H0 and d_t K
-kernels (and the residual's earlier signed-H0 form), the dense block exponential of the Dyson terms, and the per-column
-dense Lippmann-Schwinger solve of the on-shell S-matrix.  The scalar ones
-evaluate one entry at a time: the q-exponential series in Python complex
-arithmetic, and the CSV writers, which hand ``csv.writer`` each value formatted
-by hand as repr(float(x)).
+The library stores every kernel as its positive-branch block; the dense
+references here build the full operator it avoids: the N x N Jackson derivative
+matrix, the spectral kernel ``mirror_block`` of a block (and the dense complex
+one over every mode), the weighted kernel product over both branches (the dense
+compose), the residual matrix from dense H0 and d_t K kernels and the residual's
+norm summed over the four branch blocks (in the current and the earlier
+signed-H0 form), the five kernel checks over N x N matrices, the dense block
+exponential of the Dyson terms, and the per-column dense Lippmann-Schwinger
+solve of the on-shell S-matrix.  The scalar ones evaluate one entry at a time:
+the q-exponential series in Python complex arithmetic, and the CSV writers,
+which hand ``csv.writer`` each value formatted by hand as repr(float(x)).
 """
 
 import cmath
@@ -18,8 +21,11 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from braidline.basis import spectral_block
-from braidline.propagator import ADVANCED, RETARDED, heaviside
+from braidline.basis import mirror_block, spectral_block
+from braidline.checks import CHECK_EPS
+from braidline.propagator import (ADVANCED, RETARDED, compose, conjugate_kernel,
+                                  free_propagator, heaviside, make_advanced, make_retarded)
+from braidline.scattering import conjugate_smatrix, smatrix_momentum
 
 
 def derivative_matrix(lattice, ctx):
@@ -69,56 +75,116 @@ def dense_smatrix(v, basis, eps, time_sign, tilde):
     return s
 
 
+def spectral_kernel(basis, f):
+    """The kernel sum_p u_p(x) f_p u_p(y) of a function f_p = f(E_p) of the energy, as an
+    N x N array of the type of f: ``basis.spectral_block`` mirrored onto the negative
+    branch, with exact zeros across the branches.  That holds only when each +-p pair
+    (modes 2k and 2k + 1) shares f_p; any other f is refused."""
+    f = np.asarray(f)
+    if not np.array_equal(f[0::2], f[1::2], equal_nan=True):
+        raise ValueError("spectral_kernel needs f(E_p): each +-p pair of modes must share f_p")
+    return mirror_block(spectral_block(basis, f))
+
+
 def dense_kernel(basis, f):
     """sum_p u_p(x) f_p conj(u_p(y)) as one dense complex product over both
-    branches and every mode: the reference for ``basis.spectral_kernel``."""
+    branches and every mode: the reference for ``spectral_kernel``."""
     u = basis.vectors
     return (u * f) @ u.conj().T
 
 
-def full_residual_matrix(kernel):
-    """i d_t K - (+-) H0 K over both branches, with H0 and d_t K dense products over every
-    mode: the reference for the norm ``propagator.schrodinger_residual`` takes."""
+def _residual_flags(kernel):
+    # (dt, theta, s): the lag, the causal gate and the phase sign of exp(s i E dt)
     dt = kernel.t_target - kernel.t_source
     theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
     s = (1.0 if kernel.tilde else -1.0) * (-1.0 if kernel.causality == ADVANCED else 1.0)
+    return dt, theta, s
+
+
+def full_residual_matrix(kernel, matrix=None):
+    """i d_t K - (+-) H0 K over both branches, with H0 and d_t K dense products over every
+    mode: the reference for the norm ``propagator.schrodinger_residual`` takes.  ``matrix``,
+    an N x N array, stands in for K (default ``kernel.matrix``) with the kernel's flags and
+    times."""
+    dt, theta, s = _residual_flags(kernel)
     b, e = kernel.basis, kernel.basis.energies
-    h0_k = dense_kernel(b, s * e) @ (b.weights[:, None] * kernel.matrix)
+    k = kernel.matrix if matrix is None else matrix
+    h0_k = dense_kernel(b, s * e) @ (b.weights[:, None] * k)
     return h0_k + dense_kernel(b, -theta * s * e * np.exp(s * 1j * e * dt))
 
 
-def signed_h0_residual(kernel):
-    """``propagator.schrodinger_residual`` as it was formed with the sign s of the phase on
-    H0, || s H0 W K + i d_t K ||: s H0 from the energies s E, so an s = -1 kernel took the
-    negative-energy split.  The reference its value is pinned to, bit for bit."""
-    dt = kernel.t_target - kernel.t_source
-    theta = {RETARDED: heaviside(dt), ADVANCED: heaviside(-dt)}.get(kernel.causality, 1.0)
-    s = (1.0 if kernel.tilde else -1.0) * (-1.0 if kernel.causality == ADVANCED else 1.0)
+def four_block_residual(kernel, matrix=None, signed_h0=False):
+    """The norm ``propagator.schrodinger_residual`` takes, summed over the four branch blocks
+    of ``matrix`` (default ``kernel.matrix``) with the kernel's flags and times: the dense
+    loop whose (+, +) term the library counts twice.  Block (r, c) is h0 W_r K_rc, plus dk
+    when r = c, each one real GEMM on the float view; the negative rows are reversed, so
+    their term is formed as the positive rows' is.  With ``signed_h0`` it is the earlier
+    form || s H0 W K + i d_t K ||, s H0 from the energies s E, which an s = -1 kernel took
+    from the negative-energy split."""
+    dt, theta, s = _residual_flags(kernel)
+    sign = s if signed_h0 else 1.0
     b, e = kernel.basis, kernel.basis.energies
-    h0 = spectral_block(b, s * e)
-    dk = spectral_block(b, -theta * s * e * np.exp(s * 1j * e * dt))
+    h0 = spectral_block(b, sign * e)
+    dk = spectral_block(b, -theta * sign * e * np.exp(s * 1j * e * dt))
     half, w = len(h0), b.weights
-
-    def squared_norm(w_r, k_rc, diagonal):
-        y = (h0 @ np.multiply(w_r[:, None], k_rc, dtype=complex).view(float)).view(complex)
-        if diagonal:
-            y += dk
-        return np.vdot(y, y).real
-
-    if kernel.block is not None:
-        return float(np.sqrt(2.0 * squared_norm(w[half:], kernel.block, True)))
-    k, neg, pos = kernel.matrix, slice(None, half), slice(half, None)
+    k = kernel.matrix if matrix is None else matrix
+    neg, pos = slice(None, half), slice(half, None)
     terms = []
     for r, c in itertools.product((neg, pos), (neg, pos)):
         rev = slice(None, None, -1 if r == neg else 1)
-        terms.append(squared_norm(w[r][rev], k[r, c][rev, rev], r == c))
+        y = (h0 @ np.multiply(w[r][rev][:, None], k[r, c][rev, rev], dtype=complex)
+             .view(float)).view(complex)
+        if r == c:
+            y += dk
+        terms.append(np.vdot(y, y).real)
     return float(np.sqrt(sum(terms)))
 
 
 def weighted_product(a, w, b):
     """a @ (w[:, None] * b) as one dense product over both branches: the reference
-    for ``propagator.compose``."""
+    for ``propagator.compose``, the dense compose."""
     return a @ (w[:, None] * b)
+
+
+def _distance(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+def dense_kernel_checks(scene):
+    """The values of the ``composition``, ``boundary``, ``residual``, ``conjugation`` and
+    ``crossing`` checks with each kernel distance taken over N x N matrices: the kernels'
+    ``matrix``, the four-block residual and the whole source term i diag(1/w).  The same
+    draws, kernels and S-matrices as ``checks``, which takes them over the blocks."""
+    t = scene.cfg["time_target"]
+    out = dict.fromkeys(("composition", "boundary", "residual", "conjugation"), 0.0)
+    rng = np.random.default_rng(42)
+    for b, names in scene.geometries:
+        for variant in names:
+            for _ in range(5):
+                t0, t1, t2 = np.sort(rng.uniform(-0.05, 0.05, size=3))
+                got = compose(free_propagator(b, variant, t0, t1),
+                              free_propagator(b, variant, t1, t2))
+                out["composition"] = max(out["composition"], _distance(
+                    got.matrix, free_propagator(b, variant, t0, t2).matrix))
+    for b, (variant, *_) in scene.geometries:
+        coincident = free_propagator(b, variant, t, t)
+        out["boundary"] = max(out["boundary"],
+                              _distance(coincident.matrix * b.weights, np.eye(b.size)))
+        out["residual"] = max(
+            out["residual"],
+            four_block_residual(make_retarded(free_propagator(b, variant, 0.0, t))),
+            four_block_residual(make_advanced(free_propagator(b, variant, t, 0.0))),
+            _distance(1j * make_retarded(coincident).matrix, 1j * np.diag(1.0 / b.weights)))
+        ck = conjugate_kernel(free_propagator(b, variant, -0.2, t))
+        out["conjugation"] = max(out["conjugation"], _distance(
+            ck.matrix, free_propagator(b, ck.variant, -0.2, t, tilde=True).matrix))
+    family = scene.cfg["family"]
+    cs = conjugate_smatrix(smatrix_momentum(scene.h, scene.basis, family, eps=CHECK_EPS))
+    built = smatrix_momentum(scene.h, scene.basis, cs.family, eps=CHECK_EPS, tilde=True)
+    out["conjugation"] = max(out["conjugation"], _distance(cs.matrix, built.matrix))
+    out["crossing"] = _distance(free_propagator(scene.basis, "K1prime", 0.0, t).matrix,
+                                free_propagator(scene.basis2, "K2", 0.0, t).matrix)
+    return out
 
 
 def q_exponential_series(z, q, n_trunc):

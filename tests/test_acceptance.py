@@ -33,6 +33,7 @@ from braidline.checks import CHECK_EPS, born_errors, cross_formalism_potential, 
 from braidline.cli import Scene, load_config
 from braidline.scattering import transition_probability_table
 from conftest import ACCEPTANCE_LINES
+from oracles import dense_kernel_checks
 
 MASS = 1.0
 EPS = 0.05
@@ -107,10 +108,10 @@ def test_c04_and_source_jump_detect_a_missing_mode(scene):
 
 @pytest.mark.parametrize("j_max", [12, 50], ids=["n50", "n202"])
 def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkeypatch):
-    # a 1e-6 relative error in only the negative-branch block of the first kernel
-    # a check builds, given as a corrupted full matrix, takes the dense path of the
-    # products, which see it: far above the clean value, which at N=202 already
-    # exceeds the absolute bound
+    # a kernel is its positive-branch block, so an error on its negative branch is one
+    # in the stored block, mirrored: a 1e-6 relative error in the block's innermost
+    # diagonal entry, its largest, of the first kernel a check builds sends both checks
+    # far above their clean values (5e8 times measured) and above their bounds
     cfg = load_config(None)
     cfg["lattice"].update(j_min=-j_max, j_max=j_max)
     scene = Scene(cfg)
@@ -120,9 +121,10 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
     def corrupt_first(b, *args, **kwargs):
         kern = free_propagator(b, *args, **kwargs)
         if not built:
-            mat = kern.matrix.copy()
-            mat[:b.size // 2, :b.size // 2] *= 1.0 + 1e-6
-            kern = dataclasses.replace(kern, stored=mat)
+            block = kern.block.copy()
+            assert np.argmax(np.abs(block)) == 0
+            block[0, 0] *= 1.0 + 1e-6
+            kern = dataclasses.replace(kern, block=block)
         built.append(kern)
         return kern
 
@@ -131,6 +133,50 @@ def test_negative_branch_corruption_fails_composition_and_residual(j_max, monkey
         built.clear()
         r = run_check(name, scene)
         assert not r["pass"] and r["value"] > 1e3 * value, (name, r["value"], value)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"ctx": {"q": 0.99},
+                                            "lattice": {"j_min": -100, "j_max": 100}}],
+                         ids=["n50", "n402"])
+def test_kernel_checks_on_blocks_read_the_dense_values_bit_for_bit(overrides):
+    # the five kernel checks take their maxima over positive-branch blocks; each is the
+    # maximum over the N x N matrices, the four-block residual and the whole source term,
+    # to the last bit: the cross-branch entries are +0 on both sides and the negative
+    # branch repeats the positive one mirrored
+    cfg = load_config(None)
+    for key, value in overrides.items():
+        cfg[key].update(value)
+    scene = Scene(cfg)
+    dense = dense_kernel_checks(scene)
+    assert dense.keys() == {"composition", "boundary", "residual", "conjugation", "crossing"}
+    for name, want in dense.items():
+        assert run_check(name, scene)["value"].hex() == want.hex(), name
+
+
+def test_c02_reads_the_lattice_law_and_fails_compose_mutants(monkeypatch):
+    # with per-time phases the composed kernels share their intermediate phase factor
+    # exactly, so C02 is rounding of the lattice products: 1.5e-14 at N = 50 and 1.1e-13
+    # at N = 102 (6.3e-13 and 2.3e-11, a failure, with lag phases); a compose that drops
+    # the weights, or takes the negative branch's unreversed ones, fails by far
+    values = {}
+    for j_max in (12, 25):
+        cfg = load_config(None)
+        cfg["lattice"].update(j_min=-j_max, j_max=j_max)
+        values[j_max] = run_check("composition", Scene(cfg))
+    assert values[12]["value"] <= 5e-14 and values[25]["pass"], values
+    scene = Scene(load_config(None))
+
+    def unweighted(k1, k2):
+        return dataclasses.replace(k1, t_target=k2.t_target, block=k2.block @ k1.block)
+
+    def unreversed(k1, k2):
+        w = k1.basis.weights[:k1.basis.size // 2, None]
+        return dataclasses.replace(k1, t_target=k2.t_target, block=k2.block @ (w * k1.block))
+
+    for mutant in (unweighted, unreversed):
+        monkeypatch.setattr(checks, "compose", mutant)
+        r = run_check("composition", scene)
+        assert not r["pass"] and r["value"] > 1.0, (mutant.__name__, r["value"])
 
 
 def test_c05_conjugation_partners(scene):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from braidline import basis as bbasis
-from braidline import checks, cli
+from braidline import checks, cli, propagator
 from braidline.cli import (
     CHECKS,
     DEFAULT_CONFIG,
@@ -628,6 +628,27 @@ def test_each_command_builds_only_the_bases_it_reads(tmp_path, monkeypatch, argv
         if getattr(module, "build_hamiltonian_basis", None) is real:
             monkeypatch.setattr(module, "build_hamiltonian_basis", spy)
     assert run([*argv, "--out", str(tmp_path / "o")]) == (2 if argv[-1] == "nope" else 0)
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("argv, builds", [(["verify"], 0), (["basis", "--qexp"], 0),
+                                          (["propagate"], 2)],
+                         ids=["verify", "basis", "propagate"])
+def test_each_command_builds_only_the_kernel_matrices_it_writes(tmp_path, monkeypatch, argv,
+                                                                builds):
+    # every kernel is its positive-branch block, and the checks and the completeness
+    # defect compare blocks: a default verify and basis build no N x N kernel matrix, and
+    # propagate builds the one per geometry that its CSV writes (90, 1 and 4 while the
+    # checks and the defects read matrices)
+    real, calls = bbasis.mirror_block, []
+
+    def spy(block):
+        calls.append(len(block))
+        return real(block)
+
+    for module in (bbasis, propagator):
+        monkeypatch.setattr(module, "mirror_block", spy)
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == builds
 
 

@@ -1,8 +1,12 @@
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidline import propagator
 from braidline import (
@@ -21,9 +25,10 @@ from braidline import (
 )
 from braidline import basis as basis_mod
 from braidline.basis import _scaled_gram as scaled_gram
-from braidline.basis import spectral_block, spectral_kernel
+from braidline.basis import spectral_block
 from braidline.propagator import VARIANTS, PropagatorKernel, heaviside
-from oracles import dense_kernel, full_residual_matrix, signed_h0_residual, weighted_product
+from oracles import (dense_kernel, four_block_residual, full_residual_matrix, spectral_kernel,
+                     weighted_product)
 
 Q = 0.9
 MASS = 1.0
@@ -144,11 +149,6 @@ def kernel_forms(b, variant, t0, t1):
     return forms
 
 
-def dense(k):
-    # the same kernel given as a full matrix: it takes the dense path
-    return replace(k, stored=k.matrix.copy())
-
-
 def matrix_builds(monkeypatch):
     # counts the N x N matrices built from a block, one per read of a block kernel's matrix
     builds = []
@@ -164,10 +164,10 @@ def matrix_builds(monkeypatch):
 @SIZES
 @GEOMETRIES
 def test_branch_product_matches_weighted_oracle(q, j_max, geometry, monkeypatch):
-    # two block kernels, each form with gates open and closed, compose to a block
-    # kernel: one product of the positive-branch blocks that agrees with the dense
-    # product of the materialised matrices, and with the weighted oracle, to 1e-14 of
-    # max|K|, with exact +0 across the branches; compose reads neither operand's matrix
+    # two kernels, each form with gates open and closed, compose to one product of the
+    # positive-branch blocks that agrees with the weighted oracle, the dense product of
+    # the read matrices, to 1e-14 of max|K|, with exact +0 across the branches; compose
+    # reads neither operand's matrix
     b = free_basis(q, j_max, geometry)
     half, w, variant = b.size // 2, b.weights, "K1prime" if geometry == 1 else "K2"
     builds = matrix_builds(monkeypatch)
@@ -176,9 +176,8 @@ def test_branch_product_matches_weighted_oracle(q, j_max, geometry, monkeypatch)
         for form, k01 in earlier.items():
             k12 = later[form]
             got = compose(k01, k12)
-            assert got.block is not None and not builds
+            assert not builds
             want = weighted_product(k12.matrix, w, k01.matrix)
-            assert np.array_equal(compose(dense(k01), dense(k12)).matrix, want)
             assert got.matrix.dtype == want.dtype == complex
             assert np.max(np.abs(got.matrix - want)) <= 1e-14 * np.max(np.abs(want)), form
             assert plus_zeros(got.matrix[:half, half:]) and plus_zeros(got.matrix[half:, :half])
@@ -186,42 +185,18 @@ def test_branch_product_matches_weighted_oracle(q, j_max, geometry, monkeypatch)
             builds.clear()
 
 
-def check_dense_compose(basis, a, b):
-    # kernels given as full matrices compose by the plain weighted product
-    got = compose(PropagatorKernel(basis, "K1", 0.0, 0.5, b),
-                  PropagatorKernel(basis, "K1", 0.5, 1.0, a)).matrix
-    want = weighted_product(a, basis.weights, b)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    return got
-
-
-def test_dense_compose_with_partial_operands(basis):
-    # dense operands, real and complex, a cross-branch-only operand, an all-zero one and
-    # a free kernel with one changed negative-branch entry compose to the oracle; a
-    # kernel given neither a full matrix nor a half-line block is refused
+def test_kernel_refuses_any_array_but_its_block(basis):
+    # a kernel is its half x half float64 or complex128 positive-branch block: an N x N
+    # matrix, any other shape or type, or no array at all is refused by name
     half, n = basis.size // 2, basis.size
-    rng = np.random.default_rng(11)
-    green = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    check_dense_compose(basis, green, green)
-    real = rng.normal(size=(n, n))
-    check_dense_compose(basis, real, green)
-    check_dense_compose(basis, green, real)
-    cross = np.zeros_like(green)
-    cross[:half, half:] = green[:half, half:]
-    kern = free_propagator(basis, "K1", 0.0, 0.6).matrix
-    changed = kern.copy()
-    changed[half - 4, half - 9] += 0.5
-    for a, b in ((cross, kern), (kern, cross), (cross, cross), (real, cross),
-                 (changed, kern), (kern, changed)):
-        check_dense_compose(basis, a, b)
-    zero = make_retarded(free_propagator(basis, "K1", 0.6, 0.0)).matrix
-    assert not zero.any()
-    for a, b in ((zero, kern), (kern, zero), (real, zero)):
-        assert not check_dense_compose(basis, a, b).any()
-    for stored in (None, green[:-1], green[:half, :half + 1], green[:half + 1, :half + 1]):
-        with pytest.raises(ValueError, match="stores its"):
-            PropagatorKernel(basis, "K1", 0.0, 0.5, stored)
+    green = np.ones((n, n), complex)
+    for block in (green, None, green[:-1], green[:half, :half + 1], green[:half + 1, :half + 1],
+                  green[:half, :half].astype(np.complex64), np.ones((half, half), int),
+                  np.ones((half, half), bool), green[:half, :half].tolist()):
+        with pytest.raises(ValueError, match=f"^block must be the {half} x {half} "):
+            PropagatorKernel(basis, "K1", 0.0, 0.5, block)
+    for block in (np.ones((half, half)), green[:half, :half]):
+        assert PropagatorKernel(basis, "K1", 0.0, 0.5, block).matrix.shape == (n, n)
 
 
 def test_spectral_kernel_with_zero_imaginary_part_stays_complex(basis, basis_g2):
@@ -397,7 +372,7 @@ def test_residual_matches_dense_oracle(q, j_max, geometry):
     # terms it cancels, and within 1e-15 of that size of the dense value (5e-17
     # measured), since two correct evaluations round differently; on a dense random
     # matrix in place of K, each kernel's flags and times intact, nothing cancels, and
-    # the blockwise norm matches the dense one to 1e-14 (1e-15 measured)
+    # the four-block norm matches the dense one to 1e-14 (1e-15 measured)
     b = free_basis(q, j_max, geometry)
     variant = "K1" if geometry == 1 else "K2"
     rng = np.random.default_rng(25)
@@ -407,33 +382,32 @@ def test_residual_matches_dense_oracle(q, j_max, geometry):
         scale = np.linalg.norm(dense_kernel(b, b.energies) @ (b.weights[:, None] * k.matrix))
         assert abs(schrodinger_residual(k) - want) <= 1e-15 * scale
         assert want <= 1e-14 * scale
-        probe = replace(k, stored=dense)
-        want = np.linalg.norm(full_residual_matrix(probe))
-        assert abs(schrodinger_residual(probe) - want) <= 1e-14 * want
+        want = np.linalg.norm(full_residual_matrix(k, dense))
+        assert abs(four_block_residual(k, dense) - want) <= 1e-14 * want
 
 
 @KERNEL_SIZES
 @GEOMETRIES
 def test_residual_sees_one_corrupted_negative_branch_entry(q, j_max, geometry):
-    # a 1e-6 relative error in one seeded entry of the negative-branch block raises
-    # the residual by orders of magnitude (9e4 to 2e8 measured): that block is
-    # multiplied, not mirrored
+    # a 1e-6 relative error in one seeded entry of the stored block, and so in its
+    # mirror image on the negative branch, raises the residual by orders of magnitude
+    # (1e5 to 3e7 measured)
     b = free_basis(q, j_max, geometry)
     k = make_retarded(free_propagator(b, "K1" if geometry == 1 else "K2", 0.0, 0.7))
     clean = schrodinger_residual(k)
     i, j = np.random.default_rng(j_max + geometry).integers(b.size // 2, size=2)
-    mat = k.matrix.copy()
-    mat[i, j] *= 1.0 + 1e-6
-    assert schrodinger_residual(replace(k, stored=mat)) > 1e4 * clean
+    block = k.block.copy()
+    block[i, j] *= 1.0 + 1e-6
+    assert schrodinger_residual(replace(k, block=block)) > 1e4 * clean
 
 
 @BLOCK_SIZES
 @GEOMETRIES
 def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max, geometry):
-    # a block kernel (retarded, advanced and conjugated, gates open and closed, plain
-    # and tilde) takes its positive rows only, counted twice; its value is the dense
-    # four-block loop's on the same kernel given as a full matrix, to the last bit, and
-    # reading its matrix leaves the kernel as it was
+    # a kernel (retarded, advanced and conjugated, gates open and closed, plain and
+    # tilde) takes its positive rows only, counted twice; its value is the dense
+    # four-block loop's on its matrix, to the last bit, and reading its matrix leaves
+    # the kernel as it was
     b = free_basis(q, j_max, geometry)
     variant = "K1" if geometry == 1 else "K2"
     for t0, t1 in ((0.0, 0.7), (0.7, 0.0)):
@@ -441,22 +415,20 @@ def test_residual_of_an_even_kernel_is_the_four_block_loop_bit_for_bit(q, j_max,
             if form[0] == "bare":
                 continue
             fast = schrodinger_residual(k)
-            full = schrodinger_residual(dense(k))
-            assert k.block is not None and dense(k).block is None
-            assert fast.hex() == full.hex() == schrodinger_residual(k).hex(), form
+            again = schrodinger_residual(k)
+            assert fast.hex() == four_block_residual(k).hex() == again.hex(), form
 
 
 @pytest.mark.parametrize("q, j_max", [(Q, 12), (0.99, 100), (0.99, 200)],
                          ids=["n50", "n402", "n802"])
 def test_residual_is_the_signed_h0_form_bit_for_bit(q, j_max):
     # H0 from the nonnegative energies with the sign s on d_t K gives the norm of the old
-    # s H0 W K + i d_t K to the last bit, for bare, retarded and advanced kernels, plain
-    # and tilde, gates open and closed, as blocks and as full matrices
+    # s H0 W K + i d_t K, summed over the four blocks of the matrix, to the last bit, for
+    # bare, retarded and advanced kernels, plain and tilde, gates open and closed
     b = free_basis(q, j_max, 1)
     for k in causal_kernels(b, "K1"):
-        for form in (k, dense(k)):
-            assert schrodinger_residual(form).hex() == signed_h0_residual(form).hex(), (
-                k.causality, k.tilde, k.t_target)
+        assert schrodinger_residual(k).hex() == four_block_residual(k, signed_h0=True).hex(), (
+            k.causality, k.tilde, k.t_target)
 
 
 def test_residual_traced_peak_stays_near_two_kernels():
@@ -490,7 +462,8 @@ def test_kernel_and_compose_traced_peaks(monkeypatch):
     peak = traced_peak(lambda: compose(k01, k12))
     assert peak <= 0.53 * unit, peak / unit
     builds = matrix_builds(monkeypatch)
-    assert compose(k01, k12).block is not None and not builds
+    compose(k01, k12)
+    assert not builds
 
 
 def holed_basis(b):
@@ -568,7 +541,7 @@ def test_equal_time_kernel_composes_reflects_and_conjugates_as_a_real_block(q, j
                      (coincident, coincident)):
         got = compose(k01, k12)
         want = weighted_product(k12.matrix, b.weights, k01.matrix)
-        assert got.block is not None and got.matrix.dtype == want.dtype
+        assert got.matrix.dtype == want.dtype
         assert np.max(np.abs(got.matrix - want)) <= 1e-14 * np.max(np.abs(want))
     assert compose(coincident, coincident).block.dtype == np.float64
     advanced = make_advanced(coincident)
@@ -612,6 +585,28 @@ def test_composition(variant, basis, basis_g2):
         got = compose(k01, k12)
         assert np.max(np.abs(got.matrix - direct.matrix)) < 1e-12
         assert got.t_source == t0 and got.t_target == t2
+
+
+@BLOCK_SIZES
+@GEOMETRIES
+def test_per_time_phase_is_the_lag_phase_to_phase_rounding(q, j_max, geometry):
+    # the kernel's phase is formed per time, exp(s i E t_target) conj(exp(s i E t_source)):
+    # from t_source = 0 it is the lag phase exp(s i E dt) bit for bit, and otherwise within
+    # 4 phase units E max(|t_source|, |t_target|) 2**-52 of it, relative to max|K| (0.8
+    # measured), also where |t| is far above |dt|
+    b = free_basis(q, j_max, geometry)
+    variant, e_max = "K1" if geometry == 1 else "K2", float(np.max(b.energies))
+    for t_s, t_t in ((0.0, 0.7), (0.0, -2.5), (-0.8, 0.3), (3.0, 3.01), (-40.0, -39.5),
+                     (100.0, -100.0), (0.2, 1e3)):
+        for tilde in (False, True):
+            s = 1.0 if tilde else -1.0
+            got = free_propagator(b, variant, t_s, t_t, tilde=tilde).block
+            want = spectral_block(b, np.exp(s * 1j * b.energies * (t_t - t_s)))
+            if t_s == 0.0:
+                assert np.array_equal(got, want)
+            unit = e_max * max(abs(t_s), abs(t_t)) * 2.0 ** -52
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 4.0 * unit, (t_s, t_t, tilde, err / unit)
 
 
 def test_composition_checks(basis):
@@ -716,7 +711,7 @@ def test_block_kernel_stays_a_block_under_replace_and_repr(basis, monkeypatch):
     k = free_propagator(basis, "K1", 0.0, 0.6)
     for other in (replace(k, tilde=True), replace(k, t_target=0.7), make_retarded(k)):
         assert other.block is k.block
-    assert "stored" not in repr(k) and not builds
+    assert "block=" not in repr(k) and not builds
     with pytest.raises(ValueError, match="read-only"):
         k.block[0, 0] = 0.0
     first, second = k.matrix, k.matrix
@@ -736,23 +731,6 @@ def test_causal_gate_gives_bare_values_or_exact_zeros(basis):
         assert gated.shape == bare.matrix.shape and gated.dtype == bare.matrix.dtype
         # +0.0 everywhere: no -0.0 left from multiplying by theta = 0
         assert not gated.any() and not np.signbit(gated.view(float)).any()
-
-
-def test_cross_branch_entry_is_not_skipped(basis):
-    # a kernel that is not block-diagonal must not be treated as one: a stray
-    # cross-branch entry shows in the residual and is carried through compose
-    half = basis.size // 2
-    k = make_retarded(free_propagator(basis, "K1", 0.0, 0.7))
-    assert schrodinger_residual(k) < 1e-10
-    mat = k.matrix.copy()
-    mat[half - 3, half + 5] = 1e-6
-    stray = replace(k, stored=mat)
-    assert schrodinger_residual(stray) > 1e-10
-    later = free_propagator(basis, "K1", 0.7, 1.2)
-    got = compose(stray, later).matrix
-    want = weighted_product(later.matrix, basis.weights, mat)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert got[:half, half + 5].any()
 
 
 def test_compose_and_residual_leave_inputs_unchanged(basis):
@@ -777,8 +755,10 @@ def test_source_term_jump(basis):
     # at coincident times the retarded kernel jumps by the delta kernel,
     # so i times the jump is the source term
     k = make_retarded(free_propagator(basis, "K1prime", 0.4, 0.4))
-    jump = 1j * k.matrix
+    jump = 1j * k.block  # source_term, like a kernel, is its positive-branch block
     assert np.max(np.abs(jump - source_term(k))) < 1e-10
+    assert np.array_equal(basis_mod.mirror_block(source_term(k)),
+                          1j * np.diag(1.0 / basis.weights))
 
 
 def test_conjugation_partners(basis, basis_g2):
@@ -809,3 +789,54 @@ def test_crossing_transported_kernel(basis, basis_g2):
     k1 = free_propagator(basis, "K1prime", 0.0, 0.5)
     k2 = free_propagator(basis_g2, "K2", 0.0, 0.5)
     assert np.max(np.abs(k1.matrix - k2.matrix)) < 1e-10
+
+
+# the propagator surface's contract: every call returns finite arrays (or a finite
+# norm) or raises a ValueError that names the argument or the condition it refuses
+REFUSAL = re.compile(r"^(t_source|t_target|block|variant|unknown variant|residual undefined on "
+                     r"the source slice|intermediate times)")
+TIMES = st.floats(-10.0, 10.0) | st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, np.nan, np.inf, -np.inf])
+BLOCK_SHAPES = [(25, 25), (50, 50), (25, 26), (24, 25), (25,), (), (1, 25, 25)]
+BLOCK_TYPES = [np.float64, np.complex128, np.complex64, np.float32, np.int64, bool, object, str]
+
+
+def refused_or(call):
+    # call's value, or None if it raised a ValueError naming what it refuses
+    try:
+        return call()
+    except ValueError as exc:
+        assert REFUSAL.match(str(exc)), str(exc)
+        return None
+
+
+def assert_finite_kernel(k):
+    assert k.block.shape == (25, 25) and np.isfinite(k.block).all()
+    assert np.isfinite(k.matrix).all() and np.isfinite(source_term(k)).all()
+    residual = refused_or(lambda: schrodinger_residual(k))
+    assert residual is None or math.isfinite(residual)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t0=TIMES, t1=TIMES, t2=TIMES, tilde=st.booleans(),
+       variant=st.sampled_from(sorted(VARIANTS) + ["K9"]),
+       shape=st.sampled_from(BLOCK_SHAPES), dtype=st.sampled_from(BLOCK_TYPES))
+def test_kernel_surface_returns_finite_arrays_or_refuses_by_name(
+        basis, t0, t1, t2, tilde, variant, shape, dtype):
+    # finite, huge, tiny, signed-zero and non-finite times, kernels of either geometry
+    # or none, and blocks of every shape and type on the N = 50 basis
+    assert np.isfinite(delta_kernel(basis)).all()
+    k01 = refused_or(lambda: free_propagator(basis, variant, t0, t1, tilde=tilde))
+    k12 = refused_or(lambda: free_propagator(basis, variant, t1, t2, tilde=tilde))
+    for k in (k01, k12):
+        if k is not None:
+            for form in (k, make_retarded(k), make_advanced(k), conjugate_kernel(k)):
+                assert_finite_kernel(form)
+    if k01 is not None and k12 is not None:
+        assert_finite_kernel(compose(k01, k12))
+    block = np.ones(shape, dtype)
+    given_block = refused_or(lambda: PropagatorKernel(basis, variant, t0, t1, block, tilde))
+    if given_block is not None:
+        assert_finite_kernel(given_block)
+        if k12 is not None:
+            assert_finite_kernel(compose(given_block, k12))

@@ -8,12 +8,10 @@ from scipy.linalg import expm
 from braidline import (
     Hamiltonian,
     Potential,
-    PropagatorKernel,
     born_radius,
     born_wavefunction,
     braided_line,
     build_hamiltonian_basis,
-    compose,
     conjugate_smatrix,
     free_propagator,
     gaussian_potential,
@@ -26,7 +24,7 @@ from braidline import (
 from braidline import scattering
 from braidline.basis import CoefficientVector
 from braidline.checks import cross_formalism_potential
-from oracles import dense_smatrix
+from oracles import dense_smatrix, weighted_product
 from braidline.propagator import conjugation_partner
 from braidline.scattering import S_FAMILIES, transition_probability_table
 
@@ -328,17 +326,16 @@ def test_full_green_matches_expm(basis, weak_v, hermitian, dt):
 
 def test_full_green_composition(basis, weak_v):
     # the interacting kernel on the lattice composes under the weighted product
-    # like the free one, though it couples the two branches
-    u = basis.vectors
+    # like the free one, though it couples the two branches (so it is no
+    # ``PropagatorKernel``, which stores one positive-branch block)
+    u, w = basis.vectors, basis.weights
 
-    def kernel(t0, t1):
-        g = u @ full_green(weak_v, basis, t1 - t0) @ u.T
-        return PropagatorKernel(basis, "K1prime", t0, t1, g)
+    def kernel(dt):
+        return u @ full_green(weak_v, basis, dt) @ u.T
 
-    got = compose(kernel(0.0, 0.4), kernel(0.4, 0.9))
-    direct = kernel(0.0, 0.9).matrix
+    direct = kernel(0.9)
     assert direct[:basis.size // 2, basis.size // 2:].any()
-    assert np.max(np.abs(got.matrix - direct)) < 1e-10
+    assert np.max(np.abs(weighted_product(kernel(0.5), w, kernel(0.4)) - direct)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
