@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .basis import _finite
 from .qcalc import G1
 from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _both_parities
 
@@ -140,6 +141,8 @@ def ode_evolution(
     (diagnostics ``parity_sectors``; the others are then the half's)."""
     if not TOL_FLOOR <= tol < np.inf:
         raise ValueError(f"tol must be positive, finite and >= TOL_FLOOR ({TOL_FLOOR!r}): {tol!r}")
+    _finite("t_from", t_from)
+    _finite("t_to", t_to)
     if h.sector is not None:
         half, s = h.sector
         u, diag = _integrate(half, t_from, t_to, tol)

@@ -129,12 +129,8 @@ class Hamiltonian:
 
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``.  A ``sector``
-        Hamiltonian decomposes its half and places W and W^-1 on both parities."""
-        if self.sector is not None:
-            half, s = self.sector
-            lam, w, w_inv, kappa = half.eigen
-            return np.repeat(lam, 2), _both_parities(w, s), _both_parities(w_inv, s), kappa
+        """(lam, W, W^-1, kappa(W)) of H = W diag(lam) W^-1; see ``_eigen``.  The solves
+        that split a ``sector`` decompose its half instead."""
         return _eigen(self.matrix, self.hermitian)
 
     def at(self, t: float) -> np.ndarray:
@@ -214,10 +210,11 @@ def lippmann_schwinger_solve(
         if diagnostics is not None:
             diagnostics["parity_sectors"] = True
         return t
-    z, r0 = energy + 1j * eps, free_resolvent(basis, energy, eps)  # R0[p, k] at z[k]
+    z = energy + 1j * eps
     lam, w, w_inv, kappa = h.eigen
     # an overflowing or infinite bound is refused below, not warned about
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0 = free_resolvent(basis, energy, eps)  # R0[p, k] at z[k]
         g = 1.0 / (z[None, :] - lam[:, None])  # g[lam, k]
         v_norm = np.linalg.norm(vm)
         bound = ((1.0 + v_norm * np.max(np.abs(r0), axis=0))
@@ -264,8 +261,11 @@ def born_radius(v: Potential | Hamiltonian, basis: WaveBasis, energy: float, eps
     h = v.on(basis)
     if h.sector is not None:  # each parity has the spectrum of its half
         return born_radius(h.sector[0], h.sector[0].basis, energy, eps)
-    r0 = free_resolvent(basis, _finite("energy", energy), eps)
-    return float(np.max(np.abs(np.linalg.eigvals(h.v * r0[None, :]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an eps so small that R0 overflows
+        op = h.v * free_resolvent(basis, _finite("energy", energy), eps)[None, :]
+    if not np.isfinite(op).all():
+        raise np.linalg.LinAlgError(f"Born iteration operator V R0 overflows at eps={eps!r}")
+    return float(np.max(np.abs(np.linalg.eigvals(op))))
 
 
 def _eigen(h: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -300,32 +300,32 @@ def born_wavefunction(
     Each incoming mode q contributes the iteration (R0(E_q) V)^n with the
     uniform denominators 1/(E_q - E_p + i eps) of the closed-form time
     integrals, so order 0 is the incoming state and the series is linear in
-    ``phi``.
+    ``phi``.  It costs ``order`` products with V per incoming mode, nothing cubic, so a
+    ``Hamiltonian.sector`` is not split here.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"order must be an integer >= 0: {order!r}")
     basis = phi.basis
     h = v.on(basis)
     if h.epsilon <= 0 and order > 0:
         raise ValueError("adiabatic epsilon must be positive for the Born series")
-    if h.sector is not None:  # each parity's series on the half, its part placed back
-        half, s = h.sector
-        out = np.empty(basis.size, dtype=complex)
-        for sl, sign in ((slice(0, None, 2), 1.0), (slice(1, None, 2), s)):
-            part = CoefficientVector(half.basis, sign * phi.values[sl])
-            out[sl] = sign * born_wavefunction(part, half, order).values
-        return CoefficientVector(basis, out)
     vm = h.v
     modes = np.nonzero(np.abs(phi.values) > 0)[0]
     c = np.zeros((modes.size, basis.size), dtype=complex)  # row k: the series of modes[k]
     c[np.arange(modes.size), modes] = phi.values[modes]
-    for row, jq in zip(c, modes):
-        m = free_resolvent(basis, basis.energies[jq], h.epsilon)[:, None] * vm
-        term = row
-        for _ in range(order):
-            term = m @ term
-            row += term
-    return CoefficientVector(basis, c.sum(axis=0))
+    # a series that overflows (rho(V R0) >> 1, or an eps so small that R0 does) is refused
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for row, jq in zip(c, modes):
+            m = free_resolvent(basis, basis.energies[jq], h.epsilon)[:, None] * vm
+            term = row
+            for _ in range(order):
+                term = m @ term
+                row += term
+        out = c.sum(axis=0)
+    if not np.isfinite(out).all():
+        raise np.linalg.LinAlgError(f"Born series of order {order} overflows at "
+                                    f"epsilon={h.epsilon!r}")
+    return CoefficientVector(basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +367,15 @@ def smatrix_momentum(
     from the advanced T for -1, as U(T, -T) and its inverse in the interaction
     picture.  A tilde partner solves the conjugated equations on its own:
     H0 + conj(V), decomposed afresh with the Hermitian flag of V, sigma
-    flipped and the transposed placement.  A ``Hamiltonian.sector`` is solved on
-    its half and placed on both parities (diagnostics ``parity_sectors``).
+    flipped and the transposed placement.  T is one ``lippmann_schwinger_solve`` at the
+    on-shell energies, so a ``Hamiltonian.sector``, or its tilde partner's, is solved
+    there on its half (diagnostics ``parity_sectors``).
     """
     if family not in S_FAMILIES:
         raise ValueError(f"unknown S-matrix family {family!r}")
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: {eps!r}")
     e, h = basis.energies, v.on(basis)
-    if h.sector is not None:
-        half, s = h.sector
-        out = smatrix_momentum(half, half.basis, family, eps, tilde)
-        out.matrix = _both_parities(out.matrix, s)
-        out.diagnostics["parity_sectors"] = True
-        return out
     sigma = -S_FAMILIES[family][1] if tilde else S_FAMILIES[family][1]
     diagnostics: dict = {}
     t_mat = lippmann_schwinger_solve(replace(h, v=np.conj(h.v)) if tilde else h, basis, e,

@@ -495,30 +495,35 @@ def test_cmd_verify_all_pass_and_deterministic(tmp_path, capsys):
 
 def test_one_decomposition_per_hamiltonian(tmp_path, monkeypatch):
     # H0 + V is decomposed once per (basis, V): a whole scatter sweep and the
-    # configured H that verify shares between its checks read one decomposition each
-    calls = []
+    # configured H that verify shares between its checks read one decomposition each.
+    # The sizes pin the split: a mirror-even V is decomposed on its half, at N=50 and
+    # N=102, and only the mirror-broken cross_formalism scene at full size
+    sizes = []
     real = scattering._eigen
-    monkeypatch.setattr(scattering, "_eigen", lambda *args: calls.append(1) or real(*args))
-    for k, override in enumerate([{}, {"lattice": {"j_min": -25, "j_max": 25}}]):
+    monkeypatch.setattr(scattering, "_eigen",
+                        lambda m, hermitian: sizes.append(len(m)) or real(m, hermitian))
+    for k, (override, half) in enumerate([({}, 25),
+                                          ({"lattice": {"j_min": -25, "j_max": 25}}, 51)]):
         cfgp = tmp_path / f"cfg{k}.json"
         cfgp.write_text(json.dumps(override))
-        calls.clear()
+        sizes.clear()
         assert run(["scatter", "--config", str(cfgp), "--out", str(tmp_path / f"s{k}")]) == 0
-        assert len(calls) == 1, override
-    calls.clear()
+        assert sizes == [half], override
+    sizes.clear()
     assert run(["verify", "--out", str(tmp_path / "v")]) == 0
-    assert len(calls) == 5
+    assert sorted(sizes) == [25, 25, 25, 25, 50]
     cfg = load_config(None)
     scene = Scene(cfg)
-    counts = {}
+    per_check = {}
     for name in sorted(CHECKS):
-        calls.clear()
+        sizes.clear()
         checks.run_check(name, scene)
-        counts[name] = len(calls)
+        per_check[name] = list(sizes)
     # conjugation decomposes the shared H and its tilde partner's H0 + conj(V),
     # so unitarity_trend, run after it, reads the shared decomposition
-    assert {name: n for name, n in counts.items() if n} == {
-        "cross_formalism": 1, "conjugation": 2, "born": 1, "unitarity_negative_control": 1}
+    assert {name: n for name, n in per_check.items() if n} == {
+        "cross_formalism": [50], "conjugation": [25, 25], "born": [25],
+        "unitarity_negative_control": [25]}
 
 
 def test_checks_registry_is_shared():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,16 +11,20 @@ from scipy.integrate import solve_ivp
 
 from braidline import (
     Hamiltonian,
+    born_radius,
+    born_wavefunction,
     braided_line,
     build_hamiltonian_basis,
     crossing_transform,
     gaussian_potential,
+    lippmann_schwinger_solve,
     make_lattice,
     ode_evolution,
     smatrix_from_evolution,
     unitarity_defect,
 )
 from braidline import checks, cli, dyson
+from braidline.basis import CoefficientVector
 from braidline.dyson import TOL_FLOOR, _dyson_blocks
 from braidline.scattering import S_FAMILIES, smatrix_momentum
 from oracles import dense_dyson_blocks
@@ -92,6 +97,20 @@ def test_ode_evolution_refuses_tol_below_floor_up_front(h, tol, monkeypatch):
     monkeypatch.setattr(dyson, "_integrate", never)
     with pytest.raises(ValueError, match="tol .*TOL_FLOOR"):
         ode_evolution(h, -1.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["t_from", "t_to"])
+def test_ode_evolution_refuses_non_finite_times_up_front(h, name, bad, monkeypatch):
+    # a ValueError naming the time, before any step: not "needs nan steps" or a
+    # block exponential bound that is not finite
+    def never(*args):
+        raise AssertionError("integrated a refused time")
+
+    monkeypatch.setattr(dyson, "_integrate", never)
+    times = {"t_from": -1.0, "t_to": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite: {bad!r}$"):
+        ode_evolution(h, times["t_from"], times["t_to"], 1e-8)
 
 
 def test_ode_evolution_accepts_the_floor(h):
@@ -460,3 +479,84 @@ def test_block_exponential_refuses_non_finite_input(basis, h):
     e, w = basis.energies[:4], h.v[:4, :4]
     with pytest.raises(np.linalg.LinAlgError, match="bound"):
         _dyson_blocks(e, w, -1j, SWITCH, np.inf, 2)
+
+
+# the scattering and evolution surface's contract: every call returns finite arrays (or a
+# finite number) or raises a ValueError naming the argument it refuses, or a LinAlgError
+# naming the condition: a condition number or bound, a step count or a tail above tol
+REFUSAL = re.compile(r"^(eps|energy|epsilon|adiabatic epsilon|order|t_from|t_to|tol|window"
+                     r"|horizon|Lippmann-Schwinger system is ill conditioned \(cond"
+                     r"|eigenbasis of H0 \+ V has cond|\|V\|_2 = .* needs .* steps"
+                     r"|Dyson order \d+ leaves|block exponential bound|Born iteration operator"
+                     r"|Born series)")
+SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308,
+           np.nan, np.inf, -np.inf]
+TIMES = st.floats(-10.0, 10.0) | st.sampled_from(SPECIAL)
+RATES = st.floats(1e-3, 10.0) | st.sampled_from(SPECIAL + [1e-12])
+TOLS = st.floats(1e-12, 1.0) | st.sampled_from(SPECIAL + [TOL_FLOOR])
+ORDERS = st.integers(0, 6) | st.sampled_from([-1, 2.5, 2.0, np.nan, np.inf, None])
+
+
+def refused_or(call):
+    # call's value, or None if it raised a refusal the contract names
+    try:
+        return call()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        assert REFUSAL.match(str(exc)), f"{type(exc).__name__}: {exc}"
+        return None
+
+
+@pytest.fixture(scope="module")
+def scenes(basis):
+    # the default Gaussian at centre 0 splits into parity sectors; at centre 0.1 it takes
+    # the general path.  The evolution runs on their lowest 8 modes, four whole pairs, so
+    # the block at centre 0 splits too
+    out = []
+    for center in (0.0, 0.1):
+        h = gaussian_potential(basis.lattice, 0.05, center=center, epsilon=SWITCH).on(basis)
+        block = np.zeros_like(h.v)
+        block[:8, :8] = h.v[:8, :8]
+        assert (h.sector is not None) is (center == 0.0)
+        out.append((h, Hamiltonian(basis, block, epsilon=SWITCH)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(energy=st.floats(0.0, 50.0) | st.integers(0, 49) | st.sampled_from(SPECIAL),
+       eps=RATES, rate=RATES, t0=TIMES, t1=TIMES, tol=TOLS, order=ORDERS,
+       family=st.sampled_from(sorted(S_FAMILIES)))
+def test_scattering_surface_returns_finite_arrays_or_refuses_by_name(
+        basis, scenes, energy, eps, rate, t0, t1, tol, order, family):
+    # finite, huge, tiny, signed-zero and non-finite energies (an integer picks an
+    # on-shell one), rates, times and tolerances, on the sector and the general path
+    if isinstance(energy, int):
+        energy = float(basis.energies[energy])
+    columns = np.where(np.arange(basis.size) == 3, energy, basis.energies)
+    phi = CoefficientVector(basis, np.eye(basis.size)[6])
+
+    def finite(x):
+        return x is None or bool(np.isfinite(x).all())
+
+    for h, block in scenes:
+        for e in (energy, columns):
+            for sign in (1.0, -1.0):
+                assert finite(refused_or(lambda: lippmann_schwinger_solve(h, basis, e,
+                                                                            sign * eps)))
+        assert finite(refused_or(lambda: born_radius(h, basis, energy, eps)))
+        switched = refused_or(lambda: replace(h, epsilon=rate))
+        if switched is not None:
+            series = refused_or(lambda: born_wavefunction(phi, switched, order))
+            assert series is None or finite(series.values)
+        for tilde in (False, True):
+            s = refused_or(lambda: smatrix_momentum(h, basis, family, eps, tilde))
+            assert s is None or finite(s.matrix)
+        switched = refused_or(lambda: replace(block, epsilon=rate))
+        if switched is None:
+            continue
+        horizon = math.log(1e8) / rate if rate > 0 else np.inf
+        for a, b in ((t0, t1), (-horizon, horizon)):
+            u = refused_or(lambda: ode_evolution(switched, a, b, tol))
+            if u is not None:
+                assert finite(u.matrix)
+                s = refused_or(lambda: smatrix_from_evolution(switched, u, family))
+                assert s is None or finite(s.matrix)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,8 @@ NON_FINITE_ENTRIES = [
         CoefficientVector(b, np.full(b.size, x)), v, 2), id="amplitudes"),
     pytest.param("values", lambda b, v, x: CoefficientVector(
         b, np.where(np.arange(b.size) == 3, x, 1.0)), id="one_amplitude"),
+    pytest.param("t_from", lambda b, v, x: ode_evolution(v.on(b), x, 1.0, 1e-8), id="t_from"),
+    pytest.param("t_to", lambda b, v, x: ode_evolution(v.on(b), -1.0, x, 1e-8), id="t_to"),
 ]
 
 
@@ -196,6 +199,16 @@ def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, call, bad):
     # a ValueError naming the argument, not NaN values, T = V or numpy's own message
     with pytest.raises(ValueError, match=f"^{name} must be .*finite: {bad!r}$"):
         call(basis, weak_v, bad)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, -1, np.float64(1.0), "2", None])
+def test_born_wavefunction_refuses_a_bad_order_by_name(basis, weak_v, order):
+    # an order that is not a nonnegative integer: a ValueError naming it, not range's
+    # TypeError
+    phi = CoefficientVector(basis, np.eye(basis.size)[6])
+    named = re.escape(repr(order))
+    with pytest.raises(ValueError, match=f"^order must be an integer >= 0: {named}$"):
+        born_wavefunction(phi, weak_v, order)
 
 
 def test_overflowing_lag_is_refused_by_name(basis):
