@@ -157,9 +157,12 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
     w = lattice.weights
     if np.any(w <= 0):
         raise ValueError("degenerate weight matrix")
-    d, e = half_line_hamiltonian(lattice, mass, ctx)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("free Hamiltonian has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, e = half_line_hamiltonian(lattice, mass, ctx)
+    if not (np.isfinite(d).all() and np.isfinite(e).all() and d.min() >= np.finfo(float).tiny):
+        raise ValueError(f"free Hamiltonian has non-finite or subnormal entries: x0={lattice.x0!r}"
+                         f", base={lattice.base!r} and mass={mass!r} put 1/(2m((1-q)x)^2) "
+                         "outside the normal floats")
     args = (d, np.append(e, 0.0), 0, 0.0, 1.0, 1, 1)  # all eigenpairs; stemr's e has n entries
     lwork, liwork, info = _FLAPACK.dstemr_lwork(*args)
     if info == 0:
@@ -172,7 +175,9 @@ def build_hamiltonian_basis(lattice: QLattice, mass: float, ctx: QContext) -> Wa
 
     # each mode's sign follows its overlap with the profile of its parity
     x = lattice.points
-    for u, ref in zip((u_even, u_odd), (np.exp(-x * x), x * np.exp(-x * x))):
+    with np.errstate(over="ignore"):  # exp(-inf) is 0 for |x| beyond 1e154
+        profile = np.exp(-x * x)
+    for u, ref in zip((u_even, u_odd), (profile, x * profile)):
         s = (w * ref) @ u
         zero = s == 0.0
         s[zero] = u[np.argmax(np.abs(u[:, zero]), axis=0), zero]
@@ -196,8 +201,9 @@ def build_qexp_basis(lattice: QLattice, ctx: QContext, momentum_grid: np.ndarray
     the rejected momenta and the mode count.  A family with no momentum left, or
     with a numerically singular Gram matrix, is refused.
     """
-    momentum_grid = np.asarray(momentum_grid, dtype=float)
-    series = q_exponential(1j * np.outer(lattice.points, momentum_grid), ctx.q, n_trunc)
+    momentum_grid = _finite("momentum_grid", np.asarray(momentum_grid, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing p x is rejected below
+        series = q_exponential(1j * np.outer(lattice.points, momentum_grid), ctx.q, n_trunc)
     ok = series.converged.all(axis=0)  # one diverging point rejects the momentum
     if not ok.any():
         raise ValueError("all requested momenta rejected by the convergence diagnostic")
@@ -205,10 +211,11 @@ def build_qexp_basis(lattice: QLattice, ctx: QContext, momentum_grid: np.ndarray
     # Fortran-ordered copy, which moves gram_defect in the last bit
     v = np.compress(ok, series.value, axis=1)
     w = lattice.weights
-    norms = np.sqrt(np.real(np.sum(w[:, None] * np.abs(v) ** 2, axis=0)))
-    v = v / norms[None, :]
-    gram = v.conj().T @ (w[:, None] * v)
-    if np.linalg.eigvalsh(gram).min() <= 1e-12:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms = np.sqrt(np.real(np.sum(w[:, None] * np.abs(v) ** 2, axis=0)))
+        v = v / norms[None, :]
+        gram = v.conj().T @ (w[:, None] * v)
+    if not (np.isfinite(gram).all() and np.linalg.eigvalsh(gram).min() > 1e-12):
         raise ValueError("q-exponential family is numerically degenerate")
     return {"gram_defect": float(np.linalg.norm(gram - np.eye(gram.shape[0]))),
             "rejected_momenta": momentum_grid[~ok].tolist(), "n_modes": v.shape[1]}

@@ -27,7 +27,7 @@ import orjson
 from . import __version__
 from .basis import (WaveBasis, build_hamiltonian_basis, build_qexp_basis,
                     half_line_hamiltonian)
-from .checks import CHECKS, boundary_defect, run_check
+from .checks import CHECKS, boundary_defect, delta_defect, run_check
 from .dyson import TOL_FLOOR, ode_evolution, smatrix_from_evolution
 from .propagator import VARIANTS, free_propagator, make_retarded, schrodinger_residual
 from .qcalc import braided_line, crossing_transform, make_lattice
@@ -160,12 +160,16 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(field, f"{field} {rule}")
     # the size rule keeps this lattice small
     q = cfg["ctx"]["q"]
-    with np.errstate(all="ignore"):
+    try:  # make_lattice refuses an outermost point beyond the floats
         lattice = make_lattice(q, **lat)
-        diag = half_line_hamiltonian(lattice, cfg["mass"], braided_line(q))[0]
-    vals = np.abs(np.concatenate([lattice.points, lattice.weights]))
-    if not (np.all(np.isfinite(vals) & (vals >= np.finfo(float).tiny))
-            and np.all((diag >= 1 / H0_RANGE) & (diag <= H0_RANGE))):
+        with np.errstate(all="ignore"):
+            diag = half_line_hamiltonian(lattice, cfg["mass"], braided_line(q))[0]
+        vals = np.abs(np.concatenate([lattice.points, lattice.weights]))
+        ok = (np.all(np.isfinite(vals) & (vals >= np.finfo(float).tiny))
+              and np.all((diag >= 1 / H0_RANGE) & (diag <= H0_RANGE)))
+    except ValueError:
+        ok = False
+    if not ok:
         raise ConfigError("lattice.x0", f"lattice.x0: q={q}, x0={lat['x0']}, j_min={lat['j_min']}, "
                           f"j_max={lat['j_max']} and mass={cfg['mass']} put a point or weight outside the"
                           f" normal floats, or H0 ~ 1/(2m((1-q)x)^2) outside [{1 / H0_RANGE:g}, {H0_RANGE:g}]")
@@ -317,15 +321,10 @@ def cmd_basis(scene: Scene, out: str, qexp: bool) -> int:
     _write_table(os.path.join(out, "spectrum.csv"), ["mode", "energy", "momentum", "parity"],
                  np.column_stack([basis.energies, basis.momenta, basis.parity]),
                  "{},%s,%s,%s\r\n".format)
-    gram_defect = float(np.max(np.abs(basis.gram() - np.eye(basis.size))))
-    # on the positive-branch block, which the negative branch mirrors
-    half = basis.size // 2
-    comp_defect = float(np.max(np.abs(
-        basis.delta_block * basis.weights[None, half:] - np.eye(half))))
     report = {
         "modes": basis.size,
-        "gram_defect": gram_defect,
-        "completeness_defect": comp_defect,
+        "gram_defect": float(np.max(np.abs(basis.gram() - np.eye(basis.size)))),
+        "completeness_defect": delta_defect(basis, basis.delta_block),
     }
     if qexp:
         grid = np.linspace(0.3, 2.0, 8)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .basis import _finite
 from .qcalc import G1
-from .scattering import Hamiltonian, SMatrix, S_FAMILIES, _both_parities
+from .scattering import (Hamiltonian, SMatrix, S_FAMILIES, _both_parities, identity_defect,
+                         square_matrix)
 
 # the benchmark's tracer counts V_I(t) evaluations as InteractionPotential.at
 InteractionPotential = Hamiltonian
@@ -32,9 +33,11 @@ class EvolutionOperator:
     # order (K), steps, tail and coupled_modes, see _integrate, and parity_sectors
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.matrix = square_matrix("matrix", self.matrix)
+
     def unitarity_drift(self) -> float:
-        u = self.matrix
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+        return identity_defect("U+ U", self.matrix.conj().T, self.matrix)
 
 
 # the most sub-steps one evolution takes: a default-scene strength up to ~80
@@ -166,5 +169,9 @@ def smatrix_from_evolution(h: Hamiltonian, u: EvolutionOperator, family: str) ->
     # T = ln(1e8) / eps itself can round to exp(-eps*T) a few ulps above 1e-8
     if np.exp(-h.epsilon * u.t_to) > 1e-8 * (1 + 1e-12):
         raise ValueError("horizon too short for the requested eps: need exp(-eps*T) <= 1e-8")
-    mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
+    try:
+        mat = u.matrix if S_FAMILIES[family][1] > 0 else np.linalg.inv(u.matrix)
+    except np.linalg.LinAlgError:  # numpy's "Singular matrix"
+        raise np.linalg.LinAlgError(
+            "U(T, -T) is singular: no U^-1 for the reversed window") from None
     return SMatrix(matrix=mat, family=family, tilde=False, diagnostics=dict(u.diagnostics))

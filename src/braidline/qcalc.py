@@ -13,6 +13,7 @@ through the free Hamiltonian (``basis.half_line_hamiltonian``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,29 +96,53 @@ class QLattice:
         return 2 * (self.j_max - self.j_min + 1)
 
 
+def _integer(name: str, n, low: int | None = None) -> None:
+    """Refuse (ValueError naming ``name``) an ``n`` that is a bool, not an integer or below
+    ``low``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or (low is not None
+                                                                       and n < low):
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}: "
+                         f"{n!r}")
+
+
 def make_lattice(q: float, x0: float = 1.0, j_min: int = -12, j_max: int = 12) -> QLattice:
     """Build the truncated lattice for deformation parameter q.
 
     A crossed context with q > 1 gives its 1/q partner's point set only up to
     rounding: the base is normalised to 1/q, and 1/(1/0.9) = 0.8999999999999999.
+    A lattice whose outermost point x0 * base**j_min overflows is refused.
     """
     if not 0 < x0 < np.inf:
         raise ValueError(f"x0 must be positive and finite: {x0!r}")
+    _integer("j_min", j_min)
+    _integer("j_max", j_max)
     if j_min > j_max:
         raise ValueError("j_min must not exceed j_max")
     base = q if q < 1.0 else 1.0 / q
     if not 0.0 < base < 1.0:
         raise ValueError(f"invalid deformation parameter {q}")
+    try:  # in Python floats an overflowing power raises and a product gives inf
+        outer = float(x0) * float(base) ** float(j_min)
+    except OverflowError:
+        outer = math.inf
+    if not math.isfinite(outer):
+        raise ValueError(f"q={q!r}, x0={x0!r} and j_min={j_min!r} put the outermost point "
+                         "x0 * base**j_min beyond the floats")
     return QLattice(x0, j_min, j_max, base)
 
 
 def q_number(n: int, q: float) -> float:
-    """[n]_q = (1 - q**n) / (1 - q)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if q <= 0 or q == 1.0:
-        raise ValueError("q must be positive and != 1")
-    return (1.0 - q ** n) / (1.0 - q)
+    """[n]_q = (1 - q**n) / (1 - q), refused (ValueError) where it overflows."""
+    _integer("n", n, 0)
+    if not 0 < q < np.inf or q == 1.0:
+        raise ValueError(f"q must be finite, positive and != 1: {q!r}")
+    try:  # as above
+        out = (1.0 - float(q) ** int(n)) / (1.0 - float(q))
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"[n]_q overflows at n={n!r}, q={q!r}")
+    return out
 
 
 class QExpResult(NamedTuple):
@@ -135,8 +160,7 @@ def q_exponential(z, q: float, n_trunc: int) -> QExpResult:
     and imaginary parts are divided by [n]_q separately, as Python's complex
     arithmetic does; numpy's complex / real rounds differently in the last bit.
     """
-    if n_trunc < 1:
-        raise ValueError("n_trunc must be >= 1")
+    _integer("n_trunc", n_trunc, 1)
     z = np.asarray(z, dtype=complex)
     total, term = np.ones_like(z), np.ones_like(z)
     dead = np.zeros(z.shape, dtype=bool)

@@ -10,6 +10,7 @@ delta_eps(x) = (eps/pi) / (x**2 + eps**2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .basis import CoefficientVector, WaveBasis, _finite
 from .propagator import conjugation_partner
+from .qcalc import _integer
 
 
 @dataclass(eq=False)
@@ -48,13 +50,17 @@ class Potential:
         block is D V_ee D, D the basis's ``pair_signs``."""
         if self.values.shape != (basis.lattice.size,):
             raise ValueError("potential values must match the lattice")
-        u, wv = basis.vectors, basis.weights * self.strength * self.values
-        hermitian = not np.any(self.values.imag)
-        if basis.paired and np.array_equal(wv, wv[::-1]):
-            half = len(u) // 2
-            vm = _both_parities(half_line_v(u[half:, 0::2], wv[half:]), basis.pair_signs)
-        else:
-            vm = u.T @ (wv[:, None] * u)
+        u, hermitian = basis.vectors, not np.any(self.values.imag)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            wv = basis.weights * self.strength * self.values
+            if basis.paired and np.array_equal(wv, wv[::-1]):
+                half = len(u) // 2
+                vm = _both_parities(half_line_v(u[half:, 0::2], wv[half:]), basis.pair_signs)
+            else:
+                vm = u.T @ (wv[:, None] * u)
+        if not np.isfinite(vm).all():
+            raise np.linalg.LinAlgError(f"V = strength * values overflows in the energy basis "
+                                        f"(strength={self.strength!r})")
         return Hamiltonian(basis, vm, self.epsilon, hermitian)
 
 
@@ -94,6 +100,8 @@ class Hamiltonian:
         if not 0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be nonnegative and finite: {self.epsilon!r}")
         object.__setattr__(self, "v", v)
+        if not (self.hermitian is None or isinstance(self.hermitian, (bool, np.bool_))):
+            raise ValueError(f"hermitian must be None or a bool: {self.hermitian!r}")
         if self.hermitian is None:
             object.__setattr__(self, "hermitian", bool(np.array_equal(v, v.conj().T)))
 
@@ -134,9 +142,17 @@ class Hamiltonian:
         return _eigen(self.matrix, self.hermitian)
 
     def at(self, t: float) -> np.ndarray:
-        """V_I(t)_{pp'} = exp(i (E_p - E_p') t) V_{pp'} exp(-eps |t|)."""
-        phase = np.exp(1j * self.basis.energies * t)
-        return np.outer(phase, phase.conj()) * self.v * np.exp(-self.epsilon * abs(t))
+        """V_I(t)_{pp'} = exp(i (E_p - E_p') t) V_{pp'} exp(-eps |t|); a t that is not finite,
+        or whose phase E t overflows, is refused by name (ValueError)."""
+        e = self.basis.energies
+        if not math.isfinite(float(np.abs(e).max()) * float(_finite("t", t))):
+            raise ValueError(f"t = {t!r} overflows the phase E * t")
+        phase = np.exp(1j * e * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out = np.outer(phase, phase.conj()) * self.v * np.exp(-self.epsilon * abs(t))
+        if not np.isfinite(out).all():
+            raise np.linalg.LinAlgError(f"V_I(t) overflows at t={t!r}")
+        return out
 
 
 def gaussian_width_ok(width: float) -> bool:
@@ -303,8 +319,7 @@ def born_wavefunction(
     ``phi``.  It costs ``order`` products with V per incoming mode, nothing cubic, so a
     ``Hamiltonian.sector`` is not split here.
     """
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"order must be an integer >= 0: {order!r}")
+    _integer("order", order, 0)
     basis = phi.basis
     h = v.on(basis)
     if h.epsilon <= 0 and order > 0:
@@ -357,6 +372,19 @@ class SMatrix:
     tilde: bool = False
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.family not in S_FAMILIES:
+            raise ValueError(f"unknown S-matrix family {self.family!r}")
+        self.matrix = square_matrix("matrix", self.matrix)
+
+
+def square_matrix(name: str, m) -> np.ndarray:
+    """``m`` as a finite square array, else refused (ValueError naming ``name``)."""
+    m = _finite(name, m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, not of shape {m.shape}")
+    return m
+
 
 def smatrix_momentum(
     v: Potential | Hamiltonian, basis: WaveBasis, family: str, eps: float, tilde: bool = False,
@@ -398,6 +426,15 @@ def transition_probability_table(s: SMatrix) -> np.ndarray:
     return np.abs(s.matrix) ** 2
 
 
+def identity_defect(name: str, a: np.ndarray, b: np.ndarray) -> float:
+    """||a b - I||_F, refused (LinAlgError naming the product ``name``) if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = float(np.linalg.norm(a @ b - np.eye(a.shape[0])))
+    if not math.isfinite(d):
+        raise np.linalg.LinAlgError(f"{name} - I overflows")
+    return d
+
+
 def unitarity_defect(s: SMatrix) -> float:
     """max(||S S+ - I||_F, ||S+ S - I||_F).
 
@@ -405,7 +442,5 @@ def unitarity_defect(s: SMatrix) -> float:
     the Jacobian of the shifted measure, leaving the plain adjoint pairing.
     """
     mat = s.matrix
-    ident = np.eye(mat.shape[0])
-    d1 = np.linalg.norm(mat @ mat.conj().T - ident)
-    d2 = np.linalg.norm(mat.conj().T @ mat - ident)
-    return float(max(d1, d2))
+    return max(identity_defect("S S+", mat, mat.conj().T),
+               identity_defect("S+ S", mat.conj().T, mat))

@@ -82,7 +82,8 @@ def test_c01_basis_orthonormal_complete(basis):
 
 
 def test_c02_kernel_composition(scene):
-    registered("composition", scene, "C02 propagator composition (8 variants)")
+    registered("composition", scene,
+               "C02 propagator composition (2 geometries, 20 time triples each)")
 
 
 def test_c03_schrodinger_equation_with_source(scene):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -176,6 +177,22 @@ def test_build_rejects_degenerate_input(lattice, ctx):
     tiny = make_lattice(Q, j_min=0, j_max=0)
     with pytest.raises(ValueError):
         build_hamiltonian_basis(tiny, MASS, ctx)
+
+
+@pytest.mark.parametrize("x0, mass", [(1e300, MASS), (1e-300, MASS), (1.0, 1e-320)],
+                         ids=["x0-huge", "x0-tiny", "mass-subnormal"])
+def test_hamiltonian_beyond_the_normal_floats_is_refused_by_name(ctx, x0, mass):
+    # each warned (overflow in multiply or divide) before the refusal, or built on an H0
+    # that underflowed to 0; now one ValueError naming x0 and mass
+    named = re.escape(f"non-finite or subnormal entries: x0={x0!r}, base={Q!r} and mass={mass!r}")
+    with pytest.raises(ValueError, match=f"^free Hamiltonian has {named}"):
+        build_hamiltonian_basis(make_lattice(Q, x0=x0), mass, ctx)
+
+
+def test_sign_profile_of_a_huge_lattice_is_exact_zero(ctx):
+    # x0 = 1e154: exp(-x**2) is 0 beyond |x| = 1.3e154, where x**2 overflows (once a warning)
+    b = build_hamiltonian_basis(make_lattice(Q, x0=1e154), MASS, ctx)
+    assert b.paired and np.isfinite(b.vectors).all() and np.isfinite(b.energies).all()
 
 
 class StemrSpy:

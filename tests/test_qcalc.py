@@ -126,6 +126,37 @@ def test_lattice_validation():
         make_lattice(Q, j_min=3, j_max=1)
 
 
+# calls that returned a wrong value, warned, or raised TypeError: each is now a ValueError
+# naming the argument (or the q-number that overflows)
+QCALC_REFUSALS = [
+    pytest.param(lambda: make_lattice(Q, j_min=1.5, j_max=3), r"j_min must be an integer: 1\.5",
+                 id="j_min-float"),  # a lattice of size 5.0
+    pytest.param(lambda: make_lattice(Q, j_min=True, j_max=3), "j_min must be an integer: True",
+                 id="j_min-bool"),  # taken as 1
+    pytest.param(lambda: make_lattice(Q, j_min=-3, j_max=3.0), r"j_max must be an integer: 3\.0",
+                 id="j_max-float"),
+    pytest.param(lambda: make_lattice(1e-300), r"q=1e-300, x0=1\.0 and j_min=-12 put the "
+                 r"outermost point x0 \* base\*\*j_min beyond the floats", id="q-tiny"),
+    pytest.param(lambda: make_lattice(Q, j_min=-8000, j_max=0), "q=0.9, x0=1.0 and j_min=-8000",
+                 id="j_min-deep"),  # both warned: overflow encountered in power
+    pytest.param(lambda: q_number(2.5, Q), r"n must be an integer >= 0: 2\.5", id="n-float"),
+    pytest.param(lambda: q_number(2, math.nan), "q must be finite, positive and != 1: nan",
+                 id="q_number-nan"),
+    pytest.param(lambda: q_number(2, 1e300), r"\[n\]_q overflows at n=2, q=1e\+300",
+                 id="q_number-overflow"),  # OverflowError from float ** int
+    pytest.param(lambda: q_exponential(1.0, math.nan, 5),
+                 "q must be finite, positive and != 1: nan", id="q_exponential-nan"),
+    pytest.param(lambda: q_exponential(1.0, Q, 2.5), r"n_trunc must be an integer >= 1: 2\.5",
+                 id="n_trunc-float"),
+]
+
+
+@pytest.mark.parametrize("call, message", QCALC_REFUSALS)
+def test_bad_argument_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 @pytest.mark.parametrize("q, x0, j_min, j_max", [
     (Q, 1.0, -12, 12),
     (1.0 / Q, 1.0, -12, 12),  # crossed q > 1: the base is normalised to 1/q

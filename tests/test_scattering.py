@@ -1,24 +1,34 @@
 import itertools
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from braidline import (
+    EvolutionOperator,
     Hamiltonian,
     Potential,
+    QContext,
+    SMatrix,
     born_radius,
     born_wavefunction,
     braided_line,
     build_hamiltonian_basis,
+    build_qexp_basis,
     conjugate_smatrix,
+    crossing_transform,
+    delta_kernel,
     free_propagator,
     gaussian_potential,
     lippmann_schwinger_solve,
     make_lattice,
     ode_evolution,
+    smatrix_from_evolution,
     smatrix_momentum,
     unitarity_defect,
 )
@@ -190,6 +200,14 @@ NON_FINITE_ENTRIES = [
         b, np.where(np.arange(b.size) == 3, x, 1.0)), id="one_amplitude"),
     pytest.param("t_from", lambda b, v, x: ode_evolution(v.on(b), x, 1.0, 1e-8), id="t_from"),
     pytest.param("t_to", lambda b, v, x: ode_evolution(v.on(b), -1.0, x, 1e-8), id="t_to"),
+    pytest.param("t", lambda b, v, x: v.on(b).at(x), id="at"),  # an all-NaN V_I(t) before
+    pytest.param("momentum_grid", lambda b, v, x: build_qexp_basis(b.lattice, b.ctx, [0.5, x], 60),
+                 id="momentum_grid"),
+    # a NaN S had unitarity defect nan, and a NaN U unitarity drift nan
+    pytest.param("matrix", lambda b, v, x: unitarity_defect(
+        SMatrix(np.where(np.eye(b.size), x, 0.0), "S2minus")), id="smatrix"),
+    pytest.param("matrix", lambda b, v, x: EvolutionOperator(
+        np.full((4, 4), x), -1.0, 1.0).unitarity_drift(), id="evolution"),
 ]
 
 
@@ -201,10 +219,169 @@ def test_non_finite_argument_is_refused_by_name(basis, weak_v, name, call, bad):
         call(basis, weak_v, bad)
 
 
-@pytest.mark.parametrize("order", [2.5, 2.0, -1, np.float64(1.0), "2", None])
+def _square(b, x):
+    return np.full((b.size, b.size), x)
+
+
+# finite arguments that warned, gave NaN, were accepted or raised KeyError: (the exception,
+# the start of its message, the call)
+FINITE_REFUSALS = [
+    pytest.param(np.linalg.LinAlgError, r"V = strength \* values overflows in the energy basis",
+                 lambda b: Potential(np.full(b.lattice.size, 1e308), strength=10).on(b),
+                 id="potential-overflow"),
+    pytest.param(ValueError, r"t = 1e\+308 overflows the phase E \* t$",
+                 lambda b: Hamiltonian(b, _square(b, 1.0)).at(1e308), id="at-phase"),
+    pytest.param(np.linalg.LinAlgError, r"V_I\(t\) overflows at t=1\.0$",
+                 lambda b: Hamiltonian(b, _square(b, 1.7e308 + 1.7e308j)).at(1.0), id="at-product"),
+    pytest.param(ValueError, "hermitian must be None or a bool: 'yes'$",
+                 lambda b: Hamiltonian(b, _square(b, 0.0), hermitian="yes"), id="hermitian"),
+    pytest.param(ValueError, "unknown S-matrix family 'nope'$",
+                 lambda b: conjugate_smatrix(SMatrix(np.eye(b.size), "nope")), id="family"),
+    pytest.param(ValueError, r"matrix must be a square matrix, not of shape \(4, 3\)$",
+                 lambda b: unitarity_defect(SMatrix(np.ones((4, 3)), "S2minus")), id="shape"),
+    pytest.param(np.linalg.LinAlgError, r"S S\+ - I overflows$",
+                 lambda b: unitarity_defect(SMatrix(_square(b, 1e200), "S2minus")),
+                 id="unitarity-overflow"),
+    pytest.param(np.linalg.LinAlgError, r"U\+ U - I overflows$",
+                 lambda b: EvolutionOperator(np.full((4, 4), 1e200), -1.0, 1.0).unitarity_drift(),
+                 id="drift-overflow"),
+]
+
+
+@pytest.mark.parametrize("kind, message, call", FINITE_REFUSALS)
+def test_finite_argument_out_of_range_is_refused_by_name(basis, kind, message, call):
+    with pytest.raises(kind, match=f"^{message}"):
+        call(basis)
+
+
+@pytest.mark.parametrize("family", ["S1plus", "S2minus"])
+def test_smatrix_from_a_nan_or_singular_evolution_is_refused(basis, family):
+    # a U made NaN after it was built gave a NaN S; a singular U numpy's "Singular matrix"
+    h = gaussian_potential(basis.lattice, 0.05, epsilon=0.5).on(basis)
+    horizon = math.log(1e8) / 0.5
+    u = EvolutionOperator(np.eye(basis.size), -horizon, horizon)
+    u.matrix = np.full((basis.size, basis.size), np.nan)
+    with pytest.raises(ValueError, match="^matrix must be finite: nan$"):
+        smatrix_from_evolution(h, u, family)
+    u.matrix = np.zeros((basis.size, basis.size))
+    if S_FAMILIES[family][1] > 0:  # S = U itself
+        assert not smatrix_from_evolution(h, u, family).matrix.any()
+    else:
+        with pytest.raises(np.linalg.LinAlgError, match=r"^U\(T, -T\) is singular"):
+            smatrix_from_evolution(h, u, family)
+
+
+# ---------------------------------------------------------------------------
+# the construction surface: the exported names the other property tests do not call
+
+# a refusal starts with the argument it names or the quantity that overflows; any other
+# message, numpy's own included, fails the test below
+NAMED = re.compile(
+    r"^((q|x0|j_min|j_max|n|n_trunc|mass|values|strength|width|center|epsilon|v|t|hermitian"
+    r"|matrix|momentum_grid)( must | = |=)"
+    r"|invalid deformation parameter|canonical G1 context requires 0 < q"
+    r"|lattice must have at least|degenerate weight matrix|context shift factor"
+    r"|free Hamiltonian has non-finite or subnormal entries: x0=|LAPACK stemr failed"
+    r"|\[n\]_q overflows|all requested momenta rejected|q-exponential family is numerically"
+    r"|value count must equal|potential values must match|matrix size must match"
+    r"|unknown S-matrix family|V = strength \* values overflows|V_I\(t\) overflows"
+    r"|S S\+ - I overflows|S\+ S - I overflows|U\+ U - I overflows)")
+ODD = [0.0, -0.0, 5e-324, 1e-300, 1e-154, 1e154, 1e300, -1e300, 1.7e308, math.nan, math.inf,
+       -math.inf, True, False, 2.5]
+SCALARS = st.floats(-10.0, 10.0) | st.sampled_from(ODD)
+# each argument of the lattice, the free basis and the q-exponential report: (an
+# admissible draw, an odd one).  An index range has at most 25 points per branch
+BASIS_ARGS = {
+    "q": (st.floats(0.5, 0.99), st.sampled_from(ODD + [0.05, 1.0, 1.0 / Q, 2.0])),
+    "x0": (st.floats(0.1, 2.0), st.sampled_from(ODD)),
+    "j_min": (st.integers(-12, -1), st.sampled_from([-8000, 1.5, True, False, math.nan])),
+    "j_max": (st.integers(0, 12), st.sampled_from([3.0, True, False, math.nan])),
+    "mass": (st.floats(0.1, 2.0), st.sampled_from(ODD)),
+    "momentum": (st.floats(0.1, 2.0), st.sampled_from(ODD)),
+    "n_trunc": (st.just(60), st.sampled_from([1, 0, 2.5, True])),
+}
+
+
+def named_or(call):
+    """call's value, or None if it raised a refusal that ``NAMED`` accepts."""
+    try:
+        return call()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        assert NAMED.match(str(exc)), f"{type(exc).__name__}: {exc}"
+        return None
+
+
+def finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), odd=st.sets(st.sampled_from(sorted(BASIS_ARGS)), max_size=2),
+       entry=SCALARS, one=st.booleans(),
+       cplx=st.booleans(), fits=st.booleans(), strength=SCALARS, width=SCALARS, rate=SCALARS,
+       t=SCALARS, hermitian=st.sampled_from([None, True, False, np.True_, "yes", 1]),
+       family=st.sampled_from(sorted(S_FAMILIES) + ["nope"]), k=st.integers(1, 4))
+def test_construction_surface_returns_finite_values_or_refuses_by_name(
+        basis, data, odd, entry, one, cplx, fits, strength, width, rate, t, hermitian, family,
+        k):
+    # contexts, lattices and free bases with up to two of their arguments odd: huge, tiny,
+    # non-finite, bool or non-integer; then potentials, Hamiltonians, S-matrices and
+    # evolutions from finite, huge, tiny, non-finite and bool scalars and small arrays of
+    # 0.5 with one entry or all of them drawn, real or complex, of the right shape or one
+    # column too many.  Each call returns finite values or refuses by name
+    q, x0, j_min, j_max, mass, momentum, n_trunc = (
+        data.draw(BASIS_ARGS[name][name in odd], label=name)
+        for name in ("q", "x0", "j_min", "j_max", "mass", "momentum", "n_trunc"))
+
+    def array(*shape):
+        a = np.full(shape[:-1] + (shape[-1] + (not fits),), 0.5, complex if cplx else float)
+        value = complex(entry, entry) if cplx else entry
+        a.flat[:1 if one else None] = value
+        return a
+
+    ctx = named_or(lambda: QContext(q))
+    named_or(lambda: braided_line(q))
+    if ctx is not None:
+        crossed = named_or(lambda: crossing_transform(ctx))
+        assert crossed is None or 0.0 < crossed.q < math.inf
+    lattice = named_or(lambda: make_lattice(q, x0, j_min, j_max))
+    b = None
+    if lattice is not None and lattice.size <= 50:  # a drawn -8000 can pass at q near 1
+        assert finite(lattice.points, lattice.weights)
+        b = ctx and named_or(lambda: build_hamiltonian_basis(lattice, mass, ctx))
+    if b:
+        assert finite(b.energies, b.momenta, b.vectors, delta_kernel(b))
+        report = named_or(lambda: build_qexp_basis(lattice, ctx, [0.5, momentum], n_trunc))
+        assert report is None or math.isfinite(report["gram_defect"])
+    else:  # the default basis carries the rest
+        b = basis
+    n = b.size
+    phi = named_or(lambda: CoefficientVector(b, array(n)))
+    assert phi is None or finite(phi.values)
+    for pot in (named_or(lambda: Potential(array(b.lattice.size), rate, strength)),
+                named_or(lambda: gaussian_potential(b.lattice, strength, width, entry, rate))):
+        if pot is not None:
+            h = named_or(lambda: pot.on(b))
+            assert finite(pot.values) and (h is None or finite(h.v))
+    h = named_or(lambda: Hamiltonian(b, array(n, n), rate, hermitian))
+    if h is not None:
+        assert h.on(b) is h and isinstance(h.hermitian, (bool, np.bool_))
+        vi = named_or(lambda: h.at(t))
+        assert vi is None or finite(vi)
+    s = named_or(lambda: SMatrix(array(k, k), family))
+    if s is not None:
+        defect = named_or(lambda: unitarity_defect(s))
+        assert finite(conjugate_smatrix(s).matrix) and (defect is None or math.isfinite(defect))
+    u = named_or(lambda: EvolutionOperator(array(k, k), -1.0, 1.0))
+    if u is not None:
+        drift = named_or(u.unitarity_drift)
+        assert drift is None or math.isfinite(drift)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, -1, np.float64(1.0), "2", None, True])
 def test_born_wavefunction_refuses_a_bad_order_by_name(basis, weak_v, order):
     # an order that is not a nonnegative integer: a ValueError naming it, not range's
-    # TypeError
+    # TypeError; a bool is no integer here, as in make_lattice (True was taken as 1)
     phi = CoefficientVector(basis, np.eye(basis.size)[6])
     named = re.escape(repr(order))
     with pytest.raises(ValueError, match=f"^order must be an integer >= 0: {named}$"):

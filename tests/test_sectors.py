@@ -28,6 +28,7 @@ from braidline import cli, dyson, scattering
 from braidline.basis import WaveBasis
 from braidline.checks import CHECK_EPS, born_errors, cross_formalism_potential
 from braidline.scattering import S_FAMILIES
+from oracles import dense_smatrix
 
 Q = 0.9
 MASS = 1.0
@@ -265,3 +266,32 @@ def test_sector_mutants_fail_the_comparison(general, monkeypatch, mutant, low, j
         ref = general(lambda: ode_evolution(Hamiltonian(b, block, epsilon=0.5), -1.0, 1.0,
                                             1e-8).matrix)
         assert np.max(np.abs(u - ref)) >= low
+
+
+# ---------------------------------------------------------------------------
+# a mutant of the general path: it fails the S-matrix against its dense per-column solve
+
+def _unweighted_general_on(self, basis):
+    """``Potential.on``'s general product u^T diag(w V) u with the weights w dropped."""
+    u = basis.vectors
+    return Hamiltonian(basis, u.T @ ((self.strength * self.values)[:, None] * u), self.epsilon,
+                       not np.any(self.values.imag))
+
+
+@pytest.mark.parametrize("j_max, low", [(12, 1.7), (50, 1.8)], ids=["n50", "n202"])
+def test_general_path_mutant_fails_the_dense_reference(monkeypatch, j_max, low):
+    # the Gaussian at centre 0.1 is not mirror-even, so V is the general weighted product
+    # and the solve runs on all modes.  Unmutated, S meets the dense per-column solve to
+    # 2e-15; with the weights dropped from V it misses it by 1.71 (N=50) and 1.83 (N=202)
+    b = free_basis(j_max)
+    v = gaussian_potential(b.lattice, 0.05, center=0.1, epsilon=CHECK_EPS)
+    assert v.on(b).sector is None
+    for family in FAMILIES:
+        ref = dense_smatrix(v, b, CHECK_EPS, S_FAMILIES[family][1], False)
+        clean = smatrix_momentum(v, b, family, CHECK_EPS)
+        assert not clean.diagnostics["parity_sectors"]
+        assert np.max(np.abs(clean.matrix - ref)) <= 1e-14
+        with monkeypatch.context() as m:
+            m.setattr(Potential, "on", _unweighted_general_on)
+            gap = float(np.max(np.abs(smatrix_momentum(v, b, family, CHECK_EPS).matrix - ref)))
+        assert low <= gap <= low + 0.1, (family, gap)
